@@ -8,6 +8,8 @@ import os
 import platform
 import time
 import warnings
+import zipfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -318,11 +320,23 @@ def _ensure_out(out_dir) -> Path:
     return out
 
 
-def _cached_sums(cache_dir: Path, key: str, compute):
+def _cached_sums(cache_dir: Path, key: str, compute, shape: tuple):
+    """Sums of the given shape from the cache, computed and stored on a miss.
+
+    An entry that cannot be read, or holds the wrong shape or dtype, counts
+    as a miss and is overwritten.
+    """
     path = cache_dir / f"{key}.npz"
     if path.exists():
-        with np.load(path) as data:
-            return data["sums"]
+        try:
+            with np.load(path) as data:
+                sums = data["sums"]
+            if sums.shape == shape and sums.dtype == np.float64:
+                return sums
+            problem = f"shape {sums.shape}, dtype {sums.dtype}"
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+            problem = f"{type(exc).__name__}: {exc}"
+        warnings.warn(f"recomputing corrupt cache entry {path.name}: {problem}", stacklevel=2)
     sums = compute()
     tmp = path.with_suffix(".tmp.npz")
     np.savez_compressed(tmp, sums=sums)
@@ -388,7 +402,9 @@ def run_rates(
             return birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
 
         sums = (
-            _cached_sums(cache, f"{chash}_N{n}", compute) if use_cache else compute()
+            _cached_sums(cache, f"{chash}_N{n}", compute, (samples, f.dimension))
+            if use_cache
+            else compute()
         )
         try:
             w, norm, summary = normalize_sums(
@@ -463,7 +479,12 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     cfg = validate_config(cfg)
     options = cfg.get("decompose", {})
     n_terms = options.get("n_terms", 8)
-    u_order = options.get("u_order", 8)
+    if "u_order" in options:
+        warnings.warn(
+            "decompose.u_order is ignored: the ledger needs no segment quadrature",
+            FutureWarning,
+            stacklevel=2,
+        )
     h_name = h_name or options.get("test_function", "tanh_prod")
     out = _ensure_out(out_dir)
     chash = config_hash(cfg)
@@ -487,7 +508,7 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     sol = SteinSolution(
         h, ens.w_covariance(), gh_order=_DECOMP_GH[f.dimension], u_order=8
     )
-    ledger = decompose(ens, sol, u_order=u_order)
+    ledger = decompose(ens, sol)
     tol = options.get("tolerance", 1e-9 + 4.0 * ledger.combined_stderr)
     passed = abs(ledger.residual) <= tol
     csv_path = out / "decomposition.csv"
@@ -568,10 +589,23 @@ def run_stein_check(
     """Residual and derivative-bound sweep over the built-in test functions.
 
     Closed-form cases (affine, quadratic) must pass at 1e-10; the smooth
-    bump-type functions at 1e-4 (quadrature-limited).
+    bump-type functions at 1e-4 (quadrature-limited).  With `out_dir`, writes
+    stein_check_d{dim}.csv and a manifest.json whose config hash covers the
+    arguments.
     """
     if not (1 <= dim <= 3):
         raise ConfigError("stein-check supports 1 <= d <= 3")
+    params = {
+        "dim": dim,
+        "seed": seed,
+        "sigma_count": sigma_count,
+        "gh_order": gh_order,
+        "bound_gh_order": bound_gh_order,
+        "bound_grid": bound_grid,
+        "check_bounds": check_bounds,
+    }
+    manifest = RunManifest.start(config_hash(params), "stein-check")
+    manifest.stage_seeds["sigmas"] = seed
     gh = gh_order or _RESIDUAL_GH[dim]
     bgh = bound_gh_order or _BOUND_GH[dim]
     bu = _BOUND_U[dim]
@@ -605,6 +639,8 @@ def run_stein_check(
         out = _ensure_out(out_dir)
         path = out / f"stein_check_d{dim}.csv"
         report.to_csv(path)
+        manifest.record_output(path)
+        manifest.write(out / "manifest.json")
     return report
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .dynamics import Observable
 from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
@@ -228,61 +228,13 @@ def normal_cdf(x) -> np.ndarray:
     return ndtr(np.asarray(x, dtype=float))
 
 
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
 def normal_quantile(p) -> np.ndarray:
-    """Standard normal quantile (rational approximation plus one Halley step)."""
+    """Standard normal quantile, the inverse of `normal_cdf` on (0, 1)."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile argument must lie in (0, 1)")
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    x = np.empty_like(p)
-    lo, hi = 0.02425, 1.0 - 0.02425
-
-    central = (p >= lo) & (p <= hi)
-    if np.any(central):
-        q = p[central] - 0.5
-        r = q * q
-        a, b = _ACKLAM_A, _ACKLAM_B
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[central] = num * q / den
-
-    c, d = _ACKLAM_C, _ACKLAM_D
-    lower = p < lo
-    if np.any(lower):
-        q = np.sqrt(-2.0 * np.log(p[lower]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[lower] = num / den
-    upper = p > hi
-    if np.any(upper):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[upper]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[upper] = -num / den
-
-    err = ndtr(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * np.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return float(x[0]) if scalar else x
+    x = ndtri(p)
+    return float(x) if p.ndim == 0 else x
 
 
 def wasserstein_floor(m: int) -> float:

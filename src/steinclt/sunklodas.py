@@ -7,10 +7,17 @@ any C^2 function A, into seven terms built from punctured sums
     W^{n,m} = W - sum_{|i-n|<=m} Y^i,   Y^{n,m} = sum_{|i-n|=m} Y^i,
 
 and Hessian increments delta^{n,m}(u) = D^2A(W^{n,m} + u Y^{n,m}) -
-D^2A(W^{n,m}), delta^{n,k} = delta^{n,k}(1).  The split is exact given exact
-expectations, exact centering, and exact segment integrals in the first two
-terms; `decompose` reports all terms, the direct left-hand side, and the
-residual of the identity.
+D^2A(W^{n,m}), delta^{n,k} = delta^{n,k}(1).  Because W^{n,m} + Y^{n,m} =
+W^{n,m-1}, every segment integral and every k-sum of increments telescopes:
+
+    int_0^1 D^2A(W^{n,m} + u Y^{n,m}) Y^{n,m} du = grad A(W^{n,m-1}) - grad A(W^{n,m}),
+    sum_{k=a}^{b} delta^{n,k} = D^2A(W^{n,a-1}) - D^2A(W^{n,b}).
+
+`decompose` evaluates grad A and D^2 A once at every punctured sum and reads
+all seven terms off those values, so the split is exact to roundoff for any
+A whose Hessian is the derivative of its gradient (the discretised
+`SteinSolution` included).  It reports all terms, the direct left-hand
+side, and the residual of the identity.
 """
 from __future__ import annotations
 
@@ -22,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import DegenerateCovariance
-from .quadrature import gauss_legendre_01
 from .stein import TestFunction, g_h_evaluate, g_h_norm_probe
 
 __all__ = [
@@ -154,6 +160,17 @@ def _window(cum: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
+def _ring(rows: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Y^{n,m}: sum over |i-n| = m of rows along axis -2."""
+    if m == 0:
+        return rows[..., n, :].copy()
+    out = np.zeros(rows.shape[:-2] + rows.shape[-1:])
+    for i in (n - m, n + m):
+        if 0 <= i < rows.shape[-2]:
+            out += rows[..., i, :]
+    return out
+
+
 def punctured_sums(y_rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, W^{n,m}, Y^{n,m}) for one sample row or a stack of rows.
 
@@ -173,16 +190,8 @@ def punctured_sums(y_rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.n
         wnm = w.copy()
         ynm = np.zeros_like(w)
     else:
-        cum = np.cumsum(y, axis=1)
-        wnm = w - _window(cum, n, m)
-        if m == 0:
-            ynm = y[:, n].copy()
-        else:
-            ynm = np.zeros_like(w)
-            if n - m >= 0:
-                ynm += y[:, n - m]
-            if n + m <= big_n - 1:
-                ynm += y[:, n + m]
+        wnm = w - _window(np.cumsum(y, axis=1), n, m)
+        ynm = _ring(y, n, m)
     if single:
         return w[0], wnm[0], ynm[0]
     return w, wnm, ynm
@@ -206,7 +215,6 @@ class DecompositionLedger:
     lhs: tuple[float, float]
     samples: int
     exact: bool
-    u_order: int
 
     @property
     def term_sum(self) -> float:
@@ -244,7 +252,6 @@ def _mean_and_stderr(contrib: np.ndarray, weights: np.ndarray | None, exact: boo
 def decompose(
     ens: EnsembleMatrix,
     solution,
-    u_order: int = 8,
     sigma: np.ndarray | None = None,
     memory_budget: int = 200_000_000,
 ) -> DecompositionLedger:
@@ -253,8 +260,10 @@ def decompose(
     `solution` needs `gradient` and `hessian` evaluators accepting (..., d)
     stacks; when it also carries a `sigma` attribute, that matrix must agree
     with the empirical mu(W W^T) (the identity only holds for the
-    self-consistent Sigma).  E1/E2 segment integrals use `u_order`-point
-    Gauss-Legendre.  Means are exact when the ensemble carries weights.
+    self-consistent Sigma).  Both evaluators run once over the S*N*(N+1)
+    punctured sums and the terms follow by telescoping (module docstring),
+    exact to roundoff when the Hessian is the derivative of the gradient.
+    Means are exact when the ensemble carries weights.
     """
     s_count, big_n, d = ens.samples, ens.times, ens.dimension
     y = ens.y_values()
@@ -276,89 +285,49 @@ def decompose(
                 "solution Sigma disagrees with the empirical mu(W W^T); "
                 "rebuild the solution from this ensemble"
             )
-    sigma_use = sigma_emp
 
     if s_count * big_n * (big_n + 1) * d * d > memory_budget:
         raise ValueError("N^2 * S * d^2 exceeds the memory budget; reduce S or N")
 
     cum = np.cumsum(y, axis=1)
-    # punctured sums W^{n,k} for k = -1..N-1 (storage index k+1)
+    # punctured sums W^{n,m} for m = -1..N-1 (storage index m+1), rings Y^{n,m}
     wnk = np.empty((s_count, big_n, big_n + 1, d))
     wnk[:, :, 0, :] = w[:, None, :]
+    rings = np.empty((s_count, big_n, big_n, d))
     for n in range(big_n):
         for m in range(big_n):
             wnk[:, n, m + 1, :] = w - _window(cum, n, m)
-    hnk = np.asarray(solution.hessian(wnk.reshape(-1, d))).reshape(
-        s_count, big_n, big_n + 1, d, d
+            rings[:, n, m, :] = _ring(y, n, m)
+    grad = np.asarray(solution.gradient(wnk.reshape(-1, d))).reshape(wnk.shape)
+    hess = np.asarray(solution.hessian(wnk.reshape(-1, d))).reshape(wnk.shape + (d,))
+    hess_mean = ens._mean_over_samples(hess)
+    hess_c = hess - hess_mean
+
+    # E1/E2: -y_n . int_0^1 delta^{n,m}(u) du Y^{n,m}, with the segment
+    # integral of the Hessian equal to a gradient difference
+    seg = grad[:, :, :-1] - grad[:, :, 1:] - np.einsum(
+        "snmab,snmb->snma", hess[:, :, 1:], rings
     )
+    per_ring = -np.einsum("sna,snma->snm", y, seg)
+    e2 = per_ring[:, :, 0].sum(axis=1)
+    e1 = per_ring[:, :, 1:].sum(axis=(1, 2))
 
-    def ring(n: int, m: int) -> np.ndarray:
-        if m == 0:
-            return y[:, n]
-        out = np.zeros((s_count, d))
-        if n - m >= 0:
-            out += y[:, n - m]
-        if n + m <= big_n - 1:
-            out += y[:, n + m]
-        return out
+    # sum_{k=a}^{b} delta^{n,k} = hess[:, n, a] - hess[:, n, b+1]
+    m = np.arange(1, big_n)
+    ring_m = rings[:, :, 1:]
 
-    un, uw = gauss_legendre_01(u_order)
+    def ring_form(mats: np.ndarray) -> np.ndarray:
+        return np.einsum("sna,snmab,snmb->s", y, mats, ring_m)
 
-    e1 = np.zeros(s_count)
-    e2 = np.zeros(s_count)
-    for n in range(big_n):
-        for m in range(big_n):
-            if m >= 1 and (n - m < 0) and (n + m > big_n - 1):
-                continue                      # empty ring, zero contribution
-            ynm = ring(n, m)
-            base = wnk[:, n, m + 1, :]
-            seg = base[:, None, :] + un[None, :, None] * ynm[:, None, :]
-            hseg = np.asarray(solution.hessian(seg.reshape(-1, d))).reshape(
-                s_count, u_order, d, d
-            )
-            integ = np.einsum("q,sqab->sab", uw, hseg) - hnk[:, n, m + 1]
-            contrib = np.einsum("sa,sab,sb->s", y[:, n], integ, ynm)
-            if m == 0:
-                e2 -= contrib
-            else:
-                e1 -= contrib
+    e3 = -ring_form(hess_c[:, :, m + 1] - hess_c[:, :, np.minimum(2 * m, big_n - 1) + 1])
+    e4 = -ring_form(hess_c[:, :, np.minimum(2 * m + 1, big_n)] - hess_c[:, :, big_n, None])
+    e5 = -np.einsum("sna,snab,snb->s", y, hess_c[:, :, 1] - hess_c[:, :, big_n], y)
+    e6 = np.einsum("sna,nmab,snmb->s", y, hess_mean[:, :1] - hess_mean[:, m + 1], ring_m)
+    e7 = np.einsum("sna,nab,snb->s", y, hess_mean[:, 0] - hess_mean[:, 1], y)
 
-    # delta^{n,k} = H(W^{n,k-1}) - H(W^{n,k}), storage offset by one
-    delta = hnk[:, :, :-1] - hnk[:, :, 1:]          # (S, N, N, d, d), axis 2 = k
-    mean_delta = (
-        np.einsum("s,snkab->nkab", weights, delta)
-        if weights is not None
-        else delta.mean(axis=0)
-    )
-    mean_delta_cum = np.cumsum(mean_delta, axis=1)   # sum over k' <= k
-
-    e3 = np.zeros(s_count)
-    e4 = np.zeros(s_count)
-    e5 = np.zeros(s_count)
-    e6 = np.zeros(s_count)
-    e7 = np.zeros(s_count)
-    for n in range(big_n):
-        yn = y[:, n]
-        for k in range(1, big_n):
-            centered = delta[:, n, k] - mean_delta[n, k]
-            e5 -= np.einsum("sa,sab,sb->s", yn, centered, yn)
-        e7 += np.einsum("sa,ab,sb->s", yn, mean_delta[n, 0], yn)
-        for m in range(1, big_n):
-            ynm = ring(n, m)
-            if not np.any(ynm):
-                continue
-            for k in range(m + 1, min(2 * m, big_n - 1) + 1):
-                centered = delta[:, n, k] - mean_delta[n, k]
-                e3 -= np.einsum("sa,sab,sb->s", yn, centered, ynm)
-            for k in range(2 * m + 1, big_n):
-                centered = delta[:, n, k] - mean_delta[n, k]
-                e4 -= np.einsum("sa,sab,sb->s", yn, centered, ynm)
-            e6 += np.einsum("sa,ab,sb->s", yn, mean_delta_cum[n, m], ynm)
-
-    grad_w = np.asarray(solution.gradient(w))
-    hess_w = hnk[:, 0, 0]                            # D^2A(W), shared across n
-    lhs_contrib = np.einsum("ab,sba->s", sigma_use, hess_w) - np.einsum(
-        "sa,sa->s", w, grad_w
+    # D^2A(W) and grad A(W) sit at storage index 0 for every n
+    lhs_contrib = np.einsum("ab,sba->s", sigma_emp, hess[:, 0, 0]) - np.einsum(
+        "sa,sa->s", w, grad[:, 0, 0]
     )
 
     exact = ens.exact
@@ -369,7 +338,7 @@ def decompose(
         )
     }
     lhs = _mean_and_stderr(lhs_contrib, weights, exact)
-    return DecompositionLedger(terms, lhs, s_count, exact, u_order)
+    return DecompositionLedger(terms, lhs, s_count, exact)
 
 
 def rho_geometric(gamma: float) -> Callable[[int], float]:
@@ -443,14 +412,7 @@ def _norm_probe_args(ens: EnsembleMatrix, n: int, k: int, seed: int, count: int 
     total = ens.values.sum(axis=1)
     cum = np.cumsum(ens.values, axis=1)
     xs_real = total - _window(cum, n, k)
-    ring = np.zeros((ens.samples, ens.dimension))
-    if k == 0:
-        ring = ens.values[:, n]
-    else:
-        if n - k >= 0:
-            ring += ens.values[:, n - k]
-        if n + k <= ens.times - 1:
-            ring += ens.values[:, n + k]
+    ring = _ring(ens.values, n, k)
     take = min(count, ens.samples)
     idx = rng.choice(ens.samples, take, replace=False)
     radius = 4.0 * ens.bound + 1.0
@@ -482,22 +444,8 @@ def _condition_a2_a3(
     total = ens.values.sum(axis=1)
     cum = np.cumsum(ens.values, axis=1)
     x_arg = total - _window(cum, n, k)                 # sum over |i-n| > k
-    ring_k = np.zeros((ens.samples, ens.dimension))
-    if k == 0:
-        ring_k = ens.values[:, n]
-    else:
-        if n - k >= 0:
-            ring_k += ens.values[:, n - k]
-        if n + k <= big_n - 1:
-            ring_k += ens.values[:, n + k]
-    ring_m = np.zeros((ens.samples, ens.dimension))
-    if m == 0:
-        ring_m = ens.values[:, n]
-    else:
-        if n - m >= 0:
-            ring_m += ens.values[:, n - m]
-        if n + m <= big_n - 1:
-            ring_m += ens.values[:, n + m]
+    ring_k = _ring(ens.values, n, k)
+    ring_m = _ring(ens.values, n, m)
     fn = ens.values[:, n]
     xs_probe, ys_probe = _norm_probe_args(ens, n, k, seed + 1)
     lag = m if not centered else k - m
@@ -506,12 +454,7 @@ def _condition_a2_a3(
     for s_val, t_val, z in _stz_probes(ens.dimension, probe_count, seed):
         g = g_h_evaluate(h, ens.b, s_val, t_val, z, x_arg, ring_k)
         if centered:
-            g_mean = (
-                np.einsum("s,sab->ab", ens.weights, g)
-                if ens.weights is not None
-                else g.mean(axis=0)
-            )
-            g = g - g_mean
+            g = g - ens._mean_over_samples(g)
         contrib = np.einsum("sa,sab,sb->s", fn, g, ring_m)
         val, se = _mean_and_stderr(contrib, ens.weights, ens.exact)
         sup_g, sup_grad = g_h_norm_probe(h, ens.b, s_val, t_val, z, xs_probe, ys_probe)

@@ -117,7 +117,7 @@ def test_a01_decomposition_identity_on_random_finite_spaces():
         weights = rng.dirichlet(np.full(atoms, 2.0))
         bound = float(np.abs(vals).max())
         ens = EnsembleMatrix.from_raw(vals, np.eye(d), bound, weights=weights)
-        ledger = decompose(ens, TanhMixture(rng, d), u_order=48)
+        ledger = decompose(ens, TanhMixture(rng, d))
         worst = max(worst, abs(ledger.residual))
     elapsed = time.perf_counter() - t0
     print(f"identity residual over {count} spaces: worst {worst:.3e} ({elapsed:.1f}s)")

@@ -259,6 +259,39 @@ def test_run_stein_check_writes_csv(tmp_path):
     assert report.bound_seconds == 0.0
 
 
+def test_run_stein_check_writes_manifest(tmp_path):
+    run_stein_check(1, seed=2, sigma_count=1, check_bounds=False, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "stein-check"
+    assert set(manifest["outputs"]) == {"stein_check_d1.csv"}
+    got = hashlib.sha256((tmp_path / "stein_check_d1.csv").read_bytes()).hexdigest()
+    assert manifest["outputs"]["stein_check_d1.csv"] == got
+    other = tmp_path / "other"
+    run_stein_check(1, seed=3, sigma_count=1, check_bounds=False, out_dir=other)
+    other_manifest = json.loads((other / "manifest.json").read_text())
+    assert other_manifest["config_hash"] != manifest["config_hash"]
+
+
+def test_run_rates_recovers_from_corrupt_cache(tmp_path):
+    cfg = _random_cfg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first = run_rates(cfg, tmp_path).csv_path.read_bytes()
+    entries = sorted((tmp_path / "cache").glob("*.npz"))
+    entries[0].write_bytes(b"not an archive")
+    np.savez_compressed(entries[1], sums=np.zeros(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = run_rates(cfg, tmp_path).csv_path.read_bytes()
+    corrupt = [str(w.message) for w in caught if "corrupt cache entry" in str(w.message)]
+    assert len(corrupt) == 2
+    assert again == first
+    for path in entries[:2]:
+        assert any(path.name in msg for msg in corrupt)
+        with np.load(path) as data:
+            assert data["sums"].shape == (2000, 1)
+
+
 def test_run_rates_outputs_and_cache(tmp_path):
     cfg = _random_cfg()
     with warnings.catch_warnings():
@@ -296,12 +329,13 @@ def test_run_decompose_small(tmp_path):
     cfg = _random_cfg(samples=300)
     del cfg["n_grid"]
     cfg["decompose"] = {"n_terms": 5, "test_function": "gauss_bump", "u_order": 8}
-    res = run_decompose(cfg, tmp_path)
+    with pytest.warns(FutureWarning, match="u_order is ignored"):
+        res = run_decompose(cfg, tmp_path)
     assert res.passed
     assert abs(res.ledger.residual) <= res.tolerance
     assert set(res.ledger.terms) == {"E1", "E2", "E3", "E4", "E5", "E6", "E7"}
     assert res.csv_path.exists() and res.manifest_path.exists()
-    with pytest.raises(ConfigError, match="unknown test function"):
+    with pytest.raises(ConfigError, match="unknown test function"), pytest.warns(FutureWarning):
         run_decompose(cfg, tmp_path, h_name="bogus")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.linalg import DegenerateCovariance
+from steinclt.quadrature import gauss_legendre_01
 from steinclt.stein import QuadraticTestFunction, SeparableTestFunction, TanhFactor
 from steinclt.sunklodas import (
     EnsembleMatrix,
@@ -114,7 +115,7 @@ def test_delta_matrix_endpoints():
 def test_identity_exact_for_quadratic():
     ens = _doubling_ensemble(400, 5, seed=4)
     h = QuadraticTestFunction(((1.0,),), (0.3,))
-    ledger = decompose(ens, h, u_order=4)
+    ledger = decompose(ens, h)
     # constant Hessian kills every correction term and the direct side
     for name, (val, _) in ledger.terms.items():
         if name != "none":
@@ -134,7 +135,7 @@ def test_identity_exact_on_weighted_spaces():
             p = rng.uniform(0.2, 0.8)
             probs.append([p, 1.0 - p])
         ens = _exhaustive_product_ensemble(vals, probs)
-        ledger = decompose(ens, h, u_order=48)
+        ledger = decompose(ens, h)
         assert ledger.exact
         assert ledger.combined_stderr == 0.0
         worst = max(worst, abs(ledger.residual))
@@ -151,8 +152,63 @@ def test_identity_exact_on_weighted_spaces_d2():
             p = rng.dirichlet(np.ones(3))
             probs.append(list(p))
         ens = _exhaustive_product_ensemble(vals, probs)
-        ledger = decompose(ens, h, u_order=48)
+        ledger = decompose(ens, h)
         assert abs(ledger.residual) < 1e-9
+
+
+def _reference_terms(ens, h, u_order=48):
+    """E1..E7 from their definitions: Gauss-Legendre u-integrals of
+    delta^{n,m}(u) and explicit k-sums of centered increments."""
+    y = ens.y_values()
+    s_count, big_n, _ = y.shape
+    un, uw = gauss_legendre_01(u_order)
+    delta = {
+        (s, n, k): delta_matrix(h, y[s], n, k)
+        for s in range(s_count)
+        for n in range(big_n)
+        for k in range(big_n)
+    }
+    mean_delta = {
+        (n, k): sum(ens.weights[s] * delta[s, n, k] for s in range(s_count))
+        for n in range(big_n)
+        for k in range(big_n)
+    }
+    terms = dict.fromkeys(["E1", "E2", "E3", "E4", "E5", "E6", "E7"], 0.0)
+    for s in range(s_count):
+        p = ens.weights[s]
+        for n in range(big_n):
+            yn = y[s, n]
+            rings = [punctured_sums(y[s], n, m)[2] for m in range(big_n)]
+            for m in range(big_n):
+                integ = sum(q_w * delta_matrix(h, y[s], n, m, q_u) for q_u, q_w in zip(un, uw))
+                terms["E2" if m == 0 else "E1"] -= p * yn @ integ @ rings[m]
+            for k in range(1, big_n):
+                terms["E5"] -= p * yn @ (delta[s, n, k] - mean_delta[n, k]) @ yn
+            terms["E7"] += p * yn @ mean_delta[n, 0] @ yn
+            for m in range(1, big_n):
+                for k in range(m + 1, min(2 * m, big_n - 1) + 1):
+                    terms["E3"] -= p * yn @ (delta[s, n, k] - mean_delta[n, k]) @ rings[m]
+                for k in range(2 * m + 1, big_n):
+                    terms["E4"] -= p * yn @ (delta[s, n, k] - mean_delta[n, k]) @ rings[m]
+                cum = sum(mean_delta[n, k] for k in range(m + 1))
+                terms["E6"] += p * yn @ cum @ rings[m]
+    return terms
+
+
+def test_terms_match_definitions_on_correlated_space():
+    # atoms drawn jointly over all times, so slots are dependent and every
+    # term, E3 and E4 included, carries mass
+    rng = np.random.default_rng(16)
+    vals = 0.4 * rng.standard_normal((10, 5, 2))
+    weights = rng.dirichlet(np.full(10, 2.0))
+    ens = EnsembleMatrix.from_raw(vals, np.eye(2), float(np.abs(vals).max()), weights=weights)
+    h = _tanh_pair()
+    ledger = decompose(ens, h)
+    want = _reference_terms(ens, h)
+    for name, value in want.items():
+        assert abs(value) > 1e-5, name
+        assert abs(ledger.terms[name][0] - value) <= 1e-10, name
+    assert abs(ledger.residual) < 1e-12
 
 
 def test_product_space_term_structure():
@@ -164,7 +220,7 @@ def test_product_space_term_structure():
         vals.append(np.array([[a], [-a]]))
     probs = [[0.5, 0.5]] * 4
     ens = _exhaustive_product_ensemble(vals, probs)
-    ledger = decompose(ens, _tanh_single(), u_order=48)
+    ledger = decompose(ens, _tanh_single())
     for name in ("E1", "E3", "E4", "E5", "E6"):
         assert abs(ledger.terms[name][0]) < 1e-12, name
     e2e7 = ledger.terms["E2"][0] + ledger.terms["E7"][0]
@@ -174,8 +230,8 @@ def test_product_space_term_structure():
 
 def test_monte_carlo_term_consistency():
     h = _tanh_single()
-    small = decompose(_doubling_ensemble(600, 4, seed=8), h, u_order=8)
-    big = decompose(_doubling_ensemble(2400, 4, seed=9), h, u_order=8)
+    small = decompose(_doubling_ensemble(600, 4, seed=8), h)
+    big = decompose(_doubling_ensemble(2400, 4, seed=9), h)
     for name in ("E1", "E2", "E5", "E7"):
         v1, s1 = small.terms[name]
         v2, s2 = big.terms[name]
@@ -185,7 +241,7 @@ def test_monte_carlo_term_consistency():
 
 def test_ledger_csv_round_trip(tmp_path):
     ens = _doubling_ensemble(400, 4, seed=10)
-    ledger = decompose(ens, _tanh_single(), u_order=8)
+    ledger = decompose(ens, _tanh_single())
     path = tmp_path / "ledger.csv"
     ledger.to_csv(path)
     lines = path.read_text().strip().splitlines()
