@@ -18,6 +18,7 @@ from .dynamics import (
     RandomSequence,
     SequentialSequence,
     ShiftedSlopeFamily,
+    orbit,
     trajectory,
 )
 from .linalg import DegenerateCovariance
@@ -54,6 +55,7 @@ __all__ = [
     "RandomSequence",
     "SequentialSequence",
     "ShiftedSlopeFamily",
+    "orbit",
     "trajectory",
     "DegenerateCovariance",
     "SteinSolution",

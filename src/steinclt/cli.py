@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .harness import (
@@ -22,12 +23,6 @@ def _add_common(parser: argparse.ArgumentParser, need_config: bool = True) -> No
     if need_config:
         parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread count")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="single-threaded fixed-order execution (byte-identical outputs)",
-    )
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -46,6 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="distance-to-normal over the N grid plus rate fit")
     _add_common(p)
     p.add_argument("--no-cache", action="store_true", help="recompute ensembles")
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads over the N grid (outputs do not depend on it)",
+    )
+    p.add_argument(
+        "--deterministic", action="store_true",
+        help="ignored: outputs never depend on the thread count",
+    )
 
     p = sub.add_parser("decompose", help="seven-term ledger for the configured system")
     _add_common(p)
@@ -81,12 +84,14 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
             return 0
         if args.command == "rates":
+            if args.deterministic:
+                warnings.warn(
+                    "--deterministic is ignored: outputs never depend on the thread count",
+                    FutureWarning,
+                    stacklevel=2,
+                )
             result = run_rates(
-                _load(args),
-                out,
-                deterministic=args.deterministic,
-                threads=args.threads,
-                use_cache=not args.no_cache,
+                _load(args), out, threads=args.threads, use_cache=not args.no_cache
             )
             fit = result.fit
             print(
@@ -130,6 +135,9 @@ def main(argv=None) -> int:
         return 2
     except (DegenerateCovariance, ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
 

@@ -1,9 +1,11 @@
 """Interval maps and time-dependent composition regimes.
 
 All maps act on [0, 1].  A composition regime supplies, for a horizon n and a
-step index k in 0..n, the parameter of the map applied at step k; trajectories
+step index k in 0..n, the parameter of the map applied at step k; orbits
 consume step indices 1..n (index 0 is a placeholder so that time-0 observables
-need no map).  Three regimes are supported:
+need no map).  `orbit` is the one loop that applies the maps: trajectories,
+ensembles, Birkhoff sums, lag covariances and quasistatic partial sums are
+all reductions over the points it yields.  Three regimes are supported:
 
 * an explicit per-step parameter list,
 * a slowly varying parameter curve sampled on the triangular array
@@ -32,6 +34,7 @@ __all__ = [
     "RandomSequence",
     "Observable",
     "OBSERVABLES",
+    "orbit",
     "trajectory",
     "qds_birkhoff_integral",
 ]
@@ -46,6 +49,17 @@ def _as_unit_interval(x):
 
 def _like_input(x, out):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def _lsv(x: np.ndarray, alpha) -> np.ndarray:
+    """x (1 + (2x)^alpha) on [0, 1/2), 2x - 1 on [1/2, 1]."""
+    return np.where(x < 0.5, x * (1.0 + (2.0 * x) ** alpha), 2.0 * x - 1.0)
+
+
+def _mod1(y: np.ndarray) -> np.ndarray:
+    """y mod 1, with a rounded-up 1.0 snapped to 0.0."""
+    out = np.mod(y, 1.0)
+    return np.where(out == 1.0, 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -117,10 +131,7 @@ class LsvMap(IntervalMap):
             raise ValueError("alpha must lie in [0, 1]")
 
     def apply(self, x):
-        arr = _as_unit_interval(x)
-        left = arr < 0.5
-        out = np.where(left, arr * (1.0 + (2.0 * arr) ** self.alpha), 2.0 * arr - 1.0)
-        return _like_input(x, out)
+        return _like_input(x, _lsv(_as_unit_interval(x), self.alpha))
 
     def branches(self) -> list[Branch]:
         a = self.alpha
@@ -166,9 +177,7 @@ class PiecewiseLinearMap(IntervalMap):
         edges = np.asarray(self._edges())
         idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.slopes) - 1)
         slopes = np.asarray(self.slopes)[idx]
-        out = np.mod(slopes * arr, 1.0)
-        out = np.where(out == 1.0, 0.0, out)
-        return _like_input(x, out)
+        return _like_input(x, _mod1(slopes * arr))
 
     def branches(self) -> list[Branch]:
         pieces: list[Branch] = []
@@ -215,10 +224,7 @@ class LsvFamily(MapFamily):
         return LsvMap(float(param))
 
     def apply_param(self, param: float, x):
-        arr = _as_unit_interval(x)
-        left = arr < 0.5
-        out = np.where(left, arr * (1.0 + (2.0 * arr) ** param), 2.0 * arr - 1.0)
-        return _like_input(x, out)
+        return _like_input(x, _lsv(_as_unit_interval(x), param))
 
 
 @dataclass(frozen=True)
@@ -231,10 +237,7 @@ class ShiftedSlopeFamily(MapFamily):
         return PiecewiseLinearMap(slopes=(self.base + float(param),))
 
     def apply_param(self, param: float, x):
-        arr = _as_unit_interval(x)
-        out = np.mod((self.base + param) * arr, 1.0)
-        out = np.where(out == 1.0, 0.0, out)
-        return _like_input(x, out)
+        return _like_input(x, _mod1((self.base + param) * _as_unit_interval(x)))
 
 
 @dataclass(frozen=True)
@@ -396,26 +399,30 @@ class RandomSequence:
         return float(self.parameters(n)[k])
 
 
-def trajectory(seq, x0, steps: int, horizon: int | None = None) -> np.ndarray:
-    """Orbit y[0..steps] with y[0] = x0 and y[k] = T_{alpha(k)}(y[k-1]).
+def orbit(seq, x0, steps: int, horizon: int | None = None):
+    """Yield y_0 = x0, y_1, ..., y_steps with y_k = T_{alpha(k)}(y_{k-1}).
 
-    Parameters are read off the triangular array at the given horizon
+    Parameters are read once off the triangular array at the given horizon
     (defaults to `steps`).  x0 may be a scalar or an array of starting
-    points; the output gains a leading time axis of length steps + 1.
+    points; every y_k has its shape.  The arguments are checked when the
+    first point is drawn.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     n = steps if horizon is None else horizon
     if n < steps:
         raise ValueError("horizon must be >= steps")
-    params = seq.parameters(n)
     x = _as_unit_interval(x0)
-    out = np.empty((steps + 1,) + x.shape, dtype=float)
-    out[0] = x
+    params = np.asarray(seq.parameters(n), dtype=float)
+    yield x
     for k in range(1, steps + 1):
         x = np.asarray(seq.family.apply_param(params[k], x))
-        out[k] = x
-    return out
+        yield x
+
+
+def trajectory(seq, x0, steps: int, horizon: int | None = None) -> np.ndarray:
+    """The points of `orbit` stacked on a leading time axis of length steps + 1."""
+    return np.stack(list(orbit(seq, x0, steps, horizon)))
 
 
 @dataclass(frozen=True)
@@ -514,7 +521,7 @@ def qds_birkhoff_integral(seq, f: Observable, x, t: float, n: int | None = None)
     frac = nt - m
     if frac < 1e-12:
         frac = 0.0
-    orbit = trajectory(seq, x, m, horizon=n)          # (m+1, ...) points
-    vals = f(orbit)                                   # (m+1, ..., d)
+    points = trajectory(seq, x, m, horizon=n)         # (m+1, ...) points
+    vals = f(points)                                  # (m+1, ..., d)
     total = vals[:m].sum(axis=0) if m > 0 else np.zeros_like(vals[0])
     return total + frac * vals[m]

@@ -29,6 +29,7 @@ from .dynamics import (
     RandomSequence,
     SequentialSequence,
     ShiftedSlopeFamily,
+    orbit,
     trajectory,
 )
 from .linalg import DegenerateCovariance
@@ -371,14 +372,15 @@ class RatesResult:
 def run_rates(
     cfg: dict,
     out_dir,
-    deterministic: bool = False,
     threads: int | None = None,
     use_cache: bool = True,
 ) -> RatesResult:
     """Distance-to-normal across the N grid, rate fit, CSV + plot data.
 
-    Raises DegenerateCovariance naming the offending N when self-norming
-    fails; emits rates.csv, plot_rates.txt, rate_fit.csv, and manifest.json.
+    Each N has its own seed and its results are sorted by N, so the outputs
+    do not depend on the thread count.  Raises DegenerateCovariance naming
+    the offending N when self-norming fails; emits rates.csv, plot_rates.txt,
+    rate_fit.csv, and manifest.json.
     """
     cfg = validate_config(cfg)
     if "n_grid" not in cfg:
@@ -392,7 +394,7 @@ def run_rates(
     manifest.stage_seeds["driver"] = stage_seed(cfg["seed"], "driver")
     samples = cfg["samples"]
     grid = sorted(cfg["n_grid"])
-    n_threads = 1 if deterministic else _resolve_threads(cfg, threads)
+    n_threads = _resolve_threads(cfg, threads)
 
     def job(n: int):
         label = f"ensemble-N{n}"
@@ -754,16 +756,12 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
     for n in grid:
         seed_n = stage_seed(cfg["seed"], f"qds-N{n}")
         manifest.stage_seeds[f"qds-N{n}"] = seed_n
-        rng = np.random.default_rng(seed_n)
-        x = rng.random(samples)
-        params = np.asarray(seq.parameters(n), dtype=float)
+        x0 = np.random.default_rng(seed_n).random(samples)
         k_mid = int(math.floor(n * t_mid))
         frac = n * t_mid - k_mid
         acc = np.zeros((samples, f.dimension))
         mid = None
-        for k in range(n):
-            if k > 0:
-                x = np.asarray(seq.family.apply_param(params[k], x))
+        for k, x in enumerate(orbit(seq, x0, n - 1, horizon=n)):
             vals = f(x)
             if k == k_mid:
                 mid = acc + frac * vals
@@ -811,13 +809,13 @@ def simulate(cfg: dict, out_dir, steps: int = 64, orbit_count: int = 8) -> Path:
     manifest.stage_seeds["simulate"] = seed
     rng = np.random.default_rng(seed)
     x0 = rng.random(orbit_count)
-    orbit = trajectory(seq, x0, steps)
+    points = trajectory(seq, x0, steps)
     csv_path = out / "orbits.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write("config,orbit,step,x\n")
         for j in range(orbit_count):
             for k in range(steps + 1):
-                fh.write(f"{chash},{j},{k},{repr(float(orbit[k, j]))}\n")
+                fh.write(f"{chash},{j},{k},{repr(float(points[k, j]))}\n")
     manifest.record_output(csv_path)
     manifest.write(out / "manifest.json")
     return csv_path

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .dynamics import Observable
+from .dynamics import Observable, orbit
 from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
 from .quadrature import gauss_hermite_standard
 from .stein import TestFunction, smooth_metric_family
@@ -99,38 +99,23 @@ def empirical_covariance(data) -> CovarianceSummary:
     return CovarianceSummary(cov, float(eigs[0]), float(eigs[-1]), spectral_norm(cov))
 
 
-def _initial_points(samples: int, rng: np.random.Generator, initial) -> np.ndarray:
-    if initial is None or (isinstance(initial, str) and initial == "uniform"):
-        return rng.random(samples)
-    if isinstance(initial, str):
-        raise ValueError(f"unknown initial-point rule {initial!r}")
-    if callable(initial):
-        x = np.asarray(initial(samples, rng), dtype=float)
-    else:
-        x = np.asarray(initial, dtype=float)
-    if x.shape != (samples,):
-        raise ValueError("initial points must have shape (samples,)")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("initial points must lie in [0, 1]")
-    return x
-
-
 def build_ensemble(
     seq,
     f: Observable,
     n_terms: int,
     samples: int,
     seed: int,
-    initial="uniform",
+    initial: np.ndarray | None = None,
     normalization: NormalizationMatrix | str = "self-norming",
     horizon: int | None = None,
     memory_budget: int = 200_000_000,
 ) -> EnsembleMatrix:
     """S independent orbits, observable values per time slot, centered.
 
-    Slot i holds f at the i-th orbit point (slot 0 is the initial draw).
-    Centering subtracts the per-slot ensemble mean.  The normalization is
-    self-norming by default (b from the empirical covariance of the sums).
+    Slot i holds f at the i-th orbit point (slot 0 is the initial point:
+    `initial`, an array of shape (samples,), or a uniform draw).  Centering
+    subtracts the per-slot ensemble mean.  The normalization is self-norming
+    by default (b from the empirical covariance of the sums).
     """
     if samples < 100:
         raise ValueError("need at least 100 samples to center the ensemble")
@@ -138,14 +123,14 @@ def build_ensemble(
         raise ValueError("n_terms must be >= 1")
     if samples * n_terms * f.dimension > memory_budget:
         raise ValueError("ensemble would exceed the memory budget; stream the sums instead")
-    rng = np.random.default_rng(seed)
-    x = _initial_points(samples, rng, initial)
-    hor = n_terms - 1 if horizon is None else horizon
-    params = np.asarray(seq.parameters(hor), dtype=float)
+    if initial is None:
+        x0 = np.random.default_rng(seed).random(samples)
+    else:
+        x0 = np.asarray(initial, dtype=float)
+        if x0.shape != (samples,):
+            raise ValueError("initial points must have shape (samples,)")
     raw = np.empty((samples, n_terms, f.dimension))
-    for k in range(n_terms):
-        if k > 0:
-            x = np.asarray(seq.family.apply_param(params[k], x))
+    for k, x in enumerate(orbit(seq, x0, n_terms - 1, horizon)):
         raw[:, k, :] = f(x)
     if isinstance(normalization, NormalizationMatrix):
         norm = normalization
@@ -166,20 +151,14 @@ def birkhoff_raw_sums(
     n_terms: int,
     samples: int,
     seed: int,
-    initial="uniform",
     horizon: int | None = None,
 ) -> np.ndarray:
     """Uncentered sums over n_terms slots, streaming over time (O(S d) memory)."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = _initial_points(samples, rng, initial)
-    hor = n_terms - 1 if horizon is None else horizon
-    params = np.asarray(seq.parameters(hor), dtype=float)
+    x0 = np.random.default_rng(seed).random(samples)
     acc = np.zeros((samples, f.dimension))
-    for k in range(n_terms):
-        if k > 0:
-            x = np.asarray(seq.family.apply_param(params[k], x))
+    for x in orbit(seq, x0, n_terms - 1, horizon):
         acc += f(x)
     return acc
 
@@ -408,12 +387,8 @@ def sigma_series(
     n_slots = burn_in + window + k_max + 1
     for _ in range(runs):
         seq = make_sequence(int(rng.integers(2**63)))
-        x = rng.random(samples)
-        params = np.asarray(seq.parameters(n_slots - 1), dtype=float)
         vals = np.empty((samples, n_slots, d))
-        for k in range(n_slots):
-            if k > 0:
-                x = np.asarray(seq.family.apply_param(params[k], x))
+        for k, x in enumerate(orbit(seq, rng.random(samples), n_slots - 1)):
             vals[:, k, :] = f(x)
         vals -= vals.mean(axis=0, keepdims=True)
         for k in range(k_max + 1):

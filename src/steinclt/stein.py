@@ -483,7 +483,9 @@ class SteinSolution:
             out["hessian"] = np.empty((b, d, d))
         j = self._unodes.size
         i = self._znodes.shape[0]
-        chunk = max(1, int(8_000_000 / max(1, j * i * d)))
+        # ~8M values per chunk: the point block has d per node, the Hessian d*d
+        width = d * d if "hessian" in need else d
+        chunk = max(1, int(8_000_000 / max(1, j * i * width)))
         uw = self._uweights
         un = self._unodes
         zw = self._zweights

@@ -197,7 +197,7 @@ def test_a07_sequential_intermittent_rate(tmp_path):
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = run_rates(CFG_SEQUENTIAL, tmp_path, deterministic=True)
+        result = run_rates(CFG_SEQUENTIAL, tmp_path)
     elapsed = time.perf_counter() - t0
     fit = result.fit
     print(
@@ -213,7 +213,7 @@ def test_a08_random_slope_family_rate(tmp_path):
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = run_rates(CFG_RANDOM_SLOPE, tmp_path, deterministic=True)
+        result = run_rates(CFG_RANDOM_SLOPE, tmp_path)
     elapsed = time.perf_counter() - t0
     fit = result.fit
     print(

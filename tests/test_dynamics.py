@@ -15,9 +15,11 @@ from steinclt.dynamics import (
     RandomSequence,
     SequentialSequence,
     ShiftedSlopeFamily,
+    orbit,
     qds_birkhoff_integral,
     trajectory,
 )
+from steinclt.stats import birkhoff_raw_sums
 
 
 def test_lsv_hand_values():
@@ -72,6 +74,43 @@ def test_trajectory_doubling_orbit():
     seq = SequentialSequence(LsvFamily(), np.zeros(4), beta_star=0.25)
     orb = trajectory(seq, np.array([0.3]), 2)
     np.testing.assert_allclose(orb.ravel(), [0.3, 0.6, 0.2], atol=1e-15)
+
+
+def _random_lsv(seed=4):
+    return RandomSequence(LsvFamily(), IidUniformDriver(0.1, 0.25, seed=seed), beta_star=0.25)
+
+
+def test_orbit_rows_equal_trajectory():
+    seq = _random_lsv()
+    x0 = np.random.default_rng(1).random(50)
+    rows = list(orbit(seq, x0, 12, horizon=20))
+    assert len(rows) == 13
+    np.testing.assert_array_equal(np.stack(rows), trajectory(seq, x0, 12, horizon=20))
+    np.testing.assert_array_equal(rows[0], x0)
+
+
+def test_orbit_rejects_horizon_below_steps():
+    seq = _random_lsv()
+    x0 = np.full(10, 0.3)
+    with pytest.raises(ValueError, match="horizon"):
+        list(orbit(seq, x0, 5, horizon=4))
+    with pytest.raises(ValueError, match="horizon"):
+        trajectory(seq, x0, 5, horizon=4)
+    with pytest.raises(ValueError, match="horizon"):
+        birkhoff_raw_sums(seq, OBSERVABLES["identity"](), 8, 10, seed=0, horizon=6)
+
+
+def test_orbit_applies_one_map_per_step_to_all_samples(monkeypatch):
+    seen = []
+    apply_param = LsvFamily.apply_param
+
+    def counting(self, param, x):
+        seen.append(np.shape(x))
+        return apply_param(self, param, x)
+
+    monkeypatch.setattr(LsvFamily, "apply_param", counting)
+    birkhoff_raw_sums(_random_lsv(), OBSERVABLES["identity"](), 9, 300, seed=2)
+    assert seen == [(300,)] * 8
 
 
 def test_sequential_parameters_include_slot_zero():

@@ -318,6 +318,25 @@ def test_run_rates_outputs_and_cache(tmp_path):
     assert res2.csv_path.read_bytes() == first
 
 
+def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
+    cfg = _random_cfg()
+    cfg_path = tmp_path / "rates.json"
+    cfg_path.write_text(json.dumps(cfg))
+    outs = (tmp_path / "t1", tmp_path / "t2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_rates(cfg, outs[0], threads=1, use_cache=False)
+        with pytest.warns(FutureWarning, match="--deterministic is ignored"):
+            rc = cli.main(
+                ["rates", "--config", str(cfg_path), "--threads", "2", "--deterministic",
+                 "--no-cache", "--out", str(outs[1])]
+            )
+    assert rc == 0
+    capsys.readouterr()
+    for name in ("rates.csv", "rate_fit.csv", "plot_rates.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_run_rates_needs_grid(tmp_path):
     cfg = _random_cfg()
     del cfg["n_grid"]
@@ -392,6 +411,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     rc = cli.main(["rates", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r")])
     assert rc == 2
     capsys.readouterr()
+
+    rc = cli.main(["rates", "--config", str(good), "--out", str(good)])
+    assert rc == 1
+    assert "i/o error" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qds", "--config", str(good), "--threads", "2", "--out", str(tmp_path / "q")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
     short = tmp_path / "short.json"
     short.write_text(json.dumps(_qds_cfg(n_grid=[64, 128, 256])))
