@@ -270,8 +270,7 @@ class MarkovChainDriver:
     """Finite-state Markov chain over a grid of parameter values.
 
     The chain starts from its stationary vector (power iteration) so the
-    stream is stationary; `mixing_gap` reports 1 minus the second-largest
-    eigenvalue modulus of the kernel.
+    stream is stationary.
     """
 
     values: tuple[float, ...]
@@ -297,11 +296,6 @@ class MarkovChainDriver:
                 return v2
             v = v2
         return v
-
-    @property
-    def mixing_gap(self) -> float:
-        eig = np.sort(np.abs(np.linalg.eigvals(self._kernel_array())))[::-1]
-        return float(1.0 - (eig[1] if len(eig) > 1 else 0.0))
 
     def stream(self, n: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -358,8 +352,6 @@ class QuasistaticSequence:
     family: MapFamily
     curve: Callable[[float], float]
     beta_star: float
-    rate_eta: float = 1.0
-    horizon: int | None = None
 
     def parameter_at(self, n: int, k: int) -> float:
         if not (0 <= k <= n):
@@ -502,17 +494,13 @@ OBSERVABLES: dict[str, Callable[[], Observable]] = {
 }
 
 
-def qds_birkhoff_integral(seq, f: Observable, x, t: float, n: int | None = None) -> np.ndarray:
+def qds_birkhoff_integral(seq, f: Observable, x, t: float, n: int) -> np.ndarray:
     """Time-rescaled partial Birkhoff integral S_n(x, t).
 
     S_n(x, t) = sum_{k < floor(nt)} f(y_k) + (nt - floor(nt)) f(y_floor(nt)),
     where y is the orbit under the triangular array at horizon n.  Piecewise
     linear in t between the grid points k/n.
     """
-    if n is None:
-        n = getattr(seq, "horizon", None)
-    if n is None:
-        raise ValueError("horizon n is required (pass n= or set it on the sequence)")
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     nt = n * t

@@ -38,6 +38,7 @@ from .stats import (
     RateFit,
     birkhoff_raw_sums,
     build_ensemble,
+    check_rate_grid,
     fit_rate,
     normalize_sums,
     sigma_series,
@@ -215,8 +216,14 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
+# Config keys that cannot change a result; the hash, and so the cache key,
+# leaves them out.
+_UNHASHED = ("threads", "out_dir")
+
+
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    kept = {key: val for key, val in cfg.items() if key not in _UNHASHED}
+    canon = json.dumps(kept, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -315,6 +322,22 @@ def _resolve_threads(cfg: dict, threads: int | None) -> int:
     return max(1, int(cfg.get("threads", 1)))
 
 
+def _rate_grid(cfg: dict, command: str) -> list[int]:
+    """The config's N grid in increasing order, checked before any simulation.
+
+    Raises ConfigError when the grid is missing or `fit_rate` could not fit
+    the configured model over it.
+    """
+    if "n_grid" not in cfg:
+        raise ConfigError(f"{command} runs need an n_grid")
+    grid = sorted(cfg["n_grid"])
+    try:
+        check_rate_grid(grid, cfg["fit_model"])
+    except ValueError as exc:
+        raise ConfigError(f"n_grid cannot be fitted: {exc}") from exc
+    return grid
+
+
 def _ensure_out(out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -383,8 +406,7 @@ def run_rates(
     rate_fit.csv, and manifest.json.
     """
     cfg = validate_config(cfg)
-    if "n_grid" not in cfg:
-        raise ConfigError("rates runs need an n_grid")
+    grid = _rate_grid(cfg, "rates")
     out = _ensure_out(out_dir)
     cache = _ensure_out(out / "cache")
     chash = config_hash(cfg)
@@ -393,7 +415,6 @@ def run_rates(
     seq = build_system(cfg)
     manifest.stage_seeds["driver"] = stage_seed(cfg["seed"], "driver")
     samples = cfg["samples"]
-    grid = sorted(cfg["n_grid"])
     n_threads = _resolve_threads(cfg, threads)
 
     def job(n: int):
@@ -432,8 +453,9 @@ def run_rates(
 
     floor = wasserstein_floor(samples)
     smallest = min(rep.value for _, rep, _ in rows)
-    floor_ok = smallest >= 3.0 * floor
-    if cfg["metric"] != "smooth-metric" and not floor_ok:
+    # the floor is that of the W1 estimator; the smooth metric has none
+    floor_ok = cfg["metric"] == "smooth-metric" or smallest >= 3.0 * floor
+    if not floor_ok:
         warnings.warn(
             "smallest measured distance sits within 3x the estimator floor; "
             "increase the sample count",
@@ -668,8 +690,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     cfg = validate_config(cfg)
     if cfg["system"]["kind"] != "random":
         raise ConfigError("quenched runs need a random system")
-    if "n_grid" not in cfg:
-        raise ConfigError("quenched runs need an n_grid")
+    grid = _rate_grid(cfg, "quenched")
     options = cfg.get("quenched", {})
     replicas = replicas or options.get("replicas", 4)
     k_max = options.get("k_max", 16)
@@ -699,7 +720,6 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
             "series covariance is not positive definite: the variance-growth "
             "condition fails and no quenched limit is available"
         )
-    grid = sorted(cfg["n_grid"])
     samples = cfg["samples"]
     fits = []
     csv_path = out / "quenched.csv"
@@ -742,8 +762,7 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
     cfg = validate_config(cfg)
     if cfg["system"]["kind"] != "quasistatic":
         raise ConfigError("qds runs need a quasistatic system")
-    if "n_grid" not in cfg:
-        raise ConfigError("qds runs need an n_grid")
+    grid = _rate_grid(cfg, "qds")
     t_mid = cfg.get("qds", {}).get("t_mid", 0.5)
     out = _ensure_out(out_dir)
     chash = config_hash(cfg)
@@ -751,7 +770,6 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
     f = build_observable(cfg)
     seq = build_system(cfg)
     samples = cfg["samples"]
-    grid = sorted(cfg["n_grid"])
     rows = []
     for n in grid:
         seed_n = stage_seed(cfg["seed"], f"qds-N{n}")

@@ -36,10 +36,17 @@ def gauss_hermite_standard(order: int, dim: int) -> tuple[np.ndarray, np.ndarray
     if dim > 3:
         raise ValueError("tensorized Gauss-Hermite is limited to dim <= 3")
     x, w = np.polynomial.hermite.hermgauss(order)
-    x = x * np.sqrt(2.0)          # physicists' weight exp(-t^2) -> standard normal
-    w = w / np.sqrt(np.pi)
-    if dim == 1:
-        return x[:, None].copy(), w.copy()
+    # physicists' weight exp(-t^2) -> standard normal
+    return tensor_rule(x * np.sqrt(2.0), w / np.sqrt(np.pi), dim)
+
+
+def tensor_rule(x: np.ndarray, w: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule on R^dim from the 1-D nodes x and weights w.
+
+    Returns nodes of shape (len(x)**dim, dim), the last axis varying
+    fastest, and weights w[i_0] * ... * w[i_{dim-1}] multiplied in axis
+    order.
+    """
     grids = np.meshgrid(*([x] * dim), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.ones(nodes.shape[0])

@@ -34,6 +34,7 @@ __all__ = [
     "smooth_metric_distance",
     "scale_distance",
     "sigma_series",
+    "check_rate_grid",
     "fit_rate",
 ]
 
@@ -358,10 +359,6 @@ class SigmaSeriesReport:
     runs: int
     samples: int
 
-    def __array__(self, dtype=None, copy=None):
-        arr = np.array(self.matrix, dtype=dtype)
-        return arr
-
 
 def sigma_series(
     make_sequence: Callable[[int], object],
@@ -423,6 +420,25 @@ class RateFit:
         return self.model == "power-times-log"
 
 
+def check_rate_grid(n_values: Sequence[int], model: str = "pure-power") -> None:
+    """Raise ValueError unless `fit_rate` can fit `model` over these N values.
+
+    The grid needs at least 4 distinct N >= 2 spanning three octaves, and
+    power-times-log needs N >= 3 so that log log N is positive.
+    """
+    if model not in ("pure-power", "power-times-log"):
+        raise ValueError("model must be pure-power or power-times-log")
+    ns = np.asarray(n_values, dtype=float)
+    if ns.size < 4:
+        raise ValueError("need at least 4 N values")
+    if np.unique(ns).size != ns.size or np.any(ns < 2):
+        raise ValueError("N values must be distinct integers >= 2")
+    if ns.max() / ns.min() < 8.0 - 1e-9:
+        raise ValueError("N grid must span at least three octaves")
+    if model == "power-times-log" and np.any(ns < 3):
+        raise ValueError("power-times-log needs N >= 3")
+
+
 def fit_rate(pairs: Sequence[tuple[int, float]], model: str = "pure-power") -> RateFit:
     """Least-squares exponent of distance against N on log-log axes.
 
@@ -430,23 +446,14 @@ def fit_rate(pairs: Sequence[tuple[int, float]], model: str = "pure-power") -> R
     log-factor coefficient to one and fits log d - log log N = c + p log N.
     The half-width is twice the standard error of the slope.
     """
-    if model not in ("pure-power", "power-times-log"):
-        raise ValueError("model must be pure-power or power-times-log")
     ns = np.asarray([p[0] for p in pairs], dtype=float)
     ds = np.asarray([p[1] for p in pairs], dtype=float)
-    if ns.size < 4:
-        raise ValueError("need at least 4 (N, distance) pairs")
+    check_rate_grid(ns, model)
     if np.any(ds <= 0.0):
         raise ValueError("distances must be positive")
-    if np.unique(ns).size != ns.size or np.any(ns < 2):
-        raise ValueError("N values must be distinct integers >= 2")
-    if ns.max() / ns.min() < 8.0 - 1e-9:
-        raise ValueError("N grid must span at least three octaves")
     x = np.log(ns)
     y = np.log(ds)
     if model == "power-times-log":
-        if np.any(ns < 3):
-            raise ValueError("power-times-log needs N >= 3")
         y = y - np.log(np.log(ns))
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))

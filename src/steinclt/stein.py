@@ -16,7 +16,7 @@ decomposition code relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Sequence
 
@@ -24,7 +24,12 @@ import numpy as np
 from scipy.special import erf
 
 from .linalg import batch_spectral_norm, check_symmetric
-from .quadrature import composite_gauss_legendre, gauss_hermite_standard, gauss_legendre_01
+from .quadrature import (
+    composite_gauss_legendre,
+    gauss_hermite_standard,
+    gauss_legendre_01,
+    tensor_rule,
+)
 
 __all__ = [
     "TestFunction",
@@ -58,6 +63,10 @@ GAUSS_D1_SUP = math.exp(-0.5)
 GAUSS_D2_SUP = 1.0
 _ARG3 = math.sqrt(3.0 - math.sqrt(6.0))
 GAUSS_D3_SUP = (3.0 * _ARG3 - _ARG3**3) * math.exp(-0.5 * _ARG3**2)
+
+
+# The fields a Stein solution is evaluated for, indexed by derivative order.
+_FIELDS = ("value", "gradient", "hessian")
 
 
 def index_tuples(dim: int, order: int) -> list[tuple[int, ...]]:
@@ -99,14 +108,7 @@ class TestFunction:
 
     def fields(self, w: np.ndarray, need: Sequence[str]) -> dict[str, np.ndarray]:
         """Requested subset of value/gradient/hessian in one call."""
-        out: dict[str, np.ndarray] = {}
-        if "value" in need:
-            out["value"] = self.value(w)
-        if "gradient" in need:
-            out["gradient"] = self.gradient(w)
-        if "hessian" in need:
-            out["hessian"] = self.hessian(w)
-        return out
+        return {name: getattr(self, name)(w) for name in _FIELDS if name in need}
 
     def __call__(self, w):
         return self.value(np.asarray(w, dtype=float))
@@ -260,7 +262,14 @@ class SinFactor(Factor1D):
 
 @dataclass(frozen=True)
 class SeparableTestFunction(TestFunction):
-    """h(w) = scale * prod_a g_a(w_a); all partial sups are exact products."""
+    """h(w) = scale * prod_a g_a(w_a); all partial sups are exact products.
+
+    The partial d^t h is scale * prod_a g_a^{(c_a)}(w_a), where c_a counts
+    the occurrences of axis a in t.  `_tensor` is the one place that builds
+    such products: it fills the symmetric tensor of every partial of one
+    order from the per-axis factor tables, and value, gradient, hessian,
+    third and fields all read off it.
+    """
 
     factors: tuple[Factor1D, ...]
     scale: float = 1.0
@@ -272,72 +281,36 @@ class SeparableTestFunction(TestFunction):
 
     def _tables(self, w, depth: int):
         w = np.asarray(w, dtype=float)
-        per = [f.tables(w[..., i]) for i, f in enumerate(self.factors)]
-        return [np.stack([p[j] for p in per], axis=-1) for j in range(depth + 1)]
+        return [f.tables(w[..., i])[: depth + 1] for i, f in enumerate(self.factors)]
 
-    def _assemble(self, tabs, counts):
-        out = np.full(tabs[0].shape[:-1], self.scale)
-        for i, c in enumerate(counts):
-            out = out * tabs[c][..., i]
+    def _tensor(self, tabs, order: int) -> np.ndarray:
+        d = self.dimension
+        shape = np.shape(tabs[0][0])
+        out = np.empty(shape + (d,) * order)
+        for idx in index_tuples(d, order):
+            block = np.full(shape, self.scale)
+            for i in range(d):
+                block = block * tabs[i][idx.count(i)]
+            for perm in set(permutations(idx)):
+                out[(...,) + perm] = block
         return out
 
     def value(self, w):
-        tabs = self._tables(w, 0)
-        return self._assemble(tabs, [0] * self.dimension)
-
-    def _gradient_from(self, tabs):
-        d = self.dimension
-        cols = []
-        for a in range(d):
-            counts = [0] * d
-            counts[a] = 1
-            cols.append(self._assemble(tabs, counts))
-        return np.stack(cols, axis=-1)
-
-    def _hessian_from(self, tabs):
-        d = self.dimension
-        out = np.empty(tabs[0].shape[:-1] + (d, d))
-        for a in range(d):
-            for b in range(a, d):
-                counts = [0] * d
-                counts[a] += 1
-                counts[b] += 1
-                block = self._assemble(tabs, counts)
-                out[..., a, b] = block
-                if a != b:
-                    out[..., b, a] = block
-        return out
+        return self._tensor(self._tables(w, 0), 0)
 
     def gradient(self, w):
-        return self._gradient_from(self._tables(w, 1))
+        return self._tensor(self._tables(w, 1), 1)
 
     def hessian(self, w):
-        return self._hessian_from(self._tables(w, 2))
-
-    def fields(self, w, need):
-        depth = 2 if "hessian" in need else (1 if "gradient" in need else 0)
-        tabs = self._tables(w, depth)
-        out = {}
-        if "value" in need:
-            out["value"] = self._assemble(tabs, [0] * self.dimension)
-        if "gradient" in need:
-            out["gradient"] = self._gradient_from(tabs)
-        if "hessian" in need:
-            out["hessian"] = self._hessian_from(tabs)
-        return out
+        return self._tensor(self._tables(w, 2), 2)
 
     def third(self, w):
-        d = self.dimension
-        tabs = self._tables(w, 3)
-        out = np.empty(tabs[0].shape[:-1] + (d, d, d))
-        for key in combinations_with_replacement(range(d), 3):
-            counts = [0] * d
-            for a in key:
-                counts[a] += 1
-            block = self._assemble(tabs, counts)
-            for perm in set(permutations(key)):
-                out[(...,) + perm] = block
-        return out
+        return self._tensor(self._tables(w, 3), 3)
+
+    def fields(self, w, need):
+        orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
+        tabs = self._tables(w, max(orders.values(), default=0))
+        return {name: self._tensor(tabs, k) for name, k in orders.items()}
 
     def partial_sup(self, idx):
         counts = [0] * self.dimension
@@ -474,13 +447,7 @@ class SteinSolution:
         pts = w[None, :] if single else w.reshape(-1, w.shape[-1])
         b = pts.shape[0]
         d = self.dimension
-        out: dict[str, np.ndarray] = {}
-        if "value" in need:
-            out["value"] = np.empty(b)
-        if "gradient" in need:
-            out["gradient"] = np.empty((b, d))
-        if "hessian" in need:
-            out["hessian"] = np.empty((b, d, d))
+        out = {name: np.empty((b,) + (d,) * k) for k, name in enumerate(_FIELDS) if name in need}
         j = self._unodes.size
         i = self._znodes.shape[0]
         # ~8M values per chunk: the point block has d per node, the Hessian d*d
@@ -492,17 +459,14 @@ class SteinSolution:
         for lo in range(0, b, chunk):
             hi = min(b, lo + chunk)
             p = self._point_block(pts[lo:hi])
-            fl = self.h.fields(p, need) if hasattr(self.h, "fields") else None
+            fl = self.h.fields(p, need)
             if "value" in need:
-                hv = np.asarray(fl["value"] if fl else self.h.value(p))
-                psi = np.einsum("i,bji->bj", zw, hv)
+                psi = np.einsum("i,bji->bj", zw, fl["value"])
                 out["value"][lo:hi] = -((psi - self.phi_h) / un) @ uw
             if "gradient" in need:
-                hg = np.asarray(fl["gradient"] if fl else self.h.gradient(p))
-                out["gradient"][lo:hi] = -np.einsum("j,i,bjid->bd", uw, zw, hg)
+                out["gradient"][lo:hi] = -np.einsum("j,i,bjid->bd", uw, zw, fl["gradient"])
             if "hessian" in need:
-                hh = np.asarray(fl["hessian"] if fl else self.h.hessian(p))
-                out["hessian"][lo:hi] = -np.einsum("j,i,bjide->bde", uw * un, zw, hh)
+                out["hessian"][lo:hi] = -np.einsum("j,i,bjide->bde", uw * un, zw, fl["hessian"])
         if single:
             out = {k: v[0] for k, v in out.items()}
         else:
@@ -673,13 +637,18 @@ def univariate_bound_check(
     )
 
 
-def _binv(b: np.ndarray) -> np.ndarray:
+def _g_h_args(b, s: float, t: float, z, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b^{-1}, s b^{-1}(x + t y) + z, s b^{-1} x + z): what G is built from."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("b must be a square matrix")
     if np.linalg.cond(b) > 1e12:
         raise ValueError("b is numerically singular")
-    return np.linalg.inv(b)
+    binv = np.linalg.inv(b)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    return binv, s * (x + t * y) @ binv.T + z, s * x @ binv.T + z
 
 
 def g_h_evaluate(h: TestFunction, b: np.ndarray, s: float, t: float, z: np.ndarray, x, y) -> np.ndarray:
@@ -688,12 +657,7 @@ def g_h_evaluate(h: TestFunction, b: np.ndarray, s: float, t: float, z: np.ndarr
     G(x, y) = b^{-1} [ D^2 h(s b^{-1}(x + t y) + z) - D^2 h(s b^{-1} x + z) ] b^{-1},
     broadcast over leading axes of x and y.
     """
-    binv = _binv(b)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    a1 = s * (x + t * y) @ binv.T + z
-    a0 = s * x @ binv.T + z
+    binv, a1, a0 = _g_h_args(b, s, t, z, x, y)
     diff = np.asarray(h.hessian(a1)) - np.asarray(h.hessian(a0))
     return np.einsum("ab,...bc,cd->...ad", binv, diff, binv)
 
@@ -707,21 +671,12 @@ def g_h_norm_probe(
     the relevant direction; this is a spot check over the supplied probe
     arguments, not a certified supremum.
     """
-    binv = _binv(b)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    z = np.asarray(z, dtype=float)
-    d = h.dimension
-    a1 = s * (xs + t * ys) @ binv.T + z
-    a0 = s * xs @ binv.T + z
-    g = np.einsum(
-        "ab,...bc,cd->...ad", binv, np.asarray(h.hessian(a1)) - np.asarray(h.hessian(a0)), binv
-    )
-    sup_g = float(batch_spectral_norm(g).max())
+    binv, a1, a0 = _g_h_args(b, s, t, z, xs, ys)
+    sup_g = float(batch_spectral_norm(g_h_evaluate(h, b, s, t, z, xs, ys)).max())
     t3_1 = np.asarray(h.third(a1))
     t3_0 = np.asarray(h.third(a0))
     sup_grad = 0.0
-    for c in range(d):
+    for c in range(h.dimension):
         v = s * binv[:, c]
         dx = np.einsum("...abc,c->...ab", t3_1, v) - np.einsum("...abc,c->...ab", t3_0, v)
         dy = np.einsum("...abc,c->...ab", t3_1, t * v)
@@ -785,12 +740,7 @@ class MollifierSmoother:
         return np.where(r2 < 1.0, self.c * np.exp(-1.0 / safe**2), 0.0)
 
     def _kernel_nodes(self, dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.legendre.leggauss(order)
-        grids = np.meshgrid(*([x] * dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        ww = np.ones(pts.shape[0])
-        for g in np.meshgrid(*([w] * dim), indexing="ij"):
-            ww = ww * g.ravel()
+        pts, ww = tensor_rule(*np.polynomial.legendre.leggauss(order), dim)
         r2 = np.sum(pts * pts, axis=-1)
         dens = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-150) ** 2), 0.0)
         block_w = ww * self.c * dens
@@ -812,12 +762,7 @@ class MollifierSmoother:
     def kernel_mass_check(self, order: int | None = None) -> float:
         """Independent tensor-grid estimate of the single-block mass."""
         order = order or (self.order + 17)
-        x, w = np.polynomial.legendre.leggauss(order)
-        grids = np.meshgrid(*([x] * self.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        ww = np.ones(pts.shape[0])
-        for g in np.meshgrid(*([w] * self.dim), indexing="ij"):
-            ww = ww * g.ravel()
+        pts, ww = tensor_rule(*np.polynomial.legendre.leggauss(order), self.dim)
         r2 = np.sum(pts * pts, axis=-1)
         dens = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-150) ** 2), 0.0)
         return float((self.c * dens) @ ww)

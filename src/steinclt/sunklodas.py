@@ -60,7 +60,6 @@ class EnsembleMatrix:
     b: np.ndarray
     bound: float
     weights: np.ndarray | None = None
-    time_means: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -105,7 +104,7 @@ class EnsembleMatrix:
         else:
             w = np.asarray(weights, dtype=float)
             means = np.einsum("s,sid->id", w / w.sum(), raw)
-        return cls(raw - means[None], b, bound, weights, time_means=means)
+        return cls(raw - means[None], b, bound, weights)
 
     # -- shapes ------------------------------------------------------------
     @property
@@ -134,7 +133,7 @@ class EnsembleMatrix:
         return np.einsum("s,s...->...", self.weights, arr)
 
     def with_normalization(self, b: np.ndarray) -> "EnsembleMatrix":
-        return EnsembleMatrix(self.values, b, self.bound, self.weights, self.time_means)
+        return EnsembleMatrix(self.values, b, self.bound, self.weights)
 
     # -- sums --------------------------------------------------------------
     def y_values(self) -> np.ndarray:

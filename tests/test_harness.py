@@ -153,6 +153,7 @@ def test_config_hash_key_order_invariance():
     b = {"samples": 500, "seed": 2, "version": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "seed": 3})
+    assert config_hash(a) == config_hash({**a, "threads": 2, "out_dir": "elsewhere"})
     assert len(config_hash(a)) == 16
 
 
@@ -316,6 +317,11 @@ def test_run_rates_outputs_and_cache(tmp_path):
         warnings.simplefilter("ignore")
         res2 = run_rates(cfg, tmp_path)
     assert res2.csv_path.read_bytes() == first
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res3 = run_rates({**cfg, "threads": 2}, tmp_path)
+    assert res3.csv_path.read_bytes() == first
+    assert len(list((tmp_path / "cache").glob("*.npz"))) == 4
 
 
 def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
@@ -335,6 +341,20 @@ def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
     capsys.readouterr()
     for name in ("rates.csv", "rate_fit.csv", "plot_rates.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_smooth_metric_rates_raise_no_floor_warning(tmp_path, capsys):
+    cfg = _random_cfg(observable="poly_pair", metric="smooth-metric", samples=1000,
+                      n_grid=[16, 32, 64, 128])
+    cfg_path = tmp_path / "smooth.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_rates(cfg, tmp_path / "api")
+        rc = cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "cli")])
+    assert res.floor_ok
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_rates_needs_grid(tmp_path):
@@ -424,8 +444,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps(_qds_cfg(n_grid=[64, 128, 256])))
     rc = cli.main(["qds", "--config", str(short), "--out", str(tmp_path / "s")])
-    assert rc == 1
-    assert "numeric failure" in capsys.readouterr().err
+    assert rc == 2
+    assert "n_grid cannot be fitted" in capsys.readouterr().err
+
+    short.write_text(json.dumps(_random_cfg(n_grid=[64, 128, 256])))
+    rc = cli.main(["rates", "--config", str(short), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "n_grid cannot be fitted" in capsys.readouterr().err
+    assert not list((tmp_path / "s").glob("cache/*.npz"))
 
 
 def test_cli_stein_check_and_seed_override(tmp_path, capsys):

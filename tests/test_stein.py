@@ -1,6 +1,7 @@
 """Test functions, Stein solutions, derivative bounds, mollifiers."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_separable_derivatives_match_finite_differences():
         np.testing.assert_allclose(hess[:, :, a], fd_h, atol=5e-8)
         fd_t = (h.hessian(w + shift) - h.hessian(w - shift)) / (2 * eps)
         np.testing.assert_allclose(third[:, :, :, a], fd_t, atol=5e-7)
+
+
+def test_separable_partials_are_factor_table_products():
+    h = _mixed_separable()
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=(4, 5, 3)) * 1.5
+    tabs = [f.tables(w[..., a]) for a, f in enumerate(h.factors)]
+    tensors = (h.value(w), h.gradient(w), h.hessian(w), h.third(w))
+    for order, tensor in enumerate(tensors):
+        assert tensor.shape == w.shape[:-1] + (3,) * order
+        for idx in product(range(3), repeat=order):
+            want = h.scale * np.prod([tabs[a][idx.count(a)] for a in range(3)], axis=0)
+            np.testing.assert_allclose(tensor[(...,) + idx], want, rtol=1e-14, atol=0)
 
 
 def test_partial_sups_dominate_grid_maxima():
