@@ -131,7 +131,6 @@ CONFIG_SCHEMA = {
         "fit_model": {"enum": ["pure-power", "power-times-log"]},
         "seed": {"type": "integer", "minimum": 0},
         "threads": {"type": "integer", "minimum": 1},
-        "out_dir": {"type": "string"},
         "qds": {
             "type": "object",
             "additionalProperties": False,
@@ -216,13 +215,10 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
-# Config keys that cannot change a result; the hash, and so the cache key,
-# leaves them out.
-_UNHASHED = ("threads", "out_dir")
-
-
 def config_hash(cfg: dict) -> str:
-    kept = {key: val for key, val in cfg.items() if key not in _UNHASHED}
+    # the thread count cannot change a result; the hash, and so the cache
+    # key, leaves it out
+    kept = {key: val for key, val in cfg.items() if key != "threads"}
     canon = json.dumps(kept, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -272,54 +268,86 @@ def build_system(cfg: dict, driver_seed: int | None = None):
     return RandomSequence(family, driver, beta)
 
 
+def _versions() -> dict:
+    return {
+        "package": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
+
+
 @dataclass
 class RunManifest:
+    """One run: its output directory (created here unless None), the stage
+    seeds it draws and the checksums of the files it writes, all of which
+    `finish` records in manifest.json."""
+
     config_hash: str
     command: str
-    versions: dict = field(default_factory=dict)
+    out: Path | None = None
+    versions: dict = field(default_factory=_versions)
     stage_seeds: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    started: float = field(default_factory=time.monotonic)
 
-    @classmethod
-    def start(cls, cfg_hash: str, command: str) -> "RunManifest":
-        manifest = cls(cfg_hash, command)
-        manifest.versions = {
-            "package": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        }
-        manifest._t0 = time.monotonic()
-        return manifest
+    def __post_init__(self):
+        if self.out is not None:
+            self.out = Path(self.out)
+            self.out.mkdir(parents=True, exist_ok=True)
+
+    def seed(self, base: int, label: str) -> int:
+        value = stage_seed(base, label)
+        self.stage_seeds[label] = value
+        return value
+
+    def write_rows(self, name: str, header, rows, sep: str = ",") -> Path:
+        """Write `header` (None for none) and `rows` as `sep`-joined `str` fields."""
+        path = self.out / name
+        with open(path, "w", newline="") as fh:
+            if header is not None:
+                fh.write(sep.join(header) + "\n")
+            for row in rows:
+                fh.write(sep.join(map(str, row)) + "\n")
+        self.record_output(path)
+        return path
 
     def record_output(self, path) -> None:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         self.outputs[Path(path).name] = digest
 
-    def write(self, path) -> None:
-        self.wall_time = time.monotonic() - getattr(self, "_t0", time.monotonic())
+    def finish(self) -> Path:
+        """Write manifest.json into the output directory and return its path."""
         doc = {
             "config_hash": self.config_hash,
             "command": self.command,
             "versions": self.versions,
-            "wall_time_seconds": self.wall_time,
+            "wall_time_seconds": time.monotonic() - self.started,
             "stage_seeds": self.stage_seeds,
             "outputs": self.outputs,
         }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path = self.out / "manifest.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return path
+
+
+def _start(cfg: dict, out_dir, command: str) -> tuple[dict, RunManifest]:
+    """The validated config and an open manifest for one config-driven run."""
+    cfg = validate_config(cfg)
+    return cfg, RunManifest(config_hash(cfg), command, out_dir)
 
 
 def _resolve_threads(cfg: dict, threads: int | None) -> int:
-    env = os.environ.get("STEINCLT_THREADS")
-    if threads is not None:
-        return max(1, threads)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError("STEINCLT_THREADS must be an integer") from exc
-    return max(1, int(cfg.get("threads", 1)))
+    return max(1, threads if threads is not None else cfg["threads"])
+
+
+def _check_horizon(cfg: dict, steps: int) -> None:
+    """ConfigError unless explicit sequential params cover steps 1..`steps`
+    (`build_system` adds slot 0, so L params cover steps 1..L)."""
+    system = cfg["system"]
+    given = len(system.get("params", ()))
+    if system["kind"] == "sequential" and "params" in system and given < steps:
+        raise ConfigError(f"system.params covers {given} steps, the run needs {steps}")
 
 
 def _rate_grid(cfg: dict, command: str) -> list[int]:
@@ -336,12 +364,6 @@ def _rate_grid(cfg: dict, command: str) -> list[int]:
     except ValueError as exc:
         raise ConfigError(f"n_grid cannot be fitted: {exc}") from exc
     return grid
-
-
-def _ensure_out(out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _cached_sums(cache_dir: Path, key: str, compute, shape: tuple):
@@ -400,26 +422,25 @@ def run_rates(
 ) -> RatesResult:
     """Distance-to-normal across the N grid, rate fit, CSV + plot data.
 
-    Each N has its own seed and its results are sorted by N, so the outputs
-    do not depend on the thread count.  Raises DegenerateCovariance naming
-    the offending N when self-norming fails; emits rates.csv, plot_rates.txt,
-    rate_fit.csv, and manifest.json.
+    Each N has its own seed and the rows come back in grid order, so the
+    outputs do not depend on the thread count.  Raises DegenerateCovariance
+    naming the offending N when self-norming fails; emits rates.csv,
+    plot_rates.txt, rate_fit.csv, and manifest.json.
     """
-    cfg = validate_config(cfg)
+    cfg, manifest = _start(cfg, out_dir, "rates")
     grid = _rate_grid(cfg, "rates")
-    out = _ensure_out(out_dir)
-    cache = _ensure_out(out / "cache")
-    chash = config_hash(cfg)
-    manifest = RunManifest.start(chash, "rates")
+    _check_horizon(cfg, grid[-1] - 1)
+    cache = manifest.out / "cache"
+    cache.mkdir(exist_ok=True)
+    chash = manifest.config_hash
     f = build_observable(cfg)
     seq = build_system(cfg)
-    manifest.stage_seeds["driver"] = stage_seed(cfg["seed"], "driver")
+    manifest.seed(cfg["seed"], "driver")
     samples = cfg["samples"]
     n_threads = _resolve_threads(cfg, threads)
 
     def job(n: int):
-        label = f"ensemble-N{n}"
-        seed_n = stage_seed(cfg["seed"], label)
+        seed_n = manifest.seed(cfg["seed"], f"ensemble-N{n}")
 
         def compute():
             return birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
@@ -437,19 +458,13 @@ def run_rates(
             raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
         target = np.eye(f.dimension) if cfg["normalization"] == "self-norming" else summary.matrix / n
         rep = _measure_distance(cfg, w, target, stage_seed(cfg["seed"], f"slice-N{n}"))
-        return n, seed_n, rep, summary
+        return n, rep, summary
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(job, grid))
+            rows = list(pool.map(job, grid))
     else:
-        results = [job(n) for n in grid]
-    results.sort(key=lambda item: item[0])
-
-    rows = []
-    for n, seed_n, rep, summary in results:
-        manifest.stage_seeds[f"ensemble-N{n}"] = seed_n
-        rows.append((n, rep, summary))
+        rows = [job(n) for n in grid]
 
     floor = wasserstein_floor(samples)
     smallest = min(rep.value for _, rep, _ in rows)
@@ -463,29 +478,24 @@ def run_rates(
         )
     fit = fit_rate([(n, rep.value) for n, rep, _ in rows], cfg["fit_model"])
 
-    csv_path = out / "rates.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("config,metric,N,S,value,stderr\n")
-        for n, rep, _ in rows:
-            fh.write(
-                f"{chash},{rep.metric},{n},{samples},{repr(rep.value)},{repr(rep.stderr)}\n"
-            )
-    plot_path = out / "plot_rates.txt"
-    with open(plot_path, "w", newline="") as fh:
-        for n, rep, _ in rows:
-            fh.write(f"{repr(math.log(n))} {repr(math.log(rep.value))}\n")
-    fit_path = out / "rate_fit.csv"
-    with open(fit_path, "w", newline="") as fh:
-        fh.write("config,model,exponent,halfwidth,r2\n")
-        fh.write(
-            f"{chash},{fit.model},{repr(fit.exponent)},{repr(fit.halfwidth)},{repr(fit.r_squared)}\n"
-        )
-    manifest_path = out / "manifest.json"
-    for path in (csv_path, plot_path, fit_path):
-        manifest.record_output(path)
-    manifest.write(manifest_path)
+    csv_path = manifest.write_rows(
+        "rates.csv",
+        ("config", "metric", "N", "S", "value", "stderr"),
+        [(chash, rep.metric, n, samples, rep.value, rep.stderr) for n, rep, _ in rows],
+    )
+    plot_path = manifest.write_rows(
+        "plot_rates.txt",
+        None,
+        [(math.log(n), math.log(rep.value)) for n, rep, _ in rows],
+        sep=" ",
+    )
+    fit_path = manifest.write_rows(
+        "rate_fit.csv",
+        ("config", "model", "exponent", "halfwidth", "r2"),
+        [(chash, fit.model, fit.exponent, fit.halfwidth, fit.r_squared)],
+    )
     return RatesResult(
-        fit, tuple(rows), floor, floor_ok, csv_path, plot_path, fit_path, manifest_path
+        fit, tuple(rows), floor, floor_ok, csv_path, plot_path, fit_path, manifest.finish()
     )
 
 
@@ -500,7 +510,7 @@ class DecomposeResult:
 
 def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeResult:
     """Build an ensemble, solve the Stein equation, and emit the term ledger."""
-    cfg = validate_config(cfg)
+    cfg, manifest = _start(cfg, out_dir, "decompose")
     options = cfg.get("decompose", {})
     n_terms = options.get("n_terms", 8)
     if "u_order" in options:
@@ -510,15 +520,12 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
             stacklevel=2,
         )
     h_name = h_name or options.get("test_function", "tanh_prod")
-    out = _ensure_out(out_dir)
-    chash = config_hash(cfg)
-    manifest = RunManifest.start(chash, "decompose")
     f = build_observable(cfg)
     if f.dimension > 3:
         raise ConfigError("decompose supports d <= 3")
+    _check_horizon(cfg, n_terms - 1)
     seq = build_system(cfg)
-    seed = stage_seed(cfg["seed"], "decompose-ensemble")
-    manifest.stage_seeds["decompose-ensemble"] = seed
+    seed = manifest.seed(cfg["seed"], "decompose-ensemble")
     ens = build_ensemble(seq, f, n_terms, cfg["samples"], seed)
     candidates = {h.name: h for h in builtin_test_functions(f.dimension)}
     if h_name not in candidates:
@@ -535,12 +542,10 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     ledger = decompose(ens, sol)
     tol = options.get("tolerance", 1e-9 + 4.0 * ledger.combined_stderr)
     passed = abs(ledger.residual) <= tol
-    csv_path = out / "decomposition.csv"
+    csv_path = manifest.out / "decomposition.csv"
     ledger.to_csv(csv_path)
     manifest.record_output(csv_path)
-    manifest_path = out / "manifest.json"
-    manifest.write(manifest_path)
-    return DecomposeResult(ledger, tol, passed, csv_path, manifest_path)
+    return DecomposeResult(ledger, tol, passed, csv_path, manifest.finish())
 
 
 @dataclass(frozen=True)
@@ -563,15 +568,6 @@ class SteinCheckReport:
     @property
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("h,sigma_index,max_residual,residual_tol,worst_margin,passed\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.h_name},{row.sigma_index},{repr(row.max_residual)},"
-                    f"{repr(row.residual_tol)},{repr(row.worst_margin)},{int(row.passed)}\n"
-                )
 
 
 _RESIDUAL_GH = {1: 48, 2: 20, 3: 14}
@@ -604,8 +600,6 @@ def run_stein_check(
     dim: int,
     seed: int = 0,
     sigma_count: int = 5,
-    gh_order: int | None = None,
-    bound_gh_order: int | None = None,
     bound_grid: int = 21,
     check_bounds: bool = True,
     out_dir=None,
@@ -623,15 +617,13 @@ def run_stein_check(
         "dim": dim,
         "seed": seed,
         "sigma_count": sigma_count,
-        "gh_order": gh_order,
-        "bound_gh_order": bound_gh_order,
         "bound_grid": bound_grid,
         "check_bounds": check_bounds,
     }
-    manifest = RunManifest.start(config_hash(params), "stein-check")
+    manifest = RunManifest(config_hash(params), "stein-check", out_dir)
     manifest.stage_seeds["sigmas"] = seed
-    gh = gh_order or _RESIDUAL_GH[dim]
-    bgh = bound_gh_order or _BOUND_GH[dim]
+    gh = _RESIDUAL_GH[dim]
+    bgh = _BOUND_GH[dim]
     bu = _BOUND_U[dim]
     rng = np.random.default_rng(seed)
     sigmas = [random_spd(dim, rng) for _ in range(sigma_count)]
@@ -658,14 +650,18 @@ def run_stein_check(
                 margin = math.inf
             passed = max_res <= tol and margin >= -1e-6
             rows.append(SteinCheckRow(h.name, j, max_res, tol, margin, passed))
-    report = SteinCheckReport(dim, tuple(rows), res_elapsed, bnd_elapsed)
     if out_dir is not None:
-        out = _ensure_out(out_dir)
-        path = out / f"stein_check_d{dim}.csv"
-        report.to_csv(path)
-        manifest.record_output(path)
-        manifest.write(out / "manifest.json")
-    return report
+        manifest.write_rows(
+            f"stein_check_d{dim}.csv",
+            ("h", "sigma_index", "max_residual", "residual_tol", "worst_margin", "passed"),
+            [
+                (r.h_name, r.sigma_index, r.max_residual, r.residual_tol, r.worst_margin,
+                 int(r.passed))
+                for r in rows
+            ],
+        )
+        manifest.finish()
+    return SteinCheckReport(dim, tuple(rows), res_elapsed, bnd_elapsed)
 
 
 @dataclass(frozen=True)
@@ -687,7 +683,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     Sigma comes from the truncated annealed covariance series; aborts when
     it is not positive definite (no variance growth, no limit theorem).
     """
-    cfg = validate_config(cfg)
+    cfg, manifest = _start(cfg, out_dir, "quenched")
     if cfg["system"]["kind"] != "random":
         raise ConfigError("quenched runs need a random system")
     grid = _rate_grid(cfg, "quenched")
@@ -696,9 +692,6 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     k_max = options.get("k_max", 16)
     series_samples = options.get("series_samples", 4096)
     series_runs = options.get("series_runs", 8)
-    out = _ensure_out(out_dir)
-    chash = config_hash(cfg)
-    manifest = RunManifest.start(chash, "quenched")
     f = build_observable(cfg)
     base_seed = cfg["seed"]
 
@@ -722,30 +715,27 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
         )
     samples = cfg["samples"]
     fits = []
-    csv_path = out / "quenched.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("config,replica,N,S,value,stderr\n")
-        for r in range(replicas):
-            seq = make_seq(stage_seed(base_seed, f"replica-{r}"))
-            manifest.stage_seeds[f"replica-{r}"] = stage_seed(base_seed, f"replica-{r}")
-            pairs = []
-            for n in grid:
-                seed_n = stage_seed(base_seed, f"replica-{r}-N{n}")
-                sums = birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
-                w, _, _ = normalize_sums(sums, sqrt_n_normalization(n, f.dimension))
-                if f.dimension == 1:
-                    rep = wasserstein1_1d(w[:, 0] / math.sqrt(float(sigma[0, 0])))
-                else:
-                    rep = smooth_metric_distance(w, sigma)
-                pairs.append((n, rep.value))
-                fh.write(
-                    f"{chash},{r},{n},{samples},{repr(rep.value)},{repr(rep.stderr)}\n"
-                )
-            fits.append(fit_rate(pairs, cfg["fit_model"]))
-    manifest.record_output(csv_path)
-    manifest_path = out / "manifest.json"
-    manifest.write(manifest_path)
-    return QuenchedResult(tuple(fits), sigma, series.tail_estimate, csv_path, manifest_path)
+    rows = []
+    for r in range(replicas):
+        seq = make_seq(manifest.seed(base_seed, f"replica-{r}"))
+        pairs = []
+        for n in grid:
+            seed_n = stage_seed(base_seed, f"replica-{r}-N{n}")
+            sums = birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
+            w, _, _ = normalize_sums(sums, sqrt_n_normalization(n, f.dimension))
+            if f.dimension == 1:
+                rep = wasserstein1_1d(w[:, 0] / math.sqrt(float(sigma[0, 0])))
+            else:
+                rep = smooth_metric_distance(w, sigma)
+            pairs.append((n, rep.value))
+            rows.append((manifest.config_hash, r, n, samples, rep.value, rep.stderr))
+        fits.append(fit_rate(pairs, cfg["fit_model"]))
+    csv_path = manifest.write_rows(
+        "quenched.csv", ("config", "replica", "N", "S", "value", "stderr"), rows
+    )
+    return QuenchedResult(
+        tuple(fits), sigma, series.tail_estimate, csv_path, manifest.finish()
+    )
 
 
 @dataclass(frozen=True)
@@ -759,21 +749,17 @@ class QdsResult:
 
 def run_qds(cfg: dict, out_dir) -> QdsResult:
     """Partial-sum covariance growth at t_mid and end-time distance decay."""
-    cfg = validate_config(cfg)
+    cfg, manifest = _start(cfg, out_dir, "qds")
     if cfg["system"]["kind"] != "quasistatic":
         raise ConfigError("qds runs need a quasistatic system")
     grid = _rate_grid(cfg, "qds")
     t_mid = cfg.get("qds", {}).get("t_mid", 0.5)
-    out = _ensure_out(out_dir)
-    chash = config_hash(cfg)
-    manifest = RunManifest.start(chash, "qds")
     f = build_observable(cfg)
     seq = build_system(cfg)
     samples = cfg["samples"]
     rows = []
     for n in grid:
-        seed_n = stage_seed(cfg["seed"], f"qds-N{n}")
-        manifest.stage_seeds[f"qds-N{n}"] = seed_n
+        seed_n = manifest.seed(cfg["seed"], f"qds-N{n}")
         x0 = np.random.default_rng(seed_n).random(samples)
         k_mid = int(math.floor(n * t_mid))
         frac = n * t_mid - k_mid
@@ -796,44 +782,36 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
             raise DegenerateCovariance(f"degenerate covariance at n={n}: {exc}") from exc
         rep = _measure_distance(cfg, w, np.eye(f.dimension), stage_seed(cfg["seed"], f"qds-slice-N{n}"))
         rows.append((n, lam_min, rep))
-    ratios = []
     by_n = {n: lam for n, lam, _ in rows}
-    for n in grid:
-        if 2 * n in by_n:
-            ratios.append((n, by_n[2 * n] / by_n[n]))
+    ratios = [(n, by_n[2 * n] / by_n[n]) for n in grid if 2 * n in by_n]
     fit = fit_rate([(n, rep.value) for n, _, rep in rows], cfg["fit_model"])
-    csv_path = out / "qds.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("config,N,S,t_mid,lambda_min,value,stderr\n")
-        for n, lam, rep in rows:
-            fh.write(
-                f"{chash},{n},{samples},{repr(float(t_mid))},{repr(lam)},"
-                f"{repr(rep.value)},{repr(rep.stderr)}\n"
-            )
-    manifest.record_output(csv_path)
-    manifest_path = out / "manifest.json"
-    manifest.write(manifest_path)
-    return QdsResult(tuple(rows), tuple(ratios), fit, csv_path, manifest_path)
+    csv_path = manifest.write_rows(
+        "qds.csv",
+        ("config", "N", "S", "t_mid", "lambda_min", "value", "stderr"),
+        [
+            (manifest.config_hash, n, samples, float(t_mid), lam, rep.value, rep.stderr)
+            for n, lam, rep in rows
+        ],
+    )
+    return QdsResult(tuple(rows), tuple(ratios), fit, csv_path, manifest.finish())
 
 
 def simulate(cfg: dict, out_dir, steps: int = 64, orbit_count: int = 8) -> Path:
     """Write a small CSV of orbits for eyeballing a configured system."""
-    cfg = validate_config(cfg)
-    out = _ensure_out(out_dir)
-    chash = config_hash(cfg)
-    manifest = RunManifest.start(chash, "simulate")
+    cfg, manifest = _start(cfg, out_dir, "simulate")
+    _check_horizon(cfg, steps)
     seq = build_system(cfg)
-    seed = stage_seed(cfg["seed"], "simulate")
-    manifest.stage_seeds["simulate"] = seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(manifest.seed(cfg["seed"], "simulate"))
     x0 = rng.random(orbit_count)
     points = trajectory(seq, x0, steps)
-    csv_path = out / "orbits.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("config,orbit,step,x\n")
-        for j in range(orbit_count):
-            for k in range(steps + 1):
-                fh.write(f"{chash},{j},{k},{repr(float(points[k, j]))}\n")
-    manifest.record_output(csv_path)
-    manifest.write(out / "manifest.json")
+    csv_path = manifest.write_rows(
+        "orbits.csv",
+        ("config", "orbit", "step", "x"),
+        [
+            (manifest.config_hash, j, k, float(points[k, j]))
+            for j in range(orbit_count)
+            for k in range(steps + 1)
+        ],
+    )
+    manifest.finish()
     return csv_path

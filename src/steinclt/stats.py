@@ -79,22 +79,11 @@ def sqrt_n_normalization(n: int, dim: int) -> NormalizationMatrix:
 
 
 def empirical_covariance(data) -> CovarianceSummary:
-    """Covariance of per-sample sums (centered) with eigenvalue summary.
-
-    Accepts an EnsembleMatrix (sums its centered rows over time) or an
-    (S, d) array of already-centered vectors.
-    """
-    if isinstance(data, EnsembleMatrix):
-        sums = data.values.sum(axis=1)
-        if data.weights is not None:
-            cov = np.einsum("s,sa,sb->ab", data.weights, sums, sums)
-        else:
-            cov = sums.T @ sums / sums.shape[0]
-    else:
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("expected an (S, d) array of centered vectors")
-        cov = arr.T @ arr / arr.shape[0]
+    """Covariance of an (S, d) array of centered vectors, with eigenvalue summary."""
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError("expected an (S, d) array of centered vectors")
+    cov = arr.T @ arr / arr.shape[0]
     cov = 0.5 * (cov + cov.T)
     eigs = np.linalg.eigvalsh(cov)
     return CovarianceSummary(cov, float(eigs[0]), float(eigs[-1]), spectral_norm(cov))

@@ -195,7 +195,7 @@ class QuadraticTestFunction(TestFunction):
         if len(idx) == 1:
             return None                      # gradient grows linearly
         if len(idx) == 2:
-            return abs(self._q()[idx[0], idx[1]])
+            return float(abs(self._q()[idx[0], idx[1]]))
         return 0.0
 
 

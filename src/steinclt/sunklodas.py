@@ -408,10 +408,7 @@ def _norm_probe_args(ens: EnsembleMatrix, n: int, k: int, seed: int, count: int 
     """Probe (x, y) arguments: realized punctured sums and ring values plus
     seeded draws from the ball of radius 4 * bound + 1."""
     rng = np.random.default_rng(seed)
-    total = ens.values.sum(axis=1)
-    cum = np.cumsum(ens.values, axis=1)
-    xs_real = total - _window(cum, n, k)
-    ring = _ring(ens.values, n, k)
+    _, xs_real, ring = punctured_sums(ens.values, n, k)
     take = min(count, ens.samples)
     idx = rng.choice(ens.samples, take, replace=False)
     radius = 4.0 * ens.bound + 1.0
@@ -440,10 +437,7 @@ def _condition_a2_a3(
         raise ValueError("need 0 <= m <= k <= N-1")
     if centered and 2 * m > k:
         raise ValueError("the centered envelope needs 2m <= k")
-    total = ens.values.sum(axis=1)
-    cum = np.cumsum(ens.values, axis=1)
-    x_arg = total - _window(cum, n, k)                 # sum over |i-n| > k
-    ring_k = _ring(ens.values, n, k)
+    _, x_arg, ring_k = punctured_sums(ens.values, n, k)  # x_arg sums |i-n| > k
     ring_m = _ring(ens.values, n, m)
     fn = ens.values[:, n]
     xs_probe, ys_probe = _norm_probe_args(ens, n, k, seed + 1)

@@ -1,5 +1,6 @@
 """Config validation, seeding, pipeline runners, CLI exit codes."""
 
+import csv
 import hashlib
 import json
 import warnings
@@ -153,7 +154,7 @@ def test_config_hash_key_order_invariance():
     b = {"samples": 500, "seed": 2, "version": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "seed": 3})
-    assert config_hash(a) == config_hash({**a, "threads": 2, "out_dir": "elsewhere"})
+    assert config_hash(a) == config_hash({**a, "threads": 2})
     assert len(config_hash(a)) == 16
 
 
@@ -223,16 +224,10 @@ def test_random_spd_spectrum():
     np.testing.assert_array_equal(a, b)
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     cfg = {"threads": 2}
     assert _resolve_threads(cfg, 5) == 5
     assert _resolve_threads(cfg, None) == 2
-    monkeypatch.setenv("STEINCLT_THREADS", "3")
-    assert _resolve_threads(cfg, None) == 3
-    assert _resolve_threads(cfg, 7) == 7
-    monkeypatch.setenv("STEINCLT_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        _resolve_threads(cfg, None)
 
 
 def test_run_stein_check_small():
@@ -452,6 +447,70 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert "n_grid cannot be fitted" in capsys.readouterr().err
     assert not list((tmp_path / "s").glob("cache/*.npz"))
+
+    short_params = {"kind": "sequential", "family": "lsv", "beta_star": 0.3,
+                    "params": [0.1, 0.2, 0.3]}
+    short.write_text(json.dumps(_random_cfg(system=short_params, n_grid=[4, 8, 16, 32])))
+    for command, needed in (("simulate", 64), ("rates", 31), ("decompose", 7)):
+        out = tmp_path / f"p-{command}"
+        rc = cli.main([command, "--config", str(short), "--out", str(out)])
+        assert rc == 2, command
+        assert f"system.params covers 3 steps, the run needs {needed}" in capsys.readouterr().err
+        assert [p.name for p in out.rglob("*") if p.is_file()] == []
+
+    stray = tmp_path / "stray.json"
+    stray.write_text(json.dumps(_random_cfg(out_dir="elsewhere")))
+    rc = cli.main(["rates", "--config", str(stray), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_TEXT_COLUMNS = {"config", "metric", "model", "h", "term"}
+
+
+_TINY = {"samples": 200, "n_grid": [8, 16, 32, 64]}
+_TINY_RUNS = {
+    "simulate": ([], _qds_cfg(**_TINY)),
+    "rates": ([], _random_cfg(**_TINY)),
+    "decompose": ([], _random_cfg(samples=100, decompose={"n_terms": 3})),
+    "stein-check": (["--dim", "1", "--sigmas", "1"], None),
+    "quenched": ([], _random_cfg(**_TINY, quenched={
+        "replicas": 1, "k_max": 4, "series_samples": 128, "series_runs": 1})),
+    "qds": ([], _qds_cfg(**_TINY)),
+}
+
+
+@pytest.mark.parametrize("command", list(_TINY_RUNS))
+def test_every_runner_lists_checksums_and_writes_plain_numbers(command, tmp_path, capsys):
+    argv, cfg = _TINY_RUNS[command]
+    if cfg is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main([command, *argv, "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = {p.name for p in out.iterdir() if p.is_file()} - {"manifest.json"}
+    assert set(manifest["outputs"]) == written
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        text = (out / name).read_text()
+        if name.endswith(".txt"):
+            for field in text.split():
+                float(field)
+            continue
+        header, *rows = csv.reader(text.splitlines())
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), name
+            for col, field in zip(header, row):
+                if col not in _TEXT_COLUMNS and field:
+                    float(field)
 
 
 def test_cli_stein_check_and_seed_override(tmp_path, capsys):
