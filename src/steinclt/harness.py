@@ -11,6 +11,7 @@ import warnings
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +34,15 @@ from .dynamics import (
     trajectory,
 )
 from .linalg import DegenerateCovariance
-from .stein import SteinSolution, builtin_test_functions, derivative_bound_check, stein_residual
+from .quadrature import rule_certificate
+from .stein import (
+    SteinSolution,
+    TensorGrid,
+    builtin_test_functions,
+    derivative_bound_check,
+    grid_path,
+    stein_residual,
+)
 from .stats import (
     RateFit,
     birkhoff_raw_sums,
@@ -280,8 +289,8 @@ def _versions() -> dict:
 @dataclass
 class RunManifest:
     """One run: its output directory (created here unless None), the stage
-    seeds it draws and the checksums of the files it writes, all of which
-    `finish` records in manifest.json."""
+    seeds it draws, its timed stages and the checksums of the files it
+    writes, all of which `finish` records in manifest.json."""
 
     config_hash: str
     command: str
@@ -289,6 +298,7 @@ class RunManifest:
     versions: dict = field(default_factory=_versions)
     stage_seeds: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
+    stages: dict = field(default_factory=dict)
     started: float = field(default_factory=time.monotonic)
 
     def __post_init__(self):
@@ -300,6 +310,17 @@ class RunManifest:
         value = stage_seed(base, label)
         self.stage_seeds[label] = value
         return value
+
+    @contextmanager
+    def stage(self, name: str):
+        """Add the block's wall seconds to stages[name]["seconds"]; yields
+        the stage's record so the block can add its own counters."""
+        record = self.stages.setdefault(name, {"seconds": 0.0})
+        t0 = time.perf_counter()
+        try:
+            yield record
+        finally:
+            record["seconds"] += time.perf_counter() - t0
 
     def write_rows(self, name: str, header, rows, sep: str = ",") -> Path:
         """Write `header` (None for none) and `rows` as `sep`-joined `str` fields."""
@@ -324,6 +345,7 @@ class RunManifest:
             "versions": self.versions,
             "wall_time_seconds": time.monotonic() - self.started,
             "stage_seeds": self.stage_seeds,
+            "stages": self.stages,
             "outputs": self.outputs,
         }
         path = self.out / "manifest.json"
@@ -523,16 +545,16 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     f = build_observable(cfg)
     if f.dimension > 3:
         raise ConfigError("decompose supports d <= 3")
-    _check_horizon(cfg, n_terms - 1)
-    seq = build_system(cfg)
-    seed = manifest.seed(cfg["seed"], "decompose-ensemble")
-    ens = build_ensemble(seq, f, n_terms, cfg["samples"], seed)
     candidates = {h.name: h for h in builtin_test_functions(f.dimension)}
     if h_name not in candidates:
         raise ConfigError(
             f"unknown test function {h_name!r}; choose from {sorted(candidates)}"
         )
     h = candidates[h_name]
+    _check_horizon(cfg, n_terms - 1)
+    seq = build_system(cfg)
+    seed = manifest.seed(cfg["seed"], "decompose-ensemble")
+    ens = build_ensemble(seq, f, n_terms, cfg["samples"], seed)
     # The split is exact for any fixed C^2 function, so the solution backing
     # the ledger can use light quadrature; accuracy of A against the true
     # Stein solution is not what the residual measures.
@@ -571,16 +593,15 @@ class SteinCheckReport:
 
 
 _RESIDUAL_GH = {1: 48, 2: 20, 3: 14}
+_RESIDUAL_U = 32
 _BOUND_GH = {1: 32, 2: 10, 3: 5}
 _BOUND_U = {1: 32, 2: 16, 3: 8}
 _RESIDUAL_GRID = {1: 21, 2: 5, 3: 3}
 _DECOMP_GH = {1: 16, 2: 8, 3: 5}
 
 
-def _axis_grid(dim: int, per_axis: int, radius: float) -> np.ndarray:
-    axis = np.linspace(-radius, radius, per_axis)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _axis_grid(dim: int, per_axis: int, radius: float) -> TensorGrid:
+    return TensorGrid([np.linspace(-radius, radius, per_axis)] * dim)
 
 
 def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -609,7 +630,9 @@ def run_stein_check(
     Closed-form cases (affine, quadratic) must pass at 1e-10; the smooth
     bump-type functions at 1e-4 (quadrature-limited).  With `out_dir`, writes
     stein_check_d{dim}.csv and a manifest.json whose config hash covers the
-    arguments.
+    arguments; its `stages` give, for the residual and the bound sweep, the
+    seconds, how many rows took the per-axis grid path and how many the point
+    path, and the certificate of the quadrature rules in use.
     """
     if not (1 <= dim <= 3):
         raise ConfigError("stein-check supports 1 <= d <= 3")
@@ -629,23 +652,32 @@ def run_stein_check(
     sigmas = [random_spd(dim, rng) for _ in range(sigma_count)]
     res_grid = _axis_grid(dim, _RESIDUAL_GRID[dim], 2.5)
     bnd_grid = _axis_grid(dim, bound_grid, 3.0)
+    rules = {"residual": (gh, _RESIDUAL_U)}
+    if check_bounds:
+        rules["bound"] = (bgh, bu)
+    for name, (g, u) in rules.items():
+        manifest.stages[name] = {
+            "seconds": 0.0,
+            "grid_rows": 0,
+            "point_rows": 0,
+            "quadrature": rule_certificate(g, dim, u),
+        }
     rows = []
-    res_elapsed = 0.0
-    bnd_elapsed = 0.0
     for h in builtin_test_functions(dim):
         closed_form = h.name in ("affine", "quadratic")
         tol = 1e-10 if closed_form else 1e-4
+        path = "grid_rows" if grid_path(h, res_grid) else "point_rows"
         for j, sigma in enumerate(sigmas):
-            t0 = time.perf_counter()
-            sol = SteinSolution(h, sigma, gh_order=gh)
-            max_res = float(np.max(stein_residual(sol, res_grid)))
-            res_elapsed += time.perf_counter() - t0
+            with manifest.stage("residual") as stage:
+                sol = SteinSolution(h, sigma, gh_order=gh, u_order=_RESIDUAL_U)
+                max_res = float(np.max(stein_residual(sol, res_grid)))
+                stage[path] += 1
             if check_bounds:
-                t0 = time.perf_counter()
-                bound_sol = SteinSolution(h, sigma, gh_order=bgh, u_order=bu)
-                report = derivative_bound_check(bound_sol, bnd_grid, orders=(1, 2))
-                margin = report.worst_margin
-                bnd_elapsed += time.perf_counter() - t0
+                with manifest.stage("bound") as stage:
+                    bound_sol = SteinSolution(h, sigma, gh_order=bgh, u_order=bu)
+                    report = derivative_bound_check(bound_sol, bnd_grid, orders=(1, 2))
+                    margin = report.worst_margin
+                    stage[path] += 1
             else:
                 margin = math.inf
             passed = max_res <= tol and margin >= -1e-6
@@ -661,7 +693,8 @@ def run_stein_check(
             ],
         )
         manifest.finish()
-    return SteinCheckReport(dim, tuple(rows), res_elapsed, bnd_elapsed)
+    seconds = {name: stage["seconds"] for name, stage in manifest.stages.items()}
+    return SteinCheckReport(dim, tuple(rows), seconds["residual"], seconds.get("bound", 0.0))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,21 @@ def tensor_rule(x: np.ndarray, w: np.ndarray, dim: int) -> tuple[np.ndarray, np.
     return nodes, weights
 
 
+def rule_certificate(gh_order: int, dim: int, u_order: int) -> dict:
+    """Checks on the Stein solver's two rules: the smallest Gauss-Hermite
+    weight (must be > 0), |sum of GH weights - 1|, and the Gauss-Legendre
+    moment defect max_k |sum_j w_j u_j^(k-1) - 1/k| for k = 1, 2."""
+    _, zw = gauss_hermite_standard(gh_order, dim)
+    u, uw = gauss_legendre_01(u_order)
+    return {
+        "gh_order": gh_order,
+        "u_order": u_order,
+        "gh_min_weight": float(zw.min()),
+        "gh_weight_sum_defect": abs(float(zw.sum()) - 1.0),
+        "gl_moment_defect": max(abs(float(uw @ u ** (k - 1)) - 1.0 / k) for k in (1, 2)),
+    }
+
+
 def composite_gauss_legendre(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [a, b] with `panels` equal panels."""
     if b <= a:

@@ -12,6 +12,16 @@ Expectations use a fixed tensorized Gauss-Hermite rule and the u-integrals a
 fixed Gauss-Legendre rule on (0,1); because the node sets are shared, the
 three evaluators are exact derivatives of one another, which the
 decomposition code relies on.
+
+`SteinSolution.evaluate` takes either an array of points or a `TensorGrid`
+(every combination of one coordinate per axis).  For a separable h on a
+tensor grid the quadrature argument on axis a, u_j x_a + sqrt(1-u_j^2) z_{i,a},
+depends only on (j, i, x_a), so each partial of A is one contraction of
+per-axis factor tables of size J*I*G_a instead of J*I*G^d point evaluations.
+The tables hold the same bits as the point path; only the order of the sums
+differs, so the grid path agrees with it to a few units in the last place
+(tests/test_stein.py checks 1e-13 of each field's largest entry).  Every
+other combination runs the point path on the grid's points, bit for bit.
 """
 from __future__ import annotations
 
@@ -43,6 +53,8 @@ __all__ = [
     "smooth_metric_family",
     "LipschitzFunction",
     "lipschitz_family_1d",
+    "TensorGrid",
+    "grid_path",
     "SteinSolution",
     "solve_stein_at",
     "stein_residual",
@@ -72,6 +84,12 @@ _FIELDS = ("value", "gradient", "hessian")
 def index_tuples(dim: int, order: int) -> list[tuple[int, ...]]:
     """Sorted coordinate tuples indexing the distinct partials of a given order."""
     return list(combinations_with_replacement(range(dim), order))
+
+
+def _fill_partial(out: np.ndarray, idx: tuple[int, ...], block: np.ndarray) -> None:
+    """Write one partial into every permuted slot of a symmetric derivative field."""
+    for perm in set(permutations(idx)):
+        out[(...,) + perm] = block
 
 
 class TestFunction:
@@ -291,8 +309,7 @@ class SeparableTestFunction(TestFunction):
             block = np.full(shape, self.scale)
             for i in range(d):
                 block = block * tabs[i][idx.count(i)]
-            for perm in set(permutations(idx)):
-                out[(...,) + perm] = block
+            _fill_partial(out, idx, block)
         return out
 
     def value(self, w):
@@ -405,6 +422,42 @@ def lipschitz_family_1d() -> list[LipschitzFunction]:
     ]
 
 
+class TensorGrid:
+    """Every combination of one coordinate per axis, as a point set in R^d.
+
+    `points()` lists them in meshgrid "ij" order (the last axis varies
+    fastest) and `shape` is that array's shape, so code that only asks for
+    the point count sees a plain (points, d) array.  Adding or subtracting a
+    shift vector moves each axis by its entry and stays a grid.
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(np.asarray(x, dtype=float).ravel() for x in axes)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (math.prod(x.size for x in self.axes), len(self.axes))
+
+    def points(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def __add__(self, shift) -> "TensorGrid":
+        return TensorGrid([x + s for x, s in zip(self.axes, shift)])
+
+    def __sub__(self, shift) -> "TensorGrid":
+        return self + np.negative(shift)
+
+
+def _points(w) -> np.ndarray:
+    return w.points() if isinstance(w, TensorGrid) else np.asarray(w, dtype=float)
+
+
+def grid_path(h: TestFunction, w) -> bool:
+    """Whether `SteinSolution.evaluate` contracts per-axis tables for (h, w)."""
+    return isinstance(w, TensorGrid) and isinstance(h, SeparableTestFunction)
+
+
 class SteinSolution:
     """Quadrature-backed solution of the multivariate comparison equation.
 
@@ -441,8 +494,11 @@ class SteinSolution:
     def evaluate(
         self, w, need: tuple[str, ...] = ("value", "gradient", "hessian")
     ) -> dict[str, np.ndarray]:
-        """Evaluate the requested fields at points w of shape (..., d)."""
-        w = np.asarray(w, dtype=float)
+        """Evaluate the requested fields at points w of shape (..., d) or on a
+        TensorGrid (fields then have shape (points,) + (d,) * order)."""
+        if grid_path(self.h, w):
+            return self._grid_fields(w, need)
+        w = _points(w)
         single = w.ndim == 1
         pts = w[None, :] if single else w.reshape(-1, w.shape[-1])
         b = pts.shape[0]
@@ -474,6 +530,40 @@ class SteinSolution:
             out = {k: v.reshape(shape + v.shape[1:]) for k, v in out.items()}
         return out
 
+    def _grid_fields(self, grid: TensorGrid, need) -> dict[str, np.ndarray]:
+        """Per-axis path for a separable h: tables T_a[j, i, g] of each factor
+        derivative at u_j x_{a,g} + c_j z_{i,a}, contracted over the GH nodes
+        i into psi[j, g_0, ..., g_{d-1}], then weighted over the u-nodes j."""
+        h, d = self.h, self.dimension
+        orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
+        depth = max(orders.values(), default=0)
+        un, uw = self._unodes, self._uweights
+        u = un[:, None, None]
+        c = np.sqrt(1.0 - un**2)[:, None, None]
+        tabs = [
+            f.tables(u * x + c * self._znodes[None, :, a, None])[: depth + 1]
+            for a, (f, x) in enumerate(zip(h.factors, grid.axes))
+        ]
+        j, i = un.size, self._zweights.size
+        weighted = np.broadcast_to((h.scale * self._zweights)[:, None], (j, i, 1))
+        u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
+        out = {}
+        for name, k in orders.items():
+            field = np.empty(grid.shape[:1] + (d,) * k)
+            for idx in index_tuples(d, k):
+                factors = [tabs[a][idx.count(a)] for a in range(d)]
+                # outer products along the first d-1 axes, then one matmul
+                # over i per u-node against the last axis's table
+                acc = weighted
+                for t in factors[:-1]:
+                    acc = (acc[..., None] * t[:, :, None, :]).reshape(j, i, -1)
+                psi = (acc.transpose(0, 2, 1) @ factors[-1]).reshape(j, -1)
+                if k == 0:
+                    psi = psi - self.phi_h
+                _fill_partial(field, idx, -(u_weights[k] @ psi))
+            out[name] = field
+        return out
+
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]
 
@@ -491,9 +581,10 @@ def solve_stein_at(sol: SteinSolution, w) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def stein_residual(sol: SteinSolution, w) -> np.ndarray:
-    """|tr(Sigma D^2 A) - w . grad A - h(w) + E h(Z)| at the given points."""
-    w = np.asarray(w, dtype=float)
+    """|tr(Sigma D^2 A) - w . grad A - h(w) + E h(Z)| at the given points
+    (an array or a TensorGrid)."""
     ev = sol.evaluate(w, ("gradient", "hessian"))
+    w = _points(w)
     lhs = np.einsum("ab,...ba->...", sol.sigma, ev["hessian"]) - np.einsum(
         "...a,...a->...", w, ev["gradient"]
     )
@@ -523,17 +614,19 @@ class BoundCheckReport:
 
 def derivative_bound_check(
     sol: SteinSolution,
-    grid: np.ndarray,
+    grid,
     orders: Sequence[int] = (1, 2),
     fd_step: float = 1e-3,
 ) -> BoundCheckReport:
     """Compare grid maxima of |d^t A| against (1/k) sup |d^t h| for k in orders.
 
-    Orders 1 and 2 read off grad A and D^2 A; order 3, when requested, uses
-    central differences of the Hessian along each axis.
+    `grid` is a (points, d) array or a TensorGrid.  Orders 1 and 2 read off
+    grad A and D^2 A; order 3, when requested, uses central differences of
+    the Hessian along each axis (on a TensorGrid, one axis shifts).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != sol.dimension:
+    if not isinstance(grid, TensorGrid):
+        grid = np.asarray(grid, dtype=float)
+    if len(grid.shape) != 2 or grid.shape[1] != sol.dimension:
         raise ValueError("grid must have shape (points, d)")
     need = []
     if 1 in orders:

@@ -404,11 +404,12 @@ def _stz_probes(dim: int, count: int, seed: int) -> list[tuple[float, float, np.
     return [(float(row[0]), float(row[1]), 8.0 * row[2:] - 4.0) for row in cube]
 
 
-def _norm_probe_args(ens: EnsembleMatrix, n: int, k: int, seed: int, count: int = 256):
-    """Probe (x, y) arguments: realized punctured sums and ring values plus
-    seeded draws from the ball of radius 4 * bound + 1."""
+def _norm_probe_args(
+    ens: EnsembleMatrix, xs_real: np.ndarray, ring: np.ndarray, seed: int, count: int = 256
+):
+    """Probe (x, y) arguments: the realized punctured sums `xs_real` and ring
+    values `ring` plus seeded draws from the ball of radius 4 * bound + 1."""
     rng = np.random.default_rng(seed)
-    _, xs_real, ring = punctured_sums(ens.values, n, k)
     take = min(count, ens.samples)
     idx = rng.choice(ens.samples, take, replace=False)
     radius = 4.0 * ens.bound + 1.0
@@ -440,7 +441,7 @@ def _condition_a2_a3(
     _, x_arg, ring_k = punctured_sums(ens.values, n, k)  # x_arg sums |i-n| > k
     ring_m = _ring(ens.values, n, m)
     fn = ens.values[:, n]
-    xs_probe, ys_probe = _norm_probe_args(ens, n, k, seed + 1)
+    xs_probe, ys_probe = _norm_probe_args(ens, x_arg, ring_k, seed + 1)
     lag = m if not centered else k - m
     envelope_rho = rho(lag)
     worst = None

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from steinclt import cli
+from steinclt import cli, harness
 from steinclt.dynamics import QuasistaticSequence, RandomSequence, SequentialSequence
 from steinclt.harness import (
     ConfigError,
@@ -24,8 +24,10 @@ from steinclt.harness import (
     simulate,
     stage_seed,
     validate_config,
+    _axis_grid,
     _resolve_threads,
 )
+from steinclt.stein import TensorGrid
 
 
 def _random_cfg(**over):
@@ -268,6 +270,36 @@ def test_run_stein_check_writes_manifest(tmp_path):
     assert other_manifest["config_hash"] != manifest["config_hash"]
 
 
+def test_run_stein_check_manifest_stages(tmp_path):
+    report = run_stein_check(1, seed=2, sigma_count=2, bound_grid=11, out_dir=tmp_path)
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert set(stages) == {"residual", "bound"}
+    assert stages["residual"]["seconds"] == report.residual_seconds > 0.0
+    assert stages["bound"]["seconds"] == report.bound_seconds > 0.0
+    for name, (gh, u) in {"residual": (48, 32), "bound": (32, 32)}.items():
+        stage = stages[name]
+        # four separable rows per sigma take the grid path, affine/quadratic the point path
+        assert (stage["grid_rows"], stage["point_rows"]) == (8, 4)
+        cert = stage["quadrature"]
+        assert (cert["gh_order"], cert["u_order"]) == (gh, u)
+        assert cert["gh_min_weight"] > 0.0
+        assert cert["gh_weight_sum_defect"] < 1e-13
+        assert cert["gl_moment_defect"] < 1e-14
+    run_stein_check(1, seed=2, sigma_count=1, check_bounds=False, out_dir=tmp_path / "nb")
+    stages = json.loads((tmp_path / "nb" / "manifest.json").read_text())["stages"]
+    assert set(stages) == {"residual"}
+    assert (stages["residual"]["grid_rows"], stages["residual"]["point_rows"]) == (4, 2)
+
+
+def test_axis_grid_is_the_meshgrid_point_set():
+    grid = _axis_grid(3, 4, 2.5)
+    assert isinstance(grid, TensorGrid)
+    axis = np.linspace(-2.5, 2.5, 4)
+    mesh = np.meshgrid(axis, axis, axis, indexing="ij")
+    np.testing.assert_array_equal(grid.points(), np.stack([m.ravel() for m in mesh], axis=-1))
+    assert np.shape(grid) == (64, 3)
+
+
 def test_run_rates_recovers_from_corrupt_cache(tmp_path):
     cfg = _random_cfg()
     with warnings.catch_warnings():
@@ -371,6 +403,19 @@ def test_run_decompose_small(tmp_path):
     assert res.csv_path.exists() and res.manifest_path.exists()
     with pytest.raises(ConfigError, match="unknown test function"), pytest.warns(FutureWarning):
         run_decompose(cfg, tmp_path, h_name="bogus")
+
+
+def test_run_decompose_rejects_unknown_test_function_before_simulating(tmp_path, monkeypatch):
+    calls = []
+    real = harness.build_ensemble
+    monkeypatch.setattr(harness, "build_ensemble", lambda *a, **k: calls.append(a) or real(*a, **k))
+    cfg = _random_cfg(samples=100, decompose={"n_terms": 3})
+    del cfg["n_grid"]
+    with pytest.raises(ConfigError, match="unknown test function"):
+        run_decompose(cfg, tmp_path, h_name="bogus")
+    assert calls == []
+    run_decompose(cfg, tmp_path)
+    assert len(calls) == 1
 
 
 def test_run_qds_small(tmp_path):

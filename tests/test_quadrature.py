@@ -5,7 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steinclt.quadrature import gauss_hermite_standard, gauss_legendre_01, tensor_rule
+from steinclt.quadrature import (
+    gauss_hermite_standard,
+    gauss_legendre_01,
+    rule_certificate,
+    tensor_rule,
+)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -48,3 +53,20 @@ def test_gauss_legendre_01_integrates_monomials_exactly(order):
     assert np.all(w > 0.0)
     for k in range(1, 2 * order + 1):
         assert w @ u ** (k - 1) == pytest.approx(1.0 / k, rel=1e-13)
+
+
+@pytest.mark.parametrize("gh_order,dim,u_order", [(48, 1, 32), (20, 2, 16), (5, 3, 8)])
+def test_rule_certificate(gh_order, dim, u_order):
+    cert = rule_certificate(gh_order, dim, u_order)
+    assert set(cert) == {
+        "gh_order", "u_order", "gh_min_weight", "gh_weight_sum_defect", "gl_moment_defect"
+    }
+    assert (cert["gh_order"], cert["u_order"]) == (gh_order, u_order)
+    w1 = np.polynomial.hermite.hermgauss(gh_order)[1] / np.sqrt(np.pi)
+    assert cert["gh_min_weight"] == pytest.approx(w1.min() ** dim, rel=1e-12)
+    assert 0.0 < cert["gh_min_weight"]
+    _, zw = gauss_hermite_standard(gh_order, dim)
+    assert cert["gh_weight_sum_defect"] == abs(zw.sum() - 1.0) < 1e-13
+    u, uw = gauss_legendre_01(u_order)
+    want = max(abs(uw @ np.ones_like(u) - 1.0), abs(uw @ u - 0.5))
+    assert cert["gl_moment_defect"] == want < 1e-14

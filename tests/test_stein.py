@@ -16,10 +16,12 @@ from steinclt.stein import (
     SinFactor,
     SteinSolution,
     TanhFactor,
+    TensorGrid,
     builtin_test_functions,
     derivative_bound_check,
     g_h_evaluate,
     g_h_norm_probe,
+    grid_path,
     index_tuples,
     lipschitz_family_1d,
     mollify,
@@ -150,9 +152,7 @@ def test_quadratic_partial_sups():
 
 
 def test_stein_residual_small_for_smooth_battery():
-    w = np.stack(
-        np.meshgrid(np.linspace(-3, 3, 9), np.linspace(-3, 3, 9), indexing="ij"), axis=-1
-    ).reshape(-1, 2)
+    w = TensorGrid([np.linspace(-3, 3, 9)] * 2)
     for h in builtin_test_functions(2):
         sol = SteinSolution(h, SIGMA2, gh_order=20, u_order=32)
         worst = float(stein_residual(sol, w).max())
@@ -184,9 +184,7 @@ def test_derivative_bound_check_quadratic_margins():
     q = ((1.5, 0.25), (0.25, 1.0))
     h = QuadraticTestFunction(q, (0.5, -0.2))
     sol = SteinSolution(h, SIGMA2)
-    grid = np.stack(
-        np.meshgrid(np.linspace(-2, 2, 7), np.linspace(-2, 2, 7), indexing="ij"), axis=-1
-    ).reshape(-1, 2)
+    grid = TensorGrid([np.linspace(-2, 2, 7)] * 2)
     report = derivative_bound_check(sol, grid, orders=(1, 2))
     # unbounded first partials are recorded as vacuously satisfied
     assert report.margins[(1, (0,))] == math.inf
@@ -206,6 +204,80 @@ def test_derivative_bound_check_third_order():
     orders = sorted({k[0] for k in report.margins})
     assert orders == [1, 2, 3]
     assert report.passed(1e-6)
+
+
+def _random_sigma(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return a @ a.T + 0.5 * np.eye(dim)
+
+
+def _uneven_grid(dim):
+    """Axes of different lengths and ranges, so a swapped axis changes the result."""
+    return TensorGrid(
+        [np.linspace(-2.0 + 0.3 * a, 2.5 - 0.2 * a, n) for a, n in enumerate((4, 3, 5)[:dim])]
+    )
+
+
+def test_tensor_grid_points_and_shape():
+    grid = TensorGrid([np.array([0.0, 1.0]), np.array([5.0, 6.0, 7.0])])
+    want = np.array([[0, 5], [0, 6], [0, 7], [1, 5], [1, 6], [1, 7]], dtype=float)
+    np.testing.assert_array_equal(grid.points(), want)
+    assert grid.shape == np.shape(grid) == (6, 2)
+    shift = np.array([0.0, 1e-3])
+    np.testing.assert_array_equal((grid + shift).points(), want + shift)
+    np.testing.assert_array_equal((grid - shift).points(), want - shift)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_path_matches_point_path(dim):
+    rng = np.random.default_rng(40 + dim)
+    grid = _uneven_grid(dim)
+    separable = [h for h in builtin_test_functions(dim) if isinstance(h, SeparableTestFunction)]
+    assert len(separable) == 4
+    extra = [_mixed_separable()] if dim == 3 else []
+    for h in separable + smooth_metric_family(dim) + extra:
+        sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=6, u_order=7)
+        assert grid_path(h, grid)
+        fast = sol.evaluate(grid)
+        slow = sol.evaluate(grid.points())
+        assert set(fast) == set(slow) == {"value", "gradient", "hessian"}
+        for name, want in slow.items():
+            assert fast[name].shape == want.shape
+            tol = 1e-13 * np.abs(want).max()
+            np.testing.assert_allclose(fast[name], want, rtol=0, atol=tol, err_msg=f"{h.name} {name}")
+        only = sol.evaluate(grid, ("hessian",))
+        assert set(only) == {"hessian"}
+        np.testing.assert_array_equal(only["hessian"], fast["hessian"])
+        res = stein_residual(sol, grid)
+        np.testing.assert_allclose(res, stein_residual(sol, grid.points()), rtol=0, atol=1e-13)
+
+
+def test_tensor_grid_non_separable_takes_point_path_bits():
+    grid = _uneven_grid(2)
+    for h in builtin_test_functions(2)[:2]:
+        sol = SteinSolution(h, SIGMA2, gh_order=8, u_order=6)
+        assert not grid_path(h, grid)
+        got = sol.evaluate(grid)
+        want = sol.evaluate(grid.points())
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+        np.testing.assert_array_equal(stein_residual(sol, grid), stein_residual(sol, grid.points()))
+
+
+def test_derivative_bound_check_third_order_on_tensor_grid():
+    h = builtin_test_functions(2)[2]
+    sol = SteinSolution(h, SIGMA2, gh_order=20, u_order=16)
+    grid = TensorGrid([np.linspace(-3, 3, 9), np.linspace(-2.5, 2.5, 7)])
+    report = derivative_bound_check(sol, grid, orders=(1, 2, 3))
+    assert sorted({k[0] for k in report.margins}) == [1, 2, 3]
+    assert report.grid_size == 63
+    assert report.passed(1e-6)
+    points = derivative_bound_check(sol, grid.points(), orders=(1, 2, 3))
+    assert report.margins.keys() == points.margins.keys()
+    for key, margin in report.margins.items():
+        assert margin == pytest.approx(points.margins[key], rel=0, abs=1e-10), key
+    with pytest.raises(ValueError):
+        derivative_bound_check(sol, _uneven_grid(3))
 
 
 def test_univariate_identity_solution():

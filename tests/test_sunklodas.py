@@ -10,6 +10,7 @@ from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
 from steinclt.stein import QuadraticTestFunction, SeparableTestFunction, TanhFactor
+from steinclt import sunklodas
 from steinclt.sunklodas import (
     EnsembleMatrix,
     decompose,
@@ -352,3 +353,32 @@ def test_condition_a2_a3_seeded_and_validated():
         estimate_condition_a2(ens, h, 2, 3, 2, rho, probe_count=8, seed=42)
     with pytest.raises(IndexError):
         estimate_condition_a2(ens, h, 9, 1, 3, rho, probe_count=8, seed=42)
+
+
+def test_condition_a2_a3_reuse_their_punctured_sums(monkeypatch):
+    ens = _doubling_ensemble(512, 5, seed=16)
+    h = _tanh_single()
+    rho = rho_geometric(0.6)
+    calls = []
+    real_sums, real_probe = sunklodas.punctured_sums, sunklodas._norm_probe_args
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real_sums(*args)
+
+    def fresh_probe(ens, xs_real, ring, seed, count=256):
+        # the earlier arrangement: the probe builds its own punctured sums
+        _, xs_fresh, ring_fresh = real_sums(ens.values, 2, 3)
+        np.testing.assert_array_equal(xs_fresh, xs_real)
+        np.testing.assert_array_equal(ring_fresh, ring)
+        return real_probe(ens, xs_fresh, ring_fresh, seed, count)
+
+    monkeypatch.setattr(sunklodas, "punctured_sums", counting)
+    reports = [est(ens, h, 2, 1, 3, rho, probe_count=4, seed=7)
+               for est in (estimate_condition_a2, estimate_condition_a3)]
+    assert calls == [(2, 3), (2, 3)]
+    monkeypatch.setattr(sunklodas, "_norm_probe_args", fresh_probe)
+    for est, report in zip((estimate_condition_a2, estimate_condition_a3), reports):
+        again = est(ens, h, 2, 1, 3, rho, probe_count=4, seed=7)
+        assert (again.value, again.stderr, again.envelope, again.ratio) == (
+            report.value, report.stderr, report.envelope, report.ratio)
