@@ -27,7 +27,6 @@ from .stein import (
     builtin_test_functions,
     derivative_bound_check,
     smooth_metric_family,
-    solve_stein_at,
     stein_residual,
     univariate_bound_check,
     univariate_solution,
@@ -62,7 +61,6 @@ __all__ = [
     "builtin_test_functions",
     "derivative_bound_check",
     "smooth_metric_family",
-    "solve_stein_at",
     "stein_residual",
     "univariate_bound_check",
     "univariate_solution",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "OBSERVABLES",
     "orbit",
     "trajectory",
-    "qds_birkhoff_integral",
 ]
 
 
@@ -54,12 +53,6 @@ def _like_input(x, out):
 def _lsv(x: np.ndarray, alpha) -> np.ndarray:
     """x (1 + (2x)^alpha) on [0, 1/2), 2x - 1 on [1/2, 1]."""
     return np.where(x < 0.5, x * (1.0 + (2.0 * x) ** alpha), 2.0 * x - 1.0)
-
-
-def _mod1(y: np.ndarray) -> np.ndarray:
-    """y mod 1, with a rounded-up 1.0 snapped to 0.0."""
-    out = np.mod(y, 1.0)
-    return np.where(out == 1.0, 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -147,8 +140,8 @@ class PiecewiseLinearMap(IntervalMap):
 
     slopes[i] acts on [breakpoints[i-1], breakpoints[i]) via x -> slope * x
     mod 1, with the breakpoint list augmented by 0 and 1.  Every slope must
-    exceed 1 (expansion); a value of exactly 1.0 after the mod is snapped
-    to 0.0.
+    exceed 1 (expansion).  Images lie in [0, 1): for y >= 0, np.mod(y, 1.0)
+    is exact, so it never rounds up to 1.0.
     """
 
     slopes: tuple[float, ...]
@@ -177,7 +170,7 @@ class PiecewiseLinearMap(IntervalMap):
         edges = np.asarray(self._edges())
         idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.slopes) - 1)
         slopes = np.asarray(self.slopes)[idx]
-        return _like_input(x, _mod1(slopes * arr))
+        return _like_input(x, np.mod(slopes * arr, 1.0))
 
     def branches(self) -> list[Branch]:
         pieces: list[Branch] = []
@@ -237,7 +230,7 @@ class ShiftedSlopeFamily(MapFamily):
         return PiecewiseLinearMap(slopes=(self.base + float(param),))
 
     def apply_param(self, param: float, x):
-        return _like_input(x, _mod1((self.base + param) * _as_unit_interval(x)))
+        return _like_input(x, np.mod((self.base + param) * _as_unit_interval(x), 1.0))
 
 
 @dataclass(frozen=True)
@@ -492,24 +485,3 @@ OBSERVABLES: dict[str, Callable[[], Observable]] = {
     "poly_pair": _obs_poly_pair,
     "fourier_pair": _obs_fourier_pair,
 }
-
-
-def qds_birkhoff_integral(seq, f: Observable, x, t: float, n: int) -> np.ndarray:
-    """Time-rescaled partial Birkhoff integral S_n(x, t).
-
-    S_n(x, t) = sum_{k < floor(nt)} f(y_k) + (nt - floor(nt)) f(y_floor(nt)),
-    where y is the orbit under the triangular array at horizon n.  Piecewise
-    linear in t between the grid points k/n.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    nt = n * t
-    m = int(math.floor(nt + 1e-12))
-    m = min(m, n)
-    frac = nt - m
-    if frac < 1e-12:
-        frac = 0.0
-    points = trajectory(seq, x, m, horizon=n)         # (m+1, ...) points
-    vals = f(points)                                  # (m+1, ..., d)
-    total = vals[:m].sum(axis=0) if m > 0 else np.zeros_like(vals[0])
-    return total + frac * vals[m]

@@ -153,7 +153,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_terms": {"type": "integer", "minimum": 1},
                 "test_function": {"type": "string"},
-                "u_order": {"type": "integer", "minimum": 2},
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -535,12 +534,6 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     cfg, manifest = _start(cfg, out_dir, "decompose")
     options = cfg.get("decompose", {})
     n_terms = options.get("n_terms", 8)
-    if "u_order" in options:
-        warnings.warn(
-            "decompose.u_order is ignored: the ledger needs no segment quadrature",
-            FutureWarning,
-            stacklevel=2,
-        )
     h_name = h_name or options.get("test_function", "tanh_prod")
     f = build_observable(cfg)
     if f.dimension > 3:

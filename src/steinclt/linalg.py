@@ -16,12 +16,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def batch_spectral_norm(a: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices, shape (..., d, d) -> (...)."""
-    a = np.asarray(a, dtype=float)
-    return np.linalg.svd(a, compute_uv=False).max(axis=-1)
-
-
 def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

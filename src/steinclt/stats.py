@@ -96,7 +96,6 @@ def build_ensemble(
     samples: int,
     seed: int,
     initial: np.ndarray | None = None,
-    normalization: NormalizationMatrix | str = "self-norming",
     horizon: int | None = None,
     memory_budget: int = 200_000_000,
 ) -> EnsembleMatrix:
@@ -105,7 +104,8 @@ def build_ensemble(
     Slot i holds f at the i-th orbit point (slot 0 is the initial point:
     `initial`, an array of shape (samples,), or a uniform draw).  Centering
     subtracts the per-slot ensemble mean.  The normalization is self-norming
-    by default (b from the empirical covariance of the sums).
+    (b from the empirical covariance of the sums); another b is one
+    `EnsembleMatrix.with_normalization` call away.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples to center the ensemble")
@@ -122,16 +122,8 @@ def build_ensemble(
     raw = np.empty((samples, n_terms, f.dimension))
     for k, x in enumerate(orbit(seq, x0, n_terms - 1, horizon)):
         raw[:, k, :] = f(x)
-    if isinstance(normalization, NormalizationMatrix):
-        norm = normalization
-    elif normalization == "self-norming":
-        centered = raw - raw.mean(axis=0, keepdims=True)
-        summary = empirical_covariance(centered.sum(axis=1))
-        norm = matrix_sqrt(summary.matrix)
-    elif normalization == "sqrt-n":
-        norm = sqrt_n_normalization(n_terms, f.dimension)
-    else:
-        raise ValueError("normalization must be self-norming, sqrt-n, or a matrix")
+    centered = raw - raw.mean(axis=0, keepdims=True)
+    norm = matrix_sqrt(empirical_covariance(centered.sum(axis=1)).matrix)
     return EnsembleMatrix.from_raw(raw, norm.b, f.bound)
 
 

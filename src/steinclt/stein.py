@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .linalg import batch_spectral_norm, check_symmetric
+from .linalg import check_symmetric
 from .quadrature import (
     composite_gauss_legendre,
     gauss_hermite_standard,
@@ -56,15 +56,12 @@ __all__ = [
     "TensorGrid",
     "grid_path",
     "SteinSolution",
-    "solve_stein_at",
     "stein_residual",
     "BoundCheckReport",
     "derivative_bound_check",
     "univariate_solution",
     "UnivariateBoundReport",
     "univariate_bound_check",
-    "g_h_evaluate",
-    "g_h_norm_probe",
     "MollifierSmoother",
     "mollify",
 ]
@@ -574,12 +571,6 @@ class SteinSolution:
         return self.evaluate(w, ("hessian",))["hessian"]
 
 
-def solve_stein_at(sol: SteinSolution, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A(w), grad A(w), D^2 A(w)) in one pass."""
-    ev = sol.evaluate(w)
-    return ev["value"], ev["gradient"], ev["hessian"]
-
-
 def stein_residual(sol: SteinSolution, w) -> np.ndarray:
     """|tr(Sigma D^2 A) - w . grad A - h(w) + E h(Z)| at the given points
     (an array or a TensorGrid)."""
@@ -728,55 +719,6 @@ def univariate_bound_check(
         math.sqrt(2.0 / math.pi) - float(np.abs(a1).max()),
         2.0 - float(np.abs(a2).max()),
     )
-
-
-def _g_h_args(b, s: float, t: float, z, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b^{-1}, s b^{-1}(x + t y) + z, s b^{-1} x + z): what G is built from."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("b must be a square matrix")
-    if np.linalg.cond(b) > 1e12:
-        raise ValueError("b is numerically singular")
-    binv = np.linalg.inv(b)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return binv, s * (x + t * y) @ binv.T + z, s * x @ binv.T + z
-
-
-def g_h_evaluate(h: TestFunction, b: np.ndarray, s: float, t: float, z: np.ndarray, x, y) -> np.ndarray:
-    """Normalized second-difference kernel of h.
-
-    G(x, y) = b^{-1} [ D^2 h(s b^{-1}(x + t y) + z) - D^2 h(s b^{-1} x + z) ] b^{-1},
-    broadcast over leading axes of x and y.
-    """
-    binv, a1, a0 = _g_h_args(b, s, t, z, x, y)
-    diff = np.asarray(h.hessian(a1)) - np.asarray(h.hessian(a0))
-    return np.einsum("ab,...bc,cd->...ad", binv, diff, binv)
-
-
-def g_h_norm_probe(
-    h: TestFunction, b: np.ndarray, s: float, t: float, z: np.ndarray, xs, ys
-) -> tuple[float, float]:
-    """Probe max spectral norms of G and of its first partials over (xs, ys).
-
-    Partials use the closed-form third derivatives of h contracted against
-    the relevant direction; this is a spot check over the supplied probe
-    arguments, not a certified supremum.
-    """
-    binv, a1, a0 = _g_h_args(b, s, t, z, xs, ys)
-    sup_g = float(batch_spectral_norm(g_h_evaluate(h, b, s, t, z, xs, ys)).max())
-    t3_1 = np.asarray(h.third(a1))
-    t3_0 = np.asarray(h.third(a0))
-    sup_grad = 0.0
-    for c in range(h.dimension):
-        v = s * binv[:, c]
-        dx = np.einsum("...abc,c->...ab", t3_1, v) - np.einsum("...abc,c->...ab", t3_0, v)
-        dy = np.einsum("...abc,c->...ab", t3_1, t * v)
-        for der in (dx, dy):
-            sandwich = np.einsum("ab,...bc,cd->...ad", binv, der, binv)
-            sup_grad = max(sup_grad, float(batch_spectral_norm(sandwich).max()))
-    return sup_g, sup_grad
 
 
 def _ball_volume(d: int) -> float:

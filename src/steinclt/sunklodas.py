@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DegenerateCovariance
-from .stein import TestFunction, g_h_evaluate, g_h_norm_probe
 
 __all__ = [
     "EnsembleMatrix",
@@ -37,12 +35,6 @@ __all__ = [
     "delta_matrix",
     "DecompositionLedger",
     "decompose",
-    "rho_geometric",
-    "rho_intermittent",
-    "ConditionReport",
-    "estimate_condition_a1",
-    "estimate_condition_a2",
-    "estimate_condition_a3",
 ]
 
 
@@ -338,162 +330,3 @@ def decompose(
     }
     lhs = _mean_and_stderr(lhs_contrib, weights, exact)
     return DecompositionLedger(terms, lhs, s_count, exact)
-
-
-def rho_geometric(gamma: float) -> Callable[[int], float]:
-    """Geometric decay envelope rho(m) = gamma^m."""
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    return lambda m: float(gamma) ** int(m)
-
-
-def rho_intermittent(beta_star: float) -> Callable[[int], float]:
-    """Polynomial envelope m^(1 - 1/beta*) (log m)^(1/beta*), with rho(0) = rho(1) = 1."""
-    if not (0.0 < beta_star < 1.0):
-        raise ValueError("beta_star must lie in (0, 1)")
-
-    def rho(m: int) -> float:
-        m = int(m)
-        if m <= 1:
-            return 1.0
-        return m ** (1.0 - 1.0 / beta_star) * math.log(m) ** (1.0 / beta_star)
-
-    return rho
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    kind: str
-    value: float
-    stderr: float
-    envelope: float
-    ratio: float
-    details: dict = field(default_factory=dict)
-
-
-def estimate_condition_a1(
-    ens: EnsembleMatrix,
-    n: int,
-    m: int,
-    comp_a: int,
-    comp_b: int,
-    rho: Callable[[int], float],
-    c1: float = 1.0,
-) -> ConditionReport:
-    """|mu(fbar^n_a fbar^m_b)| against the envelope c1 * rho(|n - m|)."""
-    big_n = ens.times
-    if not (0 <= n < big_n and 0 <= m < big_n):
-        raise IndexError("time indices outside 0..N-1")
-    prod = ens.values[:, n, comp_a] * ens.values[:, m, comp_b]
-    val, se = _mean_and_stderr(prod, ens.weights, ens.exact)
-    envelope = c1 * rho(abs(n - m))
-    return ConditionReport("A1", abs(val), se, envelope, abs(val) / envelope)
-
-
-def _latin_hypercube(count: int, dims: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, dims))
-    for j in range(dims):
-        perm = rng.permutation(count)
-        out[:, j] = (perm + rng.random(count)) / count
-    return out
-
-
-def _stz_probes(dim: int, count: int, seed: int) -> list[tuple[float, float, np.ndarray]]:
-    cube = _latin_hypercube(count, 2 + dim, seed)
-    return [(float(row[0]), float(row[1]), 8.0 * row[2:] - 4.0) for row in cube]
-
-
-def _norm_probe_args(
-    ens: EnsembleMatrix, xs_real: np.ndarray, ring: np.ndarray, seed: int, count: int = 256
-):
-    """Probe (x, y) arguments: the realized punctured sums `xs_real` and ring
-    values `ring` plus seeded draws from the ball of radius 4 * bound + 1."""
-    rng = np.random.default_rng(seed)
-    take = min(count, ens.samples)
-    idx = rng.choice(ens.samples, take, replace=False)
-    radius = 4.0 * ens.bound + 1.0
-    extra = rng.normal(size=(count, ens.dimension))
-    extra *= (radius * rng.random(count) ** (1.0 / ens.dimension) / np.linalg.norm(extra, axis=1))[:, None]
-    xs = np.concatenate([xs_real[idx], rng.normal(scale=max(1.0, ens.bound), size=(count, ens.dimension))])
-    ys = np.concatenate([ring[idx], extra])
-    return xs, ys
-
-
-def _condition_a2_a3(
-    ens: EnsembleMatrix,
-    h: TestFunction,
-    n: int,
-    m: int,
-    k: int,
-    rho: Callable[[int], float],
-    centered: bool,
-    probe_count: int,
-    seed: int,
-) -> ConditionReport:
-    big_n = ens.times
-    if not (0 <= n < big_n):
-        raise IndexError("n outside 0..N-1")
-    if not (0 <= m <= k <= big_n - 1):
-        raise ValueError("need 0 <= m <= k <= N-1")
-    if centered and 2 * m > k:
-        raise ValueError("the centered envelope needs 2m <= k")
-    _, x_arg, ring_k = punctured_sums(ens.values, n, k)  # x_arg sums |i-n| > k
-    ring_m = _ring(ens.values, n, m)
-    fn = ens.values[:, n]
-    xs_probe, ys_probe = _norm_probe_args(ens, x_arg, ring_k, seed + 1)
-    lag = m if not centered else k - m
-    envelope_rho = rho(lag)
-    worst = None
-    for s_val, t_val, z in _stz_probes(ens.dimension, probe_count, seed):
-        g = g_h_evaluate(h, ens.b, s_val, t_val, z, x_arg, ring_k)
-        if centered:
-            g = g - ens._mean_over_samples(g)
-        contrib = np.einsum("sa,sab,sb->s", fn, g, ring_m)
-        val, se = _mean_and_stderr(contrib, ens.weights, ens.exact)
-        sup_g, sup_grad = g_h_norm_probe(h, ens.b, s_val, t_val, z, xs_probe, ys_probe)
-        denom = (sup_g + sup_grad) * envelope_rho
-        if denom <= 0:
-            continue
-        ratio = abs(val) / denom
-        if worst is None or ratio > worst[0]:
-            worst = (ratio, abs(val), se, denom, (s_val, t_val))
-    if worst is None:
-        raise ValueError("all probes produced a zero envelope")
-    ratio, val, se, denom, stz = worst
-    return ConditionReport(
-        "A3" if centered else "A2",
-        val,
-        se,
-        denom,
-        ratio,
-        {"probe_s": stz[0], "probe_t": stz[1], "probes": probe_count},
-    )
-
-
-def estimate_condition_a2(
-    ens: EnsembleMatrix,
-    h: TestFunction,
-    n: int,
-    m: int,
-    k: int,
-    rho: Callable[[int], float],
-    probe_count: int = 64,
-    seed: int = 0,
-) -> ConditionReport:
-    """Spot-check the uncentered second-difference correlation envelope."""
-    return _condition_a2_a3(ens, h, n, m, k, rho, False, probe_count, seed)
-
-
-def estimate_condition_a3(
-    ens: EnsembleMatrix,
-    h: TestFunction,
-    n: int,
-    m: int,
-    k: int,
-    rho: Callable[[int], float],
-    probe_count: int = 64,
-    seed: int = 0,
-) -> ConditionReport:
-    """Spot-check the centered envelope (requires 2m <= k)."""
-    return _condition_a2_a3(ens, h, n, m, k, rho, True, probe_count, seed)

@@ -8,13 +8,12 @@ values / G.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import IntervalMap, Observable, PiecewiseLinearMap, trajectory
+from .dynamics import IntervalMap
 
 __all__ = [
     "UlamOperator",
@@ -24,8 +23,6 @@ __all__ = [
     "build_ulam",
     "invariant_density",
     "cone_check",
-    "correlation_estimate",
-    "variation_diagnostic",
 ]
 
 
@@ -89,34 +86,6 @@ class DensityVector:
         masses = np.asarray(masses, dtype=float)
         return cls(masses.size, masses * masses.size)
 
-    def normalized(self) -> "DensityVector":
-        m = self.mass
-        if m <= 0:
-            raise ValueError("cannot normalize zero mass")
-        return DensityVector(self.grid, self.values / m)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse-CDF draws, piecewise linear within cells."""
-        masses = self.masses
-        total = masses.sum()
-        if total <= 0:
-            raise ValueError("cannot sample from zero mass")
-        cmf = np.cumsum(masses) / total
-        u = rng.random(size)
-        idx = np.searchsorted(cmf, u, side="left")
-        idx = np.clip(idx, 0, self.grid - 1)
-        prev = np.where(idx > 0, cmf[idx - 1], 0.0)
-        cell_mass = np.maximum(cmf[idx] - prev, 1e-300)
-        frac = (u - prev) / cell_mass
-        return (idx + np.clip(frac, 0.0, 1.0)) / self.grid
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["midpoint", "value"])
-            for x, v in zip(self.midpoints, self.values):
-                writer.writerow([repr(float(x)), repr(float(v))])
-
 
 def build_ulam(imap: IntervalMap, grid: int) -> UlamOperator:
     """Assemble the Ulam matrix from the map's monotone branches.
@@ -162,7 +131,6 @@ def invariant_density(
     op: UlamOperator,
     tol: float = 1e-12,
     max_iter: int = 500_000,
-    initial: DensityVector | None = None,
 ) -> DensityVector:
     """Fixed point of the adjoint action by power iteration.
 
@@ -170,7 +138,7 @@ def invariant_density(
     below `tol`; raises ConvergenceError with the residual otherwise.
     """
     pt = op.matrix.T.tocsr()
-    v = (initial.normalized().masses if initial is not None else np.full(op.grid, 1.0 / op.grid))
+    v = np.full(op.grid, 1.0 / op.grid)
     for _ in range(max_iter):
         v2 = pt @ v
         diff = float(np.abs(v2 - v).sum())
@@ -231,72 +199,3 @@ def cone_check(h: DensityVector, alpha: float, tol: float | None = None) -> Cone
     if tol is None:
         tol = 1.0 / h.grid
     return ConeReport(alpha, tol, dec, pow_inc, bound)
-
-
-def correlation_estimate(
-    seq,
-    f: Observable,
-    g: Observable,
-    n: int,
-    m: int,
-    mu0: DensityVector | None,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of Cov(f(y_n), g(y_m)) under mu0 x dynamics.
-
-    Both observables must be scalar.  Centering uses the plug-in ensemble
-    means.  Returns (value, standard error).
-    """
-    if f.dimension != 1 or g.dimension != 1:
-        raise ValueError("correlation_estimate expects scalar observables")
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    if n < 0 or m < 0:
-        raise IndexError("time indices must be nonnegative")
-    rng = np.random.default_rng(seed)
-    x0 = mu0.sample(rng, samples) if mu0 is not None else rng.random(samples)
-    horizon = max(n, m)
-    orbit = trajectory(seq, x0, horizon)
-    fv = f(orbit[n])[:, 0]
-    gv = g(orbit[m])[:, 0]
-    prod = (fv - fv.mean()) * (gv - gv.mean())
-    value = float(prod.mean())
-    stderr = float(prod.std(ddof=1) / np.sqrt(samples))
-    return value, stderr
-
-
-def variation_diagnostic(maps: list[PiecewiseLinearMap], max_branches: int = 500_000) -> float:
-    """Total variation over [0,1] of 1/|(T_n o ... o T_1)'|, computed exactly.
-
-    The composed derivative is constant on every branch of the composition,
-    so each per-branch variation vanishes and the total reduces to summing
-    the jumps at interior branch boundaries.  Families with a single global
-    slope per map therefore return exactly 0.0.
-    """
-    for m in maps:
-        if not isinstance(m, PiecewiseLinearMap):
-            raise TypeError("variation diagnostic supports piecewise linear maps only")
-    # pieces are (a, b, s, off): the composition so far is x -> s x + off on [a, b)
-    pieces = [(0.0, 1.0, 1.0, 0.0)]
-    for m in maps:
-        nxt: list[tuple[float, float, float, float]] = []
-        branches = m.branches()
-        for a, b, s, off in pieces:
-            c, d = s * a + off, s * b + off
-            for br in branches:
-                # the composition image (c, d) is cut by the branch domains of m
-                lo = max(c, br.lo)
-                hi = min(d, br.hi)
-                if hi - lo <= 1e-15:
-                    continue
-                a2 = (lo - off) / s
-                b2 = (hi - off) / s
-                k = br.slope * br.lo - br.image_lo
-                nxt.append((a2, b2, s * br.slope, br.slope * off - k))
-        pieces = nxt
-        if len(pieces) > max_branches:
-            raise ValueError("branch count exceeds the supported budget")
-    pieces.sort(key=lambda p: p[0])
-    recip = [1.0 / abs(s) for _, _, s, _ in pieces]
-    return float(sum(abs(u - v) for u, v in zip(recip[1:], recip[:-1])))

@@ -1,5 +1,7 @@
 """Map families, parameter sequences, drivers, and observables."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from steinclt.dynamics import (
     SequentialSequence,
     ShiftedSlopeFamily,
     orbit,
-    qds_birkhoff_integral,
     trajectory,
 )
 from steinclt.stats import birkhoff_raw_sums
@@ -62,6 +63,16 @@ def test_shifted_slope_values_and_snap():
     x = np.linspace(0.0, 1.0, 101)
     y = fam.apply_param(0.7, x)
     assert np.all((y >= 0.0) & (y < 1.0))
+    # np.mod is exact for y >= 0, so no image rounds up to 1.0: check the
+    # largest double below 1 and the points one ulp either side of 1/slope
+    for param in (0.0, 0.3, 0.7, 1.0, 2.5):
+        slope = 2.0 + param
+        edge = 1.0 / slope
+        pts = np.array([np.nextafter(1.0, 0.0), np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+        want = [float(Fraction(p) % 1) for p in slope * pts]
+        for y in (fam.apply_param(param, pts), fam.make(param)(pts)):
+            assert np.all((y >= 0.0) & (y < 1.0))
+            np.testing.assert_array_equal(y, want)
 
 
 def test_lsv_family_matches_map():
@@ -195,19 +206,3 @@ def test_piecewise_linear_map_round_trip():
     x = np.linspace(0.0, 1.0, 97)
     np.testing.assert_allclose(m(x), fam.apply_param(0.5, x), atol=1e-15)
 
-
-def test_qds_partial_sum_endpoints_and_linearity():
-    seq = QuasistaticSequence(LsvFamily(), lambda t: 0.1, beta_star=0.25)
-    f = OBSERVABLES["identity"]()
-    rng = np.random.default_rng(5)
-    x = rng.random(50)
-    n = 16
-    full = qds_birkhoff_integral(seq, f, x, 1.0, n)
-    orbit = trajectory(seq, x, n - 1, horizon=n)
-    direct = f(orbit).sum(axis=0)
-    np.testing.assert_allclose(full, direct, atol=1e-12)
-    # linear interpolation between grid points
-    a = qds_birkhoff_integral(seq, f, x, 4.0 / n, n)
-    b = qds_birkhoff_integral(seq, f, x, 5.0 / n, n)
-    mid = qds_birkhoff_integral(seq, f, x, 4.5 / n, n)
-    np.testing.assert_allclose(mid, 0.5 * (a + b), atol=1e-12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from steinclt import cli, harness
-from steinclt.dynamics import QuasistaticSequence, RandomSequence, SequentialSequence
+from steinclt.dynamics import QuasistaticSequence, RandomSequence, SequentialSequence, trajectory
 from steinclt.harness import (
     ConfigError,
     build_observable,
@@ -394,15 +394,17 @@ def test_run_rates_needs_grid(tmp_path):
 def test_run_decompose_small(tmp_path):
     cfg = _random_cfg(samples=300)
     del cfg["n_grid"]
-    cfg["decompose"] = {"n_terms": 5, "test_function": "gauss_bump", "u_order": 8}
-    with pytest.warns(FutureWarning, match="u_order is ignored"):
-        res = run_decompose(cfg, tmp_path)
+    cfg["decompose"] = {"n_terms": 5, "test_function": "gauss_bump"}
+    res = run_decompose(cfg, tmp_path)
     assert res.passed
     assert abs(res.ledger.residual) <= res.tolerance
     assert set(res.ledger.terms) == {"E1", "E2", "E3", "E4", "E5", "E6", "E7"}
     assert res.csv_path.exists() and res.manifest_path.exists()
-    with pytest.raises(ConfigError, match="unknown test function"), pytest.warns(FutureWarning):
+    with pytest.raises(ConfigError, match="unknown test function"):
         run_decompose(cfg, tmp_path, h_name="bogus")
+    cfg["decompose"]["u_order"] = 8
+    with pytest.raises(ConfigError, match="u_order"):
+        run_decompose(cfg, tmp_path)
 
 
 def test_run_decompose_rejects_unknown_test_function_before_simulating(tmp_path, monkeypatch):
@@ -431,6 +433,24 @@ def test_run_qds_small(tmp_path):
     assert len(lines) == 5
     with pytest.raises(ConfigError):
         run_qds(_random_cfg(), tmp_path)
+
+
+@pytest.mark.parametrize("t_mid", [0.3, 1.0])
+def test_run_qds_lambda_min_is_the_interpolated_partial_sum(tmp_path, t_mid):
+    cfg = validate_config(_qds_cfg(samples=500, n_grid=[32, 64, 128, 256], qds={"t_mid": t_mid}))
+    res = run_qds(cfg, tmp_path)
+    seq, f = build_system(cfg), build_observable(cfg)
+    for n, lam_min, _ in res.rows:
+        x0 = np.random.default_rng(stage_seed(cfg["seed"], f"qds-N{n}")).random(500)
+        # S_n(x, t) = sum_{k < floor(nt)} f(y_k) + (nt - floor(nt)) f(y_floor(nt))
+        nt = n * t_mid
+        m = min(int(np.floor(nt + 1e-12)), n)
+        frac = nt - m if nt - m >= 1e-12 else 0.0
+        vals = f(trajectory(seq, x0, m, horizon=n))
+        mid = vals[:m].sum(axis=0) + frac * vals[m]
+        mid -= mid.mean(axis=0)
+        want = np.linalg.eigvalsh(mid.T @ mid / 500)[0]
+        assert lam_min == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_run_quenched_small(tmp_path):

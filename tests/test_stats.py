@@ -239,13 +239,16 @@ def test_build_ensemble_self_norming():
 def test_build_ensemble_options_and_validation():
     f = OBSERVABLES["identity"]()
     seq = _doubling_seq()
-    ens = build_ensemble(seq, f, 4, 500, seed=9, normalization="sqrt-n")
+    ens = build_ensemble(seq, f, 4, 500, seed=9).with_normalization(sqrt_n_normalization(4, 1).b)
     np.testing.assert_allclose(ens.b, 2.0 * np.eye(1), atol=1e-15)
     custom = NormalizationMatrix(np.eye(1), np.eye(1), "custom", 1.0)
-    ens2 = build_ensemble(seq, f, 4, 500, seed=9, normalization=custom)
+    ens2 = build_ensemble(seq, f, 4, 500, seed=9).with_normalization(custom.b)
     np.testing.assert_allclose(ens2.b, np.eye(1), atol=1e-15)
-    fixed = build_ensemble(seq, f, 4, 500, seed=9, initial=np.full(500, 0.3), normalization=custom)
+    # a constant start would make the self-normed covariance singular
+    x0 = np.linspace(0.0, 1.0, 500)
+    fixed = build_ensemble(seq, f, 4, 500, seed=9, initial=x0).with_normalization(custom.b)
     assert fixed.samples == 500
+    np.testing.assert_allclose(fixed.values[:, 0, 0], x0 - x0.mean(), atol=1e-15)
     with pytest.raises(ValueError):
         build_ensemble(seq, f, 4, 50, seed=9)
     with pytest.raises(ValueError):
@@ -256,8 +259,6 @@ def test_build_ensemble_options_and_validation():
         build_ensemble(seq, f, 4, 500, seed=9, initial=np.full(7, 0.3))
     with pytest.raises(ValueError):
         build_ensemble(seq, f, 4, 500, seed=9, initial=np.full(500, 1.5))
-    with pytest.raises(ValueError):
-        build_ensemble(seq, f, 4, 500, seed=9, normalization="bogus")
 
 
 def test_birkhoff_sums_match_ensemble():
@@ -265,7 +266,7 @@ def test_birkhoff_sums_match_ensemble():
     seq = _doubling_seq()
     sums = birkhoff_raw_sums(seq, f, 6, 500, seed=10)
     custom = NormalizationMatrix(np.eye(1), np.eye(1), "custom", 1.0)
-    ens = build_ensemble(seq, f, 6, 500, seed=10, normalization=custom)
+    ens = build_ensemble(seq, f, 6, 500, seed=10).with_normalization(custom.b)
     np.testing.assert_allclose(
         ens.values.sum(axis=1), sums - sums.mean(axis=0), atol=1e-12
     )

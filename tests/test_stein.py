@@ -19,14 +19,11 @@ from steinclt.stein import (
     TensorGrid,
     builtin_test_functions,
     derivative_bound_check,
-    g_h_evaluate,
-    g_h_norm_probe,
     grid_path,
     index_tuples,
     lipschitz_family_1d,
     mollify,
     smooth_metric_family,
-    solve_stein_at,
     stein_residual,
     univariate_bound_check,
     univariate_solution,
@@ -159,11 +156,12 @@ def test_stein_residual_small_for_smooth_battery():
         assert worst < 1e-4, f"{h.name}: residual {worst:.2e}"
 
 
-def test_solve_stein_at_matches_evaluate():
+def test_evaluate_single_point_shapes():
     h = builtin_test_functions(2)[2]
     sol = SteinSolution(h, SIGMA2)
     w = np.array([0.3, -1.1])
-    a, g, hh = solve_stein_at(sol, w)
+    ev = sol.evaluate(w)
+    a, g, hh = ev["value"], ev["gradient"], ev["hessian"]
     assert np.shape(a) == ()
     assert g.shape == (2,)
     assert hh.shape == (2, 2)
@@ -336,46 +334,6 @@ def test_smooth_metric_family_normalization():
         assert len(fam) == 8
         for h in fam:
             assert h.derivative_sup(3) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_g_h_vanishes_for_constant_hessian():
-    h = QuadraticTestFunction(((1.0, 0.2), (0.2, 0.8)), (0.1, 0.3))
-    b = np.array([[1.3, 0.0], [0.2, 0.9]])
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(10, 2))
-    y = rng.normal(size=(10, 2))
-    g = g_h_evaluate(h, b, 0.7, 0.5, np.zeros(2), x, y)
-    np.testing.assert_allclose(g, 0.0, atol=1e-14)
-    sup_g, sup_grad = g_h_norm_probe(h, b, 0.7, 0.5, np.zeros(2), x, y)
-    assert sup_g == pytest.approx(0.0, abs=1e-14)
-    assert sup_grad == pytest.approx(0.0, abs=1e-14)
-
-
-def test_g_h_matches_direct_hessian_difference():
-    h = SeparableTestFunction((TanhFactor(0.9), TanhFactor(0.5, 0.3)), 1.0, "pair")
-    b = np.array([[1.1, 0.3], [0.0, 0.8]])
-    binv = np.linalg.inv(b)
-    s, t = 0.6, 0.4
-    z = np.array([0.2, -0.1])
-    x = np.array([[0.5, -0.7]])
-    y = np.array([[1.2, 0.4]])
-    got = g_h_evaluate(h, b, s, t, z, x, y)
-    h1 = h.hessian(s * (x + t * y) @ binv.T + z)
-    h0 = h.hessian(s * x @ binv.T + z)
-    want = binv @ (h1 - h0)[0] @ binv
-    np.testing.assert_allclose(got[0], want, atol=1e-13)
-    with pytest.raises(ValueError):
-        g_h_evaluate(h, np.array([[1.0, 1.0], [1.0, 1.0]]), s, t, z, x, y)
-
-
-def test_g_h_norm_probe_positive_for_bumpy_h():
-    h = SeparableTestFunction((GaussFactor(1.0), GaussFactor(1.0)), 1.0, "bump")
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(20, 2))
-    y = rng.normal(size=(20, 2))
-    sup_g, sup_grad = g_h_norm_probe(h, np.eye(2), 0.8, 0.3, np.zeros(2), x, y)
-    assert 0.0 < sup_g < 10.0
-    assert 0.0 < sup_grad < 10.0
 
 
 def test_mollifier_mass_and_support():

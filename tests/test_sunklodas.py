@@ -1,4 +1,4 @@
-"""Punctured sums, the seven-term decomposition, and condition estimates."""
+"""Punctured sums and the seven-term decomposition."""
 
 import itertools
 import math
@@ -10,17 +10,11 @@ from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
 from steinclt.stein import QuadraticTestFunction, SeparableTestFunction, TanhFactor
-from steinclt import sunklodas
 from steinclt.sunklodas import (
     EnsembleMatrix,
     decompose,
     delta_matrix,
-    estimate_condition_a1,
-    estimate_condition_a2,
-    estimate_condition_a3,
     punctured_sums,
-    rho_geometric,
-    rho_intermittent,
 )
 
 
@@ -297,88 +291,3 @@ def test_ensemble_matrix_sums_and_normalization():
     np.testing.assert_allclose(cov, cov.T, atol=1e-15)
     assert ens.samples == 200 and ens.times == 4 and ens.dimension == 2
 
-
-def test_rho_registries():
-    geo = rho_geometric(0.5)
-    assert geo(0) == 1.0 and geo(3) == 0.125
-    rho = rho_intermittent(0.25)
-    assert rho(0) == 1.0 and rho(1) == 1.0
-    want4 = 4.0 ** (1.0 - 4.0) * math.log(4.0) ** 4.0
-    assert rho(4) == pytest.approx(want4, rel=1e-12)
-    assert rho(8) < rho(4) < 1.0
-    with pytest.raises(ValueError):
-        rho_geometric(1.0)
-    with pytest.raises(ValueError):
-        rho_intermittent(0.0)
-
-
-def test_condition_a1_doubling_decay():
-    ens = _doubling_ensemble(40960, 6, seed=13)
-    rho = rho_geometric(0.5)
-    for k in (1, 2, 3):
-        report = estimate_condition_a1(ens, 0, k, 0, 0, rho)
-        assert report.kind == "A1"
-        target = 2.0**-k / 12.0
-        assert abs(report.value - target) <= 3.0 * report.stderr + 2e-4
-        assert report.envelope == pytest.approx(0.5**k)
-        assert report.ratio < 0.2
-    with pytest.raises(IndexError):
-        estimate_condition_a1(ens, 0, 6, 0, 0, rho)
-
-
-def test_condition_a1_scale_covariance():
-    ens = _doubling_ensemble(4096, 5, seed=14)
-    c = 3.0
-    scaled = EnsembleMatrix(c * ens.values, ens.b, c * ens.bound)
-    base = estimate_condition_a1(ens, 1, 3, 0, 0, rho_geometric(0.5))
-    big = estimate_condition_a1(scaled, 1, 3, 0, 0, rho_geometric(0.5))
-    assert big.value == pytest.approx(c**2 * base.value, rel=1e-12)
-
-
-def test_condition_a2_a3_seeded_and_validated():
-    ens = _doubling_ensemble(2048, 5, seed=15)
-    h = _tanh_single()
-    rho = rho_geometric(0.6)
-    r1 = estimate_condition_a2(ens, h, 2, 1, 3, rho, probe_count=8, seed=42)
-    r2 = estimate_condition_a2(ens, h, 2, 1, 3, rho, probe_count=8, seed=42)
-    assert r1.kind == "A2"
-    assert (r1.value, r1.stderr, r1.envelope, r1.ratio) == (r2.value, r2.stderr, r2.envelope, r2.ratio)
-    assert r1.ratio >= 0.0 and math.isfinite(r1.ratio)
-    r3 = estimate_condition_a3(ens, h, 2, 1, 3, rho, probe_count=8, seed=42)
-    assert r3.kind == "A3"
-    assert math.isfinite(r3.ratio)
-    with pytest.raises(ValueError):
-        estimate_condition_a3(ens, h, 2, 2, 3, rho, probe_count=8, seed=42)
-    with pytest.raises(ValueError):
-        estimate_condition_a2(ens, h, 2, 3, 2, rho, probe_count=8, seed=42)
-    with pytest.raises(IndexError):
-        estimate_condition_a2(ens, h, 9, 1, 3, rho, probe_count=8, seed=42)
-
-
-def test_condition_a2_a3_reuse_their_punctured_sums(monkeypatch):
-    ens = _doubling_ensemble(512, 5, seed=16)
-    h = _tanh_single()
-    rho = rho_geometric(0.6)
-    calls = []
-    real_sums, real_probe = sunklodas.punctured_sums, sunklodas._norm_probe_args
-
-    def counting(*args):
-        calls.append(args[1:])
-        return real_sums(*args)
-
-    def fresh_probe(ens, xs_real, ring, seed, count=256):
-        # the earlier arrangement: the probe builds its own punctured sums
-        _, xs_fresh, ring_fresh = real_sums(ens.values, 2, 3)
-        np.testing.assert_array_equal(xs_fresh, xs_real)
-        np.testing.assert_array_equal(ring_fresh, ring)
-        return real_probe(ens, xs_fresh, ring_fresh, seed, count)
-
-    monkeypatch.setattr(sunklodas, "punctured_sums", counting)
-    reports = [est(ens, h, 2, 1, 3, rho, probe_count=4, seed=7)
-               for est in (estimate_condition_a2, estimate_condition_a3)]
-    assert calls == [(2, 3), (2, 3)]
-    monkeypatch.setattr(sunklodas, "_norm_probe_args", fresh_probe)
-    for est, report in zip((estimate_condition_a2, estimate_condition_a3), reports):
-        again = est(ens, h, 2, 1, 3, rho, probe_count=4, seed=7)
-        assert (again.value, again.stderr, again.envelope, again.ratio) == (
-            report.value, report.stderr, report.envelope, report.ratio)
