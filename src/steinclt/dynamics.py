@@ -3,9 +3,13 @@
 All maps act on [0, 1].  A composition regime supplies, for a horizon n and a
 step index k in 0..n, the parameter of the map applied at step k; orbits
 consume step indices 1..n (index 0 is a placeholder so that time-0 observables
-need no map).  `orbit` is the one loop that applies the maps: trajectories,
-ensembles, Birkhoff sums, lag covariances and quasistatic partial sums are
-all reductions over the points it yields.  Three regimes are supported:
+need no map).  `orbit` is the one loop that applies the maps.  It owns one
+state array: it checks the starting points against [0, 1] and copies them
+once, then each step overwrites that array in place
+(`family.apply_param(param, x, x)`) and yields it again, so a point is valid
+only until the next step.  Trajectories copy each row; ensembles, Birkhoff
+sums, lag covariances and quasistatic partial sums reduce each point as it is
+yielded.  Three regimes are supported:
 
 * an explicit per-step parameter list,
 * a slowly varying parameter curve sampled on the triangular array
@@ -50,9 +54,40 @@ def _like_input(x, out):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _lsv(x: np.ndarray, alpha) -> np.ndarray:
-    """x (1 + (2x)^alpha) on [0, 1/2), 2x - 1 on [1/2, 1]."""
-    return np.where(x < 0.5, x * (1.0 + (2.0 * x) ** alpha), 2.0 * x - 1.0)
+def _on_copy(kernel, x, param):
+    """kernel(x, param, out) on a checked x into a new array (a float for a
+    scalar x)."""
+    arr = _as_unit_interval(x)
+    return _like_input(x, kernel(arr, param, np.empty_like(arr)))
+
+
+def _lsv(x: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
+    """x (1 + (2x)^alpha) on [0, 1/2), 2x - 1 on [1/2, 1], written into out.
+
+    out may be x itself: the branch mask and the left branch are computed
+    before out is written.  The operations and their order are those of
+    np.where(x < 0.5, x * (1 + (2x)**alpha), 2x - 1), so the bits agree.
+    """
+    left = x < 0.5
+    t = 2.0 * x
+    t **= alpha
+    t += 1.0
+    t *= x
+    np.multiply(x, 2.0, out=out)
+    out -= 1.0
+    np.copyto(out, t, where=left)
+    return out
+
+
+def _mod1_scaled(x: np.ndarray, slope, out: np.ndarray) -> np.ndarray:
+    """slope * x mod 1, written into out (which may be x).
+
+    For y >= 0, y - floor(y) is exact and so equals np.mod(y, 1.0); neither
+    rounds up to 1.0.
+    """
+    np.multiply(x, slope, out=out)
+    out -= np.floor(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +159,7 @@ class LsvMap(IntervalMap):
             raise ValueError("alpha must lie in [0, 1]")
 
     def apply(self, x):
-        return _like_input(x, _lsv(_as_unit_interval(x), self.alpha))
+        return _on_copy(_lsv, x, self.alpha)
 
     def branches(self) -> list[Branch]:
         a = self.alpha
@@ -140,8 +175,7 @@ class PiecewiseLinearMap(IntervalMap):
 
     slopes[i] acts on [breakpoints[i-1], breakpoints[i]) via x -> slope * x
     mod 1, with the breakpoint list augmented by 0 and 1.  Every slope must
-    exceed 1 (expansion).  Images lie in [0, 1): for y >= 0, np.mod(y, 1.0)
-    is exact, so it never rounds up to 1.0.
+    exceed 1 (expansion).  Images lie in [0, 1) (see `_mod1_scaled`).
     """
 
     slopes: tuple[float, ...]
@@ -170,7 +204,7 @@ class PiecewiseLinearMap(IntervalMap):
         edges = np.asarray(self._edges())
         idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.slopes) - 1)
         slopes = np.asarray(self.slopes)[idx]
-        return _like_input(x, np.mod(slopes * arr, 1.0))
+        return _like_input(x, _mod1_scaled(arr, slopes, np.empty_like(arr)))
 
     def branches(self) -> list[Branch]:
         pieces: list[Branch] = []
@@ -205,8 +239,16 @@ class MapFamily:
     def make(self, param: float) -> IntervalMap:
         raise NotImplementedError
 
-    def apply_param(self, param: float, x):
-        return self.make(param).apply(x)
+    def apply_param(self, param: float, x, out=None):
+        """The map with parameter `param` at x.
+
+        Without `out`, x is checked against [0, 1] and the image comes back
+        as a new array (a float for a scalar x).  With `out` (passed
+        positionally by `orbit`), x is not checked and the image is written
+        into out, which may be x itself, and returned.  Both give the bits
+        of `make(param).apply(x)`.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -216,8 +258,10 @@ class LsvFamily(MapFamily):
     def make(self, param: float) -> LsvMap:
         return LsvMap(float(param))
 
-    def apply_param(self, param: float, x):
-        return _like_input(x, _lsv(_as_unit_interval(x), param))
+    def apply_param(self, param: float, x, out=None):
+        if out is None:
+            return _on_copy(_lsv, x, param)
+        return _lsv(x, param, out)
 
 
 @dataclass(frozen=True)
@@ -229,8 +273,10 @@ class ShiftedSlopeFamily(MapFamily):
     def make(self, param: float) -> PiecewiseLinearMap:
         return PiecewiseLinearMap(slopes=(self.base + float(param),))
 
-    def apply_param(self, param: float, x):
-        return _like_input(x, np.mod((self.base + param) * _as_unit_interval(x), 1.0))
+    def apply_param(self, param: float, x, out=None):
+        if out is None:
+            return _on_copy(_mod1_scaled, x, self.base + param)
+        return _mod1_scaled(x, self.base + param, out)
 
 
 @dataclass(frozen=True)
@@ -389,25 +435,29 @@ def orbit(seq, x0, steps: int, horizon: int | None = None):
 
     Parameters are read once off the triangular array at the given horizon
     (defaults to `steps`).  x0 may be a scalar or an array of starting
-    points; every y_k has its shape.  The arguments are checked when the
-    first point is drawn.
+    points; it is checked against [0, 1] and copied once, and x0 itself is
+    never modified.  Every yield is the same array, the orbit's state, with
+    x0's shape: the next step overwrites it in place, so a caller that keeps
+    a point must copy it.  The arguments are checked when the first point is
+    drawn.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     n = steps if horizon is None else horizon
     if n < steps:
         raise ValueError("horizon must be >= steps")
-    x = _as_unit_interval(x0)
+    x = np.array(_as_unit_interval(x0))
     params = np.asarray(seq.parameters(n), dtype=float)
     yield x
     for k in range(1, steps + 1):
-        x = np.asarray(seq.family.apply_param(params[k], x))
+        seq.family.apply_param(params[k], x, x)
         yield x
 
 
 def trajectory(seq, x0, steps: int, horizon: int | None = None) -> np.ndarray:
-    """The points of `orbit` stacked on a leading time axis of length steps + 1."""
-    return np.stack(list(orbit(seq, x0, steps, horizon)))
+    """The points of `orbit`, copied and stacked on a leading time axis of
+    length steps + 1."""
+    return np.stack([x.copy() for x in orbit(seq, x0, steps, horizon)])
 
 
 @dataclass(frozen=True)

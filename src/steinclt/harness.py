@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import resource
 import time
 import warnings
 import zipfile
@@ -337,12 +338,17 @@ class RunManifest:
         self.outputs[Path(path).name] = digest
 
     def finish(self) -> Path:
-        """Write manifest.json into the output directory and return its path."""
+        """Write manifest.json into the output directory and return its path.
+
+        `peak_rss_mb` is the process's peak resident set so far (ru_maxrss,
+        KiB on Linux).
+        """
         doc = {
             "config_hash": self.config_hash,
             "command": self.command,
             "versions": self.versions,
             "wall_time_seconds": time.monotonic() - self.started,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "stage_seeds": self.stage_seeds,
             "stages": self.stages,
             "outputs": self.outputs,
@@ -387,11 +393,13 @@ def _rate_grid(cfg: dict, command: str) -> list[int]:
     return grid
 
 
-def _cached_sums(cache_dir: Path, key: str, compute, shape: tuple):
-    """Sums of the given shape from the cache, computed and stored on a miss.
+def _cached_sums(cache_dir: Path, key: str, compute, shape: tuple) -> tuple[np.ndarray, bool]:
+    """(sums, hit): sums of the given shape from the cache, computed and
+    stored on a miss.
 
     An entry that cannot be read, or holds the wrong shape or dtype, counts
-    as a miss and is overwritten.
+    as a miss and is overwritten.  Entries are stored uncompressed (random
+    float64 sums barely compress); compressed entries still load.
     """
     path = cache_dir / f"{key}.npz"
     if path.exists():
@@ -399,16 +407,16 @@ def _cached_sums(cache_dir: Path, key: str, compute, shape: tuple):
             with np.load(path) as data:
                 sums = data["sums"]
             if sums.shape == shape and sums.dtype == np.float64:
-                return sums
+                return sums, True
             problem = f"shape {sums.shape}, dtype {sums.dtype}"
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
             problem = f"{type(exc).__name__}: {exc}"
         warnings.warn(f"recomputing corrupt cache entry {path.name}: {problem}", stacklevel=2)
     sums = compute()
     tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(tmp, sums=sums)
+    np.savez(tmp, sums=sums)
     os.replace(tmp, path)
-    return sums
+    return sums, False
 
 
 def _measure_distance(cfg: dict, w: np.ndarray, sigma: np.ndarray, seed: int):
@@ -460,25 +468,33 @@ def run_rates(
     samples = cfg["samples"]
     n_threads = _resolve_threads(cfg, threads)
 
+    floor = wasserstein_floor(samples)
+
     def job(n: int):
         seed_n = manifest.seed(cfg["seed"], f"ensemble-N{n}")
+        with manifest.stage(f"N{n}") as stage:
+            def compute():
+                return birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
 
-        def compute():
-            return birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
-
-        sums = (
-            _cached_sums(cache, f"{chash}_N{n}", compute, (samples, f.dimension))
-            if use_cache
-            else compute()
-        )
-        try:
-            w, norm, summary = normalize_sums(
-                sums, cfg["normalization"], n_terms=n
+            if use_cache:
+                sums, hit = _cached_sums(cache, f"{chash}_N{n}", compute, (samples, f.dimension))
+            else:
+                sums, hit = compute(), False
+            try:
+                w, norm, summary = normalize_sums(
+                    sums, cfg["normalization"], n_terms=n
+                )
+            except DegenerateCovariance as exc:
+                raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
+            target = np.eye(f.dimension) if cfg["normalization"] == "self-norming" else summary.matrix / n
+            rep = _measure_distance(cfg, w, target, stage_seed(cfg["seed"], f"slice-N{n}"))
+            stage.update(
+                cache=("hit" if hit else "miss") if use_cache else "off",
+                point_steps=0 if hit else samples * (n - 1),
+                floor_ratio=rep.value / floor,
+                threads=n_threads,
             )
-        except DegenerateCovariance as exc:
-            raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
-        target = np.eye(f.dimension) if cfg["normalization"] == "self-norming" else summary.matrix / n
-        rep = _measure_distance(cfg, w, target, stage_seed(cfg["seed"], f"slice-N{n}"))
+        stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
         return n, rep, summary
 
     if n_threads > 1:
@@ -487,7 +503,6 @@ def run_rates(
     else:
         rows = [job(n) for n in grid]
 
-    floor = wasserstein_floor(samples)
     smallest = min(rep.value for _, rep, _ in rows)
     # the floor is that of the W1 estimator; the smooth metric has none
     floor_ok = cfg["metric"] == "smooth-metric" or smallest >= 3.0 * floor

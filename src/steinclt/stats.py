@@ -96,7 +96,6 @@ def build_ensemble(
     samples: int,
     seed: int,
     initial: np.ndarray | None = None,
-    horizon: int | None = None,
     memory_budget: int = 200_000_000,
 ) -> EnsembleMatrix:
     """S independent orbits, observable values per time slot, centered.
@@ -120,7 +119,7 @@ def build_ensemble(
         if x0.shape != (samples,):
             raise ValueError("initial points must have shape (samples,)")
     raw = np.empty((samples, n_terms, f.dimension))
-    for k, x in enumerate(orbit(seq, x0, n_terms - 1, horizon)):
+    for k, x in enumerate(orbit(seq, x0, n_terms - 1)):
         raw[:, k, :] = f(x)
     centered = raw - raw.mean(axis=0, keepdims=True)
     norm = matrix_sqrt(empirical_covariance(centered.sum(axis=1)).matrix)

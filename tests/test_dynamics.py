@@ -94,7 +94,7 @@ def _random_lsv(seed=4):
 def test_orbit_rows_equal_trajectory():
     seq = _random_lsv()
     x0 = np.random.default_rng(1).random(50)
-    rows = list(orbit(seq, x0, 12, horizon=20))
+    rows = [r.copy() for r in orbit(seq, x0, 12, horizon=20)]
     assert len(rows) == 13
     np.testing.assert_array_equal(np.stack(rows), trajectory(seq, x0, 12, horizon=20))
     np.testing.assert_array_equal(rows[0], x0)
@@ -115,13 +115,80 @@ def test_orbit_applies_one_map_per_step_to_all_samples(monkeypatch):
     seen = []
     apply_param = LsvFamily.apply_param
 
-    def counting(self, param, x):
+    def counting(self, param, x, *out):
         seen.append(np.shape(x))
-        return apply_param(self, param, x)
+        return apply_param(self, param, x, *out)
 
     monkeypatch.setattr(LsvFamily, "apply_param", counting)
     birkhoff_raw_sums(_random_lsv(), OBSERVABLES["identity"](), 9, 300, seed=2)
     assert seen == [(300,)] * 8
+
+
+def _edge_points(slope):
+    """0, 1, 1/2 and 1/slope, each with its neighbours one ulp either side."""
+    pts = [0.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 1.0]
+    for c in (0.5, 1.0 / slope):
+        pts += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize(
+    "fam, driver",
+    [(LsvFamily(), IidUniformDriver(0.0, 1.0, seed=21)),
+     (ShiftedSlopeFamily(), IidUniformDriver(0.0, 2.5, seed=22))],
+    ids=["lsv", "shifted-slope"],
+)
+def test_in_place_step_is_bit_identical(fam, driver):
+    params = driver.stream(500)
+    x = np.random.default_rng(23).random(10_000)
+    state = x.copy()
+    for param in params[1:]:
+        assert fam.apply_param(param, state, state) is state
+        want = fam.apply_param(param, x)
+        np.testing.assert_array_equal(state, want)
+        np.testing.assert_array_equal(fam.make(param).apply(x), want)
+        x = want
+    for param in (0.0, 0.25, 0.5, 1.0):
+        pts = _edge_points(2.0 + param)
+        got = fam.apply_param(param, pts, np.empty_like(pts))
+        np.testing.assert_array_equal(got, fam.apply_param(param, pts))
+        np.testing.assert_array_equal(got, fam.make(param)(pts))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_orbit_steps_one_state_array_and_leaves_x0_alone():
+    seq = _random_lsv()
+    x0 = np.random.default_rng(3).random(40)
+    keep = x0.copy()
+    points = orbit(seq, x0, 6)
+    first = next(points)
+    assert first is not x0
+    second = next(points)
+    assert second is first
+    assert all(x is first for x in points)
+    np.testing.assert_array_equal(x0, keep)
+    rows = trajectory(seq, x0, 6)
+    assert not any(np.shares_memory(rows[k], rows[k + 1]) for k in range(6))
+    np.testing.assert_array_equal(x0, keep)
+    np.testing.assert_array_equal(rows[0], x0)
+
+
+def test_birkhoff_sums_are_the_trajectory_sums():
+    seq = _random_lsv()
+    f = OBSERVABLES["square"]()
+    rows = trajectory(seq, np.random.default_rng(7).random(300), 9)
+    want = np.zeros((300, 1))
+    for row in rows:
+        want += f(row)
+    np.testing.assert_array_equal(birkhoff_raw_sums(seq, f, 10, 300, seed=7), want)
+
+
+def test_orbit_rejects_points_outside_unit_interval():
+    seq = _random_lsv()
+    with pytest.raises(ValueError, match="outside"):
+        next(orbit(seq, np.array([0.5, 1.5]), 3))
+    with pytest.raises(ValueError, match="outside"):
+        next(orbit(seq, -0.1, 3))
 
 
 def test_sequential_parameters_include_slot_zero():

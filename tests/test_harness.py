@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -349,6 +350,64 @@ def test_run_rates_outputs_and_cache(tmp_path):
         res3 = run_rates({**cfg, "threads": 2}, tmp_path)
     assert res3.csv_path.read_bytes() == first
     assert len(list((tmp_path / "cache").glob("*.npz"))) == 4
+
+
+def test_rates_manifest_records_one_stage_per_n(tmp_path):
+    cfg = _random_cfg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_rates(cfg, tmp_path)
+    manifest = json.loads(res.manifest_path.read_text())
+    assert manifest["peak_rss_mb"] > 0.0
+    stages = manifest["stages"]
+    assert set(stages) == {"N128", "N256", "N512", "N1024"}
+    with open(res.csv_path) as fh:
+        values = {int(row["N"]): float(row["value"]) for row in csv.DictReader(fh)}
+    for n, value in values.items():
+        stage = stages[f"N{n}"]
+        assert set(stage) == {
+            "seconds", "point_steps", "point_steps_per_s", "cache", "floor_ratio", "threads"
+        }
+        assert stage["cache"] == "miss"
+        assert stage["point_steps"] == 2000 * (n - 1)
+        assert stage["point_steps_per_s"] == stage["point_steps"] / stage["seconds"] > 0.0
+        assert stage["floor_ratio"] == pytest.approx(value / res.floor, rel=1e-15)
+        assert stage["threads"] == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        again = run_rates({**cfg, "threads": 2}, tmp_path)
+    stages = json.loads(again.manifest_path.read_text())["stages"]
+    assert {s["cache"] for s in stages.values()} == {"hit"}
+    assert {s["point_steps"] for s in stages.values()} == {0}
+    assert {s["threads"] for s in stages.values()} == {2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        off = run_rates(cfg, tmp_path / "off", use_cache=False)
+    stages = json.loads(off.manifest_path.read_text())["stages"]
+    assert {s["cache"] for s in stages.values()} == {"off"}
+    assert stages["N128"]["point_steps"] == 2000 * 127
+
+
+def test_rates_cache_stores_uncompressed_and_reads_compressed_entries(tmp_path):
+    cfg = _random_cfg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first = run_rates(cfg, tmp_path).csv_path.read_bytes()
+    entries = sorted((tmp_path / "cache").glob("*.npz"))
+    assert len(entries) == 4
+    for path in entries:
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as data:
+            sums = data["sums"]
+        np.savez_compressed(path, sums=sums)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = run_rates(cfg, tmp_path)
+    assert not [w for w in caught if "corrupt cache entry" in str(w.message)]
+    assert again.csv_path.read_bytes() == first
+    stages = json.loads(again.manifest_path.read_text())["stages"]
+    assert {s["cache"] for s in stages.values()} == {"hit"}
 
 
 def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):

@@ -248,6 +248,7 @@ def test_build_ensemble_options_and_validation():
     x0 = np.linspace(0.0, 1.0, 500)
     fixed = build_ensemble(seq, f, 4, 500, seed=9, initial=x0).with_normalization(custom.b)
     assert fixed.samples == 500
+    np.testing.assert_array_equal(x0, np.linspace(0.0, 1.0, 500))
     np.testing.assert_allclose(fixed.values[:, 0, 0], x0 - x0.mean(), atol=1e-15)
     with pytest.raises(ValueError):
         build_ensemble(seq, f, 4, 50, seed=9)
