@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="distance-to-normal over the N grid plus rate fit")
     _add_common(p)
-    p.add_argument("--no-cache", action="store_true", help="recompute ensembles")
     p.add_argument(
         "--threads", type=int, default=None,
         help="worker threads over the N grid (outputs do not depend on it)",
@@ -90,9 +89,7 @@ def main(argv=None) -> int:
                     FutureWarning,
                     stacklevel=2,
                 )
-            result = run_rates(
-                _load(args), out, threads=args.threads, use_cache=not args.no_cache
-            )
+            result = run_rates(_load(args), out, threads=args.threads)
             fit = result.fit
             print(
                 f"fitted exponent {fit.exponent:.4f} +/- {fit.halfwidth:.4f} "

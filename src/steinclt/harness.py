@@ -1,16 +1,13 @@
-"""Experiment configuration, orchestration, caching, and report emission."""
+"""Experiment configuration, orchestration, and report emission."""
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import os
 import platform
 import resource
 import time
 import warnings
-import zipfile
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -225,8 +222,7 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    # the thread count cannot change a result; the hash, and so the cache
-    # key, leaves it out
+    # the thread count cannot change a result, so the hash leaves it out
     kept = {key: val for key, val in cfg.items() if key != "threads"}
     canon = json.dumps(kept, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -393,34 +389,7 @@ def _rate_grid(cfg: dict, command: str) -> list[int]:
     return grid
 
 
-def _cached_sums(cache_dir: Path, key: str, compute, shape: tuple) -> tuple[np.ndarray, bool]:
-    """(sums, hit): sums of the given shape from the cache, computed and
-    stored on a miss.
-
-    An entry that cannot be read, or holds the wrong shape or dtype, counts
-    as a miss and is overwritten.  Entries are stored uncompressed (random
-    float64 sums barely compress); compressed entries still load.
-    """
-    path = cache_dir / f"{key}.npz"
-    if path.exists():
-        try:
-            with np.load(path) as data:
-                sums = data["sums"]
-            if sums.shape == shape and sums.dtype == np.float64:
-                return sums, True
-            problem = f"shape {sums.shape}, dtype {sums.dtype}"
-        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-            problem = f"{type(exc).__name__}: {exc}"
-        warnings.warn(f"recomputing corrupt cache entry {path.name}: {problem}", stacklevel=2)
-    sums = compute()
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, sums=sums)
-    os.replace(tmp, path)
-    return sums, False
-
-
-def _measure_distance(cfg: dict, w: np.ndarray, sigma: np.ndarray, seed: int):
-    metric = cfg["metric"]
+def _measure_distance(metric: str, w: np.ndarray, sigma: np.ndarray, seed: int):
     if metric == "wasserstein1":
         if w.shape[1] != 1:
             raise ConfigError("wasserstein1 needs a scalar observable")
@@ -443,12 +412,7 @@ class RatesResult:
     manifest_path: Path
 
 
-def run_rates(
-    cfg: dict,
-    out_dir,
-    threads: int | None = None,
-    use_cache: bool = True,
-) -> RatesResult:
+def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     """Distance-to-normal across the N grid, rate fit, CSV + plot data.
 
     Each N has its own seed and the rows come back in grid order, so the
@@ -459,8 +423,6 @@ def run_rates(
     cfg, manifest = _start(cfg, out_dir, "rates")
     grid = _rate_grid(cfg, "rates")
     _check_horizon(cfg, grid[-1] - 1)
-    cache = manifest.out / "cache"
-    cache.mkdir(exist_ok=True)
     chash = manifest.config_hash
     f = build_observable(cfg)
     seq = build_system(cfg)
@@ -473,13 +435,7 @@ def run_rates(
     def job(n: int):
         seed_n = manifest.seed(cfg["seed"], f"ensemble-N{n}")
         with manifest.stage(f"N{n}") as stage:
-            def compute():
-                return birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
-
-            if use_cache:
-                sums, hit = _cached_sums(cache, f"{chash}_N{n}", compute, (samples, f.dimension))
-            else:
-                sums, hit = compute(), False
+            sums = birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
             try:
                 w, norm, summary = normalize_sums(
                     sums, cfg["normalization"], n_terms=n
@@ -487,10 +443,11 @@ def run_rates(
             except DegenerateCovariance as exc:
                 raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
             target = np.eye(f.dimension) if cfg["normalization"] == "self-norming" else summary.matrix / n
-            rep = _measure_distance(cfg, w, target, stage_seed(cfg["seed"], f"slice-N{n}"))
+            rep = _measure_distance(
+                cfg["metric"], w, target, stage_seed(cfg["seed"], f"slice-N{n}")
+            )
             stage.update(
-                cache=("hit" if hit else "miss") if use_cache else "off",
-                point_steps=0 if hit else samples * (n - 1),
+                point_steps=samples * (n - 1),
                 floor_ratio=rep.value / floor,
                 threads=n_threads,
             )
@@ -755,6 +712,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
             "condition fails and no quenched limit is available"
         )
     samples = cfg["samples"]
+    metric = "wasserstein1" if f.dimension == 1 else "smooth-metric"
     fits = []
     rows = []
     for r in range(replicas):
@@ -764,10 +722,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
             seed_n = stage_seed(base_seed, f"replica-{r}-N{n}")
             sums = birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
             w, _, _ = normalize_sums(sums, sqrt_n_normalization(n, f.dimension))
-            if f.dimension == 1:
-                rep = wasserstein1_1d(w[:, 0] / math.sqrt(float(sigma[0, 0])))
-            else:
-                rep = smooth_metric_distance(w, sigma)
+            rep = _measure_distance(metric, w, sigma, seed_n)
             pairs.append((n, rep.value))
             rows.append((manifest.config_hash, r, n, samples, rep.value, rep.stderr))
         fits.append(fit_rate(pairs, cfg["fit_model"]))
@@ -821,7 +776,9 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
             w, _, summary = normalize_sums(acc, "self-norming")
         except DegenerateCovariance as exc:
             raise DegenerateCovariance(f"degenerate covariance at n={n}: {exc}") from exc
-        rep = _measure_distance(cfg, w, np.eye(f.dimension), stage_seed(cfg["seed"], f"qds-slice-N{n}"))
+        rep = _measure_distance(
+            cfg["metric"], w, np.eye(f.dimension), stage_seed(cfg["seed"], f"qds-slice-N{n}")
+        )
         rows.append((n, lam_min, rep))
     by_n = {n: lam for n, lam, _ in rows}
     ratios = [(n, by_n[2 * n] / by_n[n]) for n in grid if 2 * n in by_n]

@@ -11,7 +11,7 @@ from scipy.special import ndtr, ndtri
 from .dynamics import Observable, orbit
 from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
 from .quadrature import gauss_hermite_standard
-from .stein import TestFunction, smooth_metric_family
+from .stein import smooth_metric_family
 from .sunklodas import EnsembleMatrix
 
 __all__ = [
@@ -283,12 +283,10 @@ def sliced_wasserstein(
     )
 
 
-def smooth_metric_distance(
-    w: np.ndarray,
-    sigma: np.ndarray | None = None,
-    family: Sequence[TestFunction] | None = None,
-    gh_order: int = 24,
-) -> DistanceReport:
+_SMOOTH_GH = 24
+
+
+def smooth_metric_distance(w: np.ndarray, sigma: np.ndarray | None = None) -> DistanceReport:
     """Max over the smooth family of |mean h(W) - normal expectation of h|."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
@@ -299,10 +297,9 @@ def smooth_metric_distance(
     if sigma is None:
         sigma = np.eye(d)
     sigma = np.asarray(sigma, dtype=float)
-    if family is None:
-        family = smooth_metric_family(d)
+    family = smooth_metric_family(d)
     chol = np.linalg.cholesky(sigma)
-    nodes, weights = gauss_hermite_standard(gh_order, d)
+    nodes, weights = gauss_hermite_standard(_SMOOTH_GH, d)
     z = nodes @ chol.T
     best = (-1.0, "", 0.0)
     for h in family:
@@ -310,11 +307,10 @@ def smooth_metric_distance(
         gauss = float(weights @ np.asarray(h.value(z), dtype=float))
         gap = abs(float(vals.mean()) - gauss)
         if gap > best[0]:
-            best = (gap, getattr(h, "name", h.__class__.__name__),
-                    float(vals.std(ddof=1) / math.sqrt(s_count)))
+            best = (gap, h.name, float(vals.std(ddof=1) / math.sqrt(s_count)))
     return DistanceReport(
         "smooth-metric", best[0], best[2], s_count,
-        {"family_size": len(family), "argmax": best[1], "gh_order": gh_order},
+        {"family_size": len(family), "argmax": best[1], "gh_order": _SMOOTH_GH},
     )
 
 

@@ -90,10 +90,11 @@ def _fill_partial(out: np.ndarray, idx: tuple[int, ...], block: np.ndarray) -> N
 
 
 class TestFunction:
-    """Smooth h : R^d -> R with closed-form derivatives up to order three.
+    """Smooth h : R^d -> R with closed-form derivatives up to order two.
 
     `partial_sup(t)` returns sup_w |d^t h(w)| for a coordinate tuple t (e.g.
-    (0, 1) for d^2/dw_0 dw_1), or None when the partial is unbounded.
+    (0, 1) for d^2/dw_0 dw_1) of order up to three, or None when the partial
+    is unbounded.
     """
 
     dimension: int
@@ -106,9 +107,6 @@ class TestFunction:
         raise NotImplementedError
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def third(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def partial_sup(self, idx: tuple[int, ...]) -> float | None:
@@ -150,11 +148,6 @@ class AffineTestFunction(TestFunction):
         w = np.asarray(w)
         d = self.dimension
         return np.zeros(w.shape[:-1] + (d, d))
-
-    def third(self, w):
-        w = np.asarray(w)
-        d = self.dimension
-        return np.zeros(w.shape[:-1] + (d, d, d))
 
     def partial_sup(self, idx):
         if len(idx) == 1:
@@ -201,11 +194,6 @@ class QuadraticTestFunction(TestFunction):
         w = np.asarray(w)
         return np.broadcast_to(self._q(), w.shape[:-1] + (self.dimension, self.dimension)).copy()
 
-    def third(self, w):
-        w = np.asarray(w)
-        d = self.dimension
-        return np.zeros(w.shape[:-1] + (d, d, d))
-
     def partial_sup(self, idx):
         if len(idx) == 1:
             return None                      # gradient grows linearly
@@ -215,12 +203,13 @@ class QuadraticTestFunction(TestFunction):
 
 
 class Factor1D:
-    """One coordinate factor of a separable test function."""
+    """One coordinate factor g of a separable test function; `sups` holds
+    the sups of |g| and of its first three derivatives."""
 
     sups: tuple[float, float, float, float]
 
-    def tables(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(g, g', g'', g''') evaluated elementwise."""
+    def tables(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g, g', g'') evaluated elementwise."""
         raise NotImplementedError
 
 
@@ -233,7 +222,7 @@ class TanhFactor(Factor1D):
         g = np.tanh(self.a * u + self.b)
         s = 1.0 - g * g
         a = self.a
-        return g, a * s, -2.0 * a * a * g * s, -2.0 * a**3 * s * (1.0 - 3.0 * g * g)
+        return g, a * s, -2.0 * a * a * g * s
 
     @property
     def sups(self):
@@ -250,7 +239,7 @@ class GaussFactor(Factor1D):
         s = self.scale
         v = (u - self.center) / s
         g = np.exp(-0.5 * v * v)
-        return g, -v / s * g, (v * v - 1.0) / (s * s) * g, (3.0 * v - v**3) / s**3 * g
+        return g, -v / s * g, (v * v - 1.0) / (s * s) * g
 
     @property
     def sups(self):
@@ -267,7 +256,7 @@ class SinFactor(Factor1D):
         t = self.a * u + self.b
         g, c = np.sin(t), np.cos(t)
         a = self.a
-        return g, a * c, -a * a * g, -(a**3) * c
+        return g, a * c, -a * a * g
 
     @property
     def sups(self):
@@ -282,8 +271,8 @@ class SeparableTestFunction(TestFunction):
     The partial d^t h is scale * prod_a g_a^{(c_a)}(w_a), where c_a counts
     the occurrences of axis a in t.  `_tensor` is the one place that builds
     such products: it fills the symmetric tensor of every partial of one
-    order from the per-axis factor tables, and value, gradient, hessian,
-    third and fields all read off it.
+    order from the per-axis factor tables, and value, gradient, hessian and
+    fields all read off it.
     """
 
     factors: tuple[Factor1D, ...]
@@ -317,9 +306,6 @@ class SeparableTestFunction(TestFunction):
 
     def hessian(self, w):
         return self._tensor(self._tables(w, 2), 2)
-
-    def third(self, w):
-        return self._tensor(self._tables(w, 3), 3)
 
     def fields(self, w, need):
         orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
@@ -603,11 +589,11 @@ class BoundCheckReport:
         return self.worst_margin >= -tol
 
 
+_BOUND_FD_STEP = 1e-3
+
+
 def derivative_bound_check(
-    sol: SteinSolution,
-    grid,
-    orders: Sequence[int] = (1, 2),
-    fd_step: float = 1e-3,
+    sol: SteinSolution, grid, orders: Sequence[int] = (1, 2)
 ) -> BoundCheckReport:
     """Compare grid maxima of |d^t A| against (1/k) sup |d^t h| for k in orders.
 
@@ -642,10 +628,10 @@ def derivative_bound_check(
         third_max = np.zeros((d, d, d))
         for c in range(d):
             shift = np.zeros(d)
-            shift[c] = fd_step
+            shift[c] = _BOUND_FD_STEP
             hp = sol.evaluate(grid + shift, ("hessian",))["hessian"]
             hm = sol.evaluate(grid - shift, ("hessian",))["hessian"]
-            der = np.abs((hp - hm) / (2.0 * fd_step)).max(axis=0)
+            der = np.abs((hp - hm) / (2.0 * _BOUND_FD_STEP)).max(axis=0)
             third_max[:, :, c] = der
         for a, b, c in index_tuples(sol.dimension, 3):
             sup = h.partial_sup((a, b, c))
@@ -657,6 +643,7 @@ def derivative_bound_check(
 
 _UNIV_GH = 128
 _UNIV_S_NODES = composite_gauss_legendre(0.0, 12.0, 24, 12)
+_UNIV_FD_STEP = 1e-4
 
 
 def univariate_solution(h: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -699,9 +686,7 @@ class UnivariateBoundReport:
         return self.worst_margin >= -tol
 
 
-def univariate_bound_check(
-    h: LipschitzFunction, grid: np.ndarray, fd_step: float = 1e-4
-) -> UnivariateBoundReport:
+def univariate_bound_check(h: LipschitzFunction, grid: np.ndarray) -> UnivariateBoundReport:
     """Check ||A|| <= 2, ||A'|| <= sqrt(2/pi), ||A''|| <= 2 on the grid.
 
     Requires Lip(h) <= 1.  A'' is obtained by central differences of A'.
@@ -710,9 +695,9 @@ def univariate_bound_check(
         raise ValueError("test function must be 1-Lipschitz")
     grid = np.asarray(grid, dtype=float)
     a, a1, _ = univariate_solution(h, grid)
-    _, a1p, _ = univariate_solution(h, grid + fd_step)
-    _, a1m, _ = univariate_solution(h, grid - fd_step)
-    a2 = (a1p - a1m) / (2.0 * fd_step)
+    _, a1p, _ = univariate_solution(h, grid + _UNIV_FD_STEP)
+    _, a1m, _ = univariate_solution(h, grid - _UNIV_FD_STEP)
+    a2 = (a1p - a1m) / (2.0 * _UNIV_FD_STEP)
     return UnivariateBoundReport(
         h.name,
         2.0 - float(np.abs(a).max()),

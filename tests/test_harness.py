@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 import warnings
-import zipfile
 
 import numpy as np
 import pytest
@@ -301,27 +300,10 @@ def test_axis_grid_is_the_meshgrid_point_set():
     assert np.shape(grid) == (64, 3)
 
 
-def test_run_rates_recovers_from_corrupt_cache(tmp_path):
-    cfg = _random_cfg()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        first = run_rates(cfg, tmp_path).csv_path.read_bytes()
-    entries = sorted((tmp_path / "cache").glob("*.npz"))
-    entries[0].write_bytes(b"not an archive")
-    np.savez_compressed(entries[1], sums=np.zeros(3))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        again = run_rates(cfg, tmp_path).csv_path.read_bytes()
-    corrupt = [str(w.message) for w in caught if "corrupt cache entry" in str(w.message)]
-    assert len(corrupt) == 2
-    assert again == first
-    for path in entries[:2]:
-        assert any(path.name in msg for msg in corrupt)
-        with np.load(path) as data:
-            assert data["sums"].shape == (2000, 1)
+_RATES_FILES = ("rates.csv", "plot_rates.txt", "rate_fit.csv")
 
 
-def test_run_rates_outputs_and_cache(tmp_path):
+def test_run_rates_outputs_and_rerun_simulates(tmp_path):
     cfg = _random_cfg()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -338,18 +320,17 @@ def test_run_rates_outputs_and_cache(tmp_path):
     for name, digest in manifest["outputs"].items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest
-    cache_files = list((tmp_path / "cache").glob("*.npz"))
-    assert len(cache_files) == 4
-    first = res.csv_path.read_bytes()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res2 = run_rates(cfg, tmp_path)
-    assert res2.csv_path.read_bytes() == first
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res3 = run_rates({**cfg, "threads": 2}, tmp_path)
-    assert res3.csv_path.read_bytes() == first
-    assert len(list((tmp_path / "cache").glob("*.npz"))) == 4
+    first = {name: (tmp_path / name).read_bytes() for name in _RATES_FILES}
+    # a rerun into the same directory simulates every N again
+    for threads in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            again = run_rates({**cfg, "threads": threads}, tmp_path)
+        stages = json.loads(again.manifest_path.read_text())["stages"]
+        assert {name: s["point_steps"] for name, s in stages.items()} == {
+            f"N{n}": 2000 * (n - 1) for n in (128, 256, 512, 1024)
+        }
+        assert {name: (tmp_path / name).read_bytes() for name in _RATES_FILES} == first
 
 
 def test_rates_manifest_records_one_stage_per_n(tmp_path):
@@ -366,9 +347,8 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
     for n, value in values.items():
         stage = stages[f"N{n}"]
         assert set(stage) == {
-            "seconds", "point_steps", "point_steps_per_s", "cache", "floor_ratio", "threads"
+            "seconds", "point_steps", "point_steps_per_s", "floor_ratio", "threads"
         }
-        assert stage["cache"] == "miss"
         assert stage["point_steps"] == 2000 * (n - 1)
         assert stage["point_steps_per_s"] == stage["point_steps"] / stage["seconds"] > 0.0
         assert stage["floor_ratio"] == pytest.approx(value / res.floor, rel=1e-15)
@@ -377,37 +357,7 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
         warnings.simplefilter("ignore")
         again = run_rates({**cfg, "threads": 2}, tmp_path)
     stages = json.loads(again.manifest_path.read_text())["stages"]
-    assert {s["cache"] for s in stages.values()} == {"hit"}
-    assert {s["point_steps"] for s in stages.values()} == {0}
     assert {s["threads"] for s in stages.values()} == {2}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        off = run_rates(cfg, tmp_path / "off", use_cache=False)
-    stages = json.loads(off.manifest_path.read_text())["stages"]
-    assert {s["cache"] for s in stages.values()} == {"off"}
-    assert stages["N128"]["point_steps"] == 2000 * 127
-
-
-def test_rates_cache_stores_uncompressed_and_reads_compressed_entries(tmp_path):
-    cfg = _random_cfg()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        first = run_rates(cfg, tmp_path).csv_path.read_bytes()
-    entries = sorted((tmp_path / "cache").glob("*.npz"))
-    assert len(entries) == 4
-    for path in entries:
-        with zipfile.ZipFile(path) as archive:
-            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
-        with np.load(path) as data:
-            sums = data["sums"]
-        np.savez_compressed(path, sums=sums)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        again = run_rates(cfg, tmp_path)
-    assert not [w for w in caught if "corrupt cache entry" in str(w.message)]
-    assert again.csv_path.read_bytes() == first
-    stages = json.loads(again.manifest_path.read_text())["stages"]
-    assert {s["cache"] for s in stages.values()} == {"hit"}
 
 
 def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
@@ -417,11 +367,11 @@ def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
     outs = (tmp_path / "t1", tmp_path / "t2")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_rates(cfg, outs[0], threads=1, use_cache=False)
+        run_rates(cfg, outs[0], threads=1)
         with pytest.warns(FutureWarning, match="--deterministic is ignored"):
             rc = cli.main(
                 ["rates", "--config", str(cfg_path), "--threads", "2", "--deterministic",
-                 "--no-cache", "--out", str(outs[1])]
+                 "--out", str(outs[1])]
             )
     assert rc == 0
     capsys.readouterr()
@@ -560,6 +510,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rates", "--config", str(good), "--no-cache", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "--no-cache" in capsys.readouterr().err
+
     short = tmp_path / "short.json"
     short.write_text(json.dumps(_qds_cfg(n_grid=[64, 128, 256])))
     rc = cli.main(["qds", "--config", str(short), "--out", str(tmp_path / "s")])
@@ -570,7 +525,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     rc = cli.main(["rates", "--config", str(short), "--out", str(tmp_path / "s")])
     assert rc == 2
     assert "n_grid cannot be fitted" in capsys.readouterr().err
-    assert not list((tmp_path / "s").glob("cache/*.npz"))
+    assert [p.name for p in (tmp_path / "s").rglob("*") if p.is_file()] == []
 
     short_params = {"kind": "sequential", "family": "lsv", "beta_star": 0.3,
                     "params": [0.1, 0.2, 0.3]}
@@ -619,8 +574,9 @@ def test_every_runner_lists_checksums_and_writes_plain_numbers(command, tmp_path
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
-    written = {p.name for p in out.iterdir() if p.is_file()} - {"manifest.json"}
-    assert set(manifest["outputs"]) == written
+    # the listed outputs and the manifest, and nothing else: no subdirectory
+    assert {p.name for p in out.iterdir()} == set(manifest["outputs"]) | {"manifest.json"}
+    assert all(p.is_file() for p in out.iterdir())
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         text = (out / name).read_text()

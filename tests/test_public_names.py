@@ -36,7 +36,7 @@ tracer = Tracer()
 install(tracer)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    rc = cli.main(["rates", "--config", sys.argv[1], "--no-cache", "--out", sys.argv[2]])
+    rc = cli.main(["rates", "--config", sys.argv[1], "--out", sys.argv[2]])
 steps = [s.counts["points"] for s in tracer.spans if s.name == "dynamics.step"]
 print(json.dumps({"rc": rc, "steps": steps}))
 """
