@@ -19,7 +19,7 @@ yielded.  Three regimes are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -410,7 +410,6 @@ class RandomSequence:
     family: MapFamily
     driver: IidUniformDriver | MarkovChainDriver
     beta_star: float = 1.0
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.driver.param_range
@@ -418,11 +417,7 @@ class RandomSequence:
             raise ValueError("driver range exceeds [0, beta_star]")
 
     def parameters(self, n: int) -> np.ndarray:
-        have = self._cache.get("params")
-        if have is None or len(have) < n + 1:
-            have = self.driver.stream(max(n, 2 * len(have) if have is not None else n))
-            self._cache["params"] = have
-        return have[: n + 1]
+        return self.driver.stream(n)
 
     def parameter_at(self, n: int, k: int) -> float:
         if not (0 <= k <= n):

@@ -38,7 +38,6 @@ from .stein import (
     TensorGrid,
     builtin_test_functions,
     derivative_bound_check,
-    grid_path,
     stein_residual,
 )
 from .stats import (
@@ -549,8 +548,8 @@ class SteinCheckRow:
 class SteinCheckReport:
     dimension: int
     rows: tuple
-    residual_seconds: float = 0.0
-    bound_seconds: float = 0.0
+    residual_seconds: float
+    bound_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -562,6 +561,7 @@ _RESIDUAL_U = 32
 _BOUND_GH = {1: 32, 2: 10, 3: 5}
 _BOUND_U = {1: 32, 2: 16, 3: 8}
 _RESIDUAL_GRID = {1: 21, 2: 5, 3: 3}
+_BOUND_GRID = 21
 _DECOMP_GH = {1: 16, 2: 8, 3: 5}
 
 
@@ -582,32 +582,20 @@ def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (q * lam) @ q.T
 
 
-def run_stein_check(
-    dim: int,
-    seed: int = 0,
-    sigma_count: int = 5,
-    bound_grid: int = 21,
-    check_bounds: bool = True,
-    out_dir=None,
-) -> SteinCheckReport:
+def run_stein_check(dim: int, seed: int = 0, sigma_count: int = 5, out_dir=None) -> SteinCheckReport:
     """Residual and derivative-bound sweep over the built-in test functions.
 
     Closed-form cases (affine, quadratic) must pass at 1e-10; the smooth
-    bump-type functions at 1e-4 (quadrature-limited).  With `out_dir`, writes
-    stein_check_d{dim}.csv and a manifest.json whose config hash covers the
-    arguments; its `stages` give, for the residual and the bound sweep, the
-    seconds, how many rows took the per-axis grid path and how many the point
-    path, and the certificate of the quadrature rules in use.
+    bump-type functions at 1e-4 (quadrature-limited).  Every row evaluates
+    its solution on tensor grids, so each takes the per-axis path.  With
+    `out_dir`, writes stein_check_d{dim}.csv and a manifest.json whose config
+    hash covers the arguments; its `stages` give, for the residual and the
+    bound sweep, the seconds, the number of rows and the certificate of the
+    quadrature rules in use.
     """
     if not (1 <= dim <= 3):
         raise ConfigError("stein-check supports 1 <= d <= 3")
-    params = {
-        "dim": dim,
-        "seed": seed,
-        "sigma_count": sigma_count,
-        "bound_grid": bound_grid,
-        "check_bounds": check_bounds,
-    }
+    params = {"dim": dim, "seed": seed, "sigma_count": sigma_count}
     manifest = RunManifest(config_hash(params), "stein-check", out_dir)
     manifest.stage_seeds["sigmas"] = seed
     gh = _RESIDUAL_GH[dim]
@@ -616,35 +604,22 @@ def run_stein_check(
     rng = np.random.default_rng(seed)
     sigmas = [random_spd(dim, rng) for _ in range(sigma_count)]
     res_grid = _axis_grid(dim, _RESIDUAL_GRID[dim], 2.5)
-    bnd_grid = _axis_grid(dim, bound_grid, 3.0)
-    rules = {"residual": (gh, _RESIDUAL_U)}
-    if check_bounds:
-        rules["bound"] = (bgh, bu)
-    for name, (g, u) in rules.items():
-        manifest.stages[name] = {
-            "seconds": 0.0,
-            "grid_rows": 0,
-            "point_rows": 0,
-            "quadrature": rule_certificate(g, dim, u),
-        }
+    bnd_grid = _axis_grid(dim, _BOUND_GRID, 3.0)
+    for name, (g, u) in {"residual": (gh, _RESIDUAL_U), "bound": (bgh, bu)}.items():
+        manifest.stages[name] = {"seconds": 0.0, "rows": 0, "quadrature": rule_certificate(g, dim, u)}
     rows = []
     for h in builtin_test_functions(dim):
         closed_form = h.name in ("affine", "quadratic")
         tol = 1e-10 if closed_form else 1e-4
-        path = "grid_rows" if grid_path(h, res_grid) else "point_rows"
         for j, sigma in enumerate(sigmas):
             with manifest.stage("residual") as stage:
                 sol = SteinSolution(h, sigma, gh_order=gh, u_order=_RESIDUAL_U)
                 max_res = float(np.max(stein_residual(sol, res_grid)))
-                stage[path] += 1
-            if check_bounds:
-                with manifest.stage("bound") as stage:
-                    bound_sol = SteinSolution(h, sigma, gh_order=bgh, u_order=bu)
-                    report = derivative_bound_check(bound_sol, bnd_grid, orders=(1, 2))
-                    margin = report.worst_margin
-                    stage[path] += 1
-            else:
-                margin = math.inf
+                stage["rows"] += 1
+            with manifest.stage("bound") as stage:
+                bound_sol = SteinSolution(h, sigma, gh_order=bgh, u_order=bu)
+                margin = derivative_bound_check(bound_sol, bnd_grid, orders=(1, 2)).worst_margin
+                stage["rows"] += 1
             passed = max_res <= tol and margin >= -1e-6
             rows.append(SteinCheckRow(h.name, j, max_res, tol, margin, passed))
     if out_dir is not None:
@@ -658,8 +633,8 @@ def run_stein_check(
             ],
         )
         manifest.finish()
-    seconds = {name: stage["seconds"] for name, stage in manifest.stages.items()}
-    return SteinCheckReport(dim, tuple(rows), seconds["residual"], seconds.get("bound", 0.0))
+    stages = manifest.stages
+    return SteinCheckReport(dim, tuple(rows), stages["residual"]["seconds"], stages["bound"]["seconds"])
 
 
 @dataclass(frozen=True)

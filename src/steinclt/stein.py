@@ -13,21 +13,25 @@ fixed Gauss-Legendre rule on (0,1); because the node sets are shared, the
 three evaluators are exact derivatives of one another, which the
 decomposition code relies on.
 
+Every test function is a `SeparableTestFunction`: a sum of terms, each a
+scale times one 1-D factor per axis.  The closed-form cases are such sums
+too, built from the power factors u^0, u^1, u^2.
+
 `SteinSolution.evaluate` takes either an array of points or a `TensorGrid`
-(every combination of one coordinate per axis).  For a separable h on a
-tensor grid the quadrature argument on axis a, u_j x_a + sqrt(1-u_j^2) z_{i,a},
-depends only on (j, i, x_a), so each partial of A is one contraction of
-per-axis factor tables of size J*I*G_a instead of J*I*G^d point evaluations.
-The tables hold the same bits as the point path; only the order of the sums
-differs, so the grid path agrees with it to a few units in the last place
-(tests/test_stein.py checks 1e-13 of each field's largest entry).  Every
-other combination runs the point path on the grid's points, bit for bit.
+(every combination of one coordinate per axis), and the input type alone
+picks the path.  On a tensor grid the quadrature argument on axis a,
+u_j x_a + sqrt(1-u_j^2) z_{i,a}, depends only on (j, i, x_a), so each partial
+of A is a sum over terms of one contraction of per-axis factor tables of
+size J*I*G_a instead of J*I*G^d point evaluations.  The tables hold the same
+bits as the point path; only the order of the sums differs, so the grid path
+agrees with it to a few units in the last place (tests/test_stein.py checks
+1e-13 of each field's largest entry).  A plain array runs the point path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, islice, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,19 +46,20 @@ from .quadrature import (
 )
 
 __all__ = [
-    "TestFunction",
-    "AffineTestFunction",
-    "QuadraticTestFunction",
     "SeparableTestFunction",
+    "Term",
     "TanhFactor",
     "GaussFactor",
     "SinFactor",
+    "PowerFactor",
+    "product_function",
+    "affine_function",
+    "quadratic_function",
     "builtin_test_functions",
     "smooth_metric_family",
     "LipschitzFunction",
     "lipschitz_family_1d",
     "TensorGrid",
-    "grid_path",
     "SteinSolution",
     "stein_residual",
     "BoundCheckReport",
@@ -89,127 +94,18 @@ def _fill_partial(out: np.ndarray, idx: tuple[int, ...], block: np.ndarray) -> N
         out[(...,) + perm] = block
 
 
-class TestFunction:
-    """Smooth h : R^d -> R with closed-form derivatives up to order two.
-
-    `partial_sup(t)` returns sup_w |d^t h(w)| for a coordinate tuple t (e.g.
-    (0, 1) for d^2/dw_0 dw_1) of order up to three, or None when the partial
-    is unbounded.
-    """
-
-    dimension: int
-    name: str = ""
-
-    def value(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def partial_sup(self, idx: tuple[int, ...]) -> float | None:
-        raise NotImplementedError
-
-    def derivative_sup(self, order: int) -> float | None:
-        """max over coordinate tuples of sup |d^t h|; None if any is unbounded."""
-        sups = [self.partial_sup(t) for t in index_tuples(self.dimension, order)]
-        if any(s is None for s in sups):
-            return None
-        return max(sups) if sups else 0.0
-
-    def fields(self, w: np.ndarray, need: Sequence[str]) -> dict[str, np.ndarray]:
-        """Requested subset of value/gradient/hessian in one call."""
-        return {name: getattr(self, name)(w) for name in _FIELDS if name in need}
-
-    def __call__(self, w):
-        return self.value(np.asarray(w, dtype=float))
-
-
-@dataclass(frozen=True)
-class AffineTestFunction(TestFunction):
-    coeffs: tuple[float, ...]
-    const: float = 0.0
-    name: str = "affine"
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coeffs)
-
-    def value(self, w):
-        return np.asarray(w) @ np.asarray(self.coeffs) + self.const
-
-    def gradient(self, w):
-        w = np.asarray(w)
-        return np.broadcast_to(np.asarray(self.coeffs), w.shape).copy()
-
-    def hessian(self, w):
-        w = np.asarray(w)
-        d = self.dimension
-        return np.zeros(w.shape[:-1] + (d, d))
-
-    def partial_sup(self, idx):
-        if len(idx) == 1:
-            return abs(self.coeffs[idx[0]])
-        return 0.0
-
-    @property
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class QuadraticTestFunction(TestFunction):
-    """h(w) = w^T Q w / 2 + v . w + c with symmetric Q."""
-
-    quad: tuple[tuple[float, ...], ...]
-    lin: tuple[float, ...]
-    const: float = 0.0
-    name: str = "quadratic"
-
-    def __post_init__(self):
-        q = np.asarray(self.quad, dtype=float)
-        check_symmetric(q)
-        if q.shape[0] != len(self.lin):
-            raise ValueError("shape mismatch between quad and lin parts")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lin)
-
-    def _q(self):
-        return np.asarray(self.quad, dtype=float)
-
-    def value(self, w):
-        w = np.asarray(w)
-        q = self._q()
-        return 0.5 * np.einsum("...a,ab,...b->...", w, q, w) + w @ np.asarray(self.lin) + self.const
-
-    def gradient(self, w):
-        w = np.asarray(w)
-        return w @ self._q() + np.asarray(self.lin)
-
-    def hessian(self, w):
-        w = np.asarray(w)
-        return np.broadcast_to(self._q(), w.shape[:-1] + (self.dimension, self.dimension)).copy()
-
-    def partial_sup(self, idx):
-        if len(idx) == 1:
-            return None                      # gradient grows linearly
-        if len(idx) == 2:
-            return float(abs(self._q()[idx[0], idx[1]]))
-        return 0.0
-
-
 class Factor1D:
-    """One coordinate factor g of a separable test function; `sups` holds
-    the sups of |g| and of its first three derivatives."""
+    """One coordinate factor g of a product term; `sups` holds the sups of |g|
+    and of its first three derivatives, None where one is unbounded."""
 
-    sups: tuple[float, float, float, float]
+    sups: tuple[float | None, float | None, float | None, float | None]
 
-    def tables(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g, g', g'') evaluated elementwise."""
+    def tables(self, u: np.ndarray, depth: int) -> tuple[np.ndarray, ...]:
+        """(g, g', ..., g^(depth)) evaluated elementwise, for depth <= 2."""
+        return tuple(islice(self._derivatives(u), depth + 1))
+
+    def _derivatives(self, u):
+        """Yield g, g', g'' in turn, each computed only when asked for."""
         raise NotImplementedError
 
 
@@ -218,11 +114,13 @@ class TanhFactor(Factor1D):
     a: float
     b: float = 0.0
 
-    def tables(self, u):
+    def _derivatives(self, u):
         g = np.tanh(self.a * u + self.b)
+        yield g
         s = 1.0 - g * g
         a = self.a
-        return g, a * s, -2.0 * a * a * g * s
+        yield a * s
+        yield -2.0 * a * a * g * s
 
     @property
     def sups(self):
@@ -235,11 +133,13 @@ class GaussFactor(Factor1D):
     scale: float
     center: float = 0.0
 
-    def tables(self, u):
+    def _derivatives(self, u):
         s = self.scale
         v = (u - self.center) / s
         g = np.exp(-0.5 * v * v)
-        return g, -v / s * g, (v * v - 1.0) / (s * s) * g
+        yield g
+        yield -v / s * g
+        yield (v * v - 1.0) / (s * s) * g
 
     @property
     def sups(self):
@@ -252,11 +152,13 @@ class SinFactor(Factor1D):
     a: float
     b: float = 0.0
 
-    def tables(self, u):
+    def _derivatives(self, u):
         t = self.a * u + self.b
-        g, c = np.sin(t), np.cos(t)
+        g = np.sin(t)
+        yield g
         a = self.a
-        return g, a * c, -a * a * g
+        yield a * np.cos(t)
+        yield -a * a * g
 
     @property
     def sups(self):
@@ -265,71 +167,186 @@ class SinFactor(Factor1D):
 
 
 @dataclass(frozen=True)
-class SeparableTestFunction(TestFunction):
-    """h(w) = scale * prod_a g_a(w_a); all partial sups are exact products.
+class PowerFactor(Factor1D):
+    """g(u) = u^p for p in {0, 1, 2}; the derivatives below order p are unbounded."""
 
-    The partial d^t h is scale * prod_a g_a^{(c_a)}(w_a), where c_a counts
-    the occurrences of axis a in t.  `_tensor` is the one place that builds
-    such products: it fills the symmetric tensor of every partial of one
-    order from the per-axis factor tables, and value, gradient, hessian and
-    fields all read off it.
+    p: int
+
+    def __post_init__(self):
+        if self.p not in (0, 1, 2):
+            raise ValueError("power factors take p in {0, 1, 2}")
+
+    def _derivatives(self, u):
+        u = np.asarray(u, dtype=float)
+        for k in range(3):
+            n = self.p - k              # d^k u^p = p!/(p-k)! u^(p-k), zero for k > p
+            if n < 0:
+                yield np.zeros(u.shape)
+            else:
+                yield math.perm(self.p, k) * (u * u if n == 2 else u if n == 1 else np.ones(u.shape))
+
+    @property
+    def sups(self):
+        top = float(math.factorial(self.p))
+        return tuple(None if k < self.p else top if k == self.p else 0.0 for k in range(4))
+
+
+@dataclass(frozen=True)
+class Term:
+    """scale * prod_a g_a(w_a), one factor per axis."""
+
+    scale: float
+    factors: tuple[Factor1D, ...]
+
+    def vanishes(self, counts) -> bool:
+        """Whether the partial with counts[a] derivatives on axis a is identically 0."""
+        return self.scale == 0.0 or any(f.sups[c] == 0.0 for f, c in zip(self.factors, counts))
+
+
+def _counts(dim: int, idx: tuple[int, ...]) -> list[int]:
+    return [idx.count(a) for a in range(dim)]
+
+
+def _product(scale: float, tables) -> np.ndarray:
+    out = np.full(np.shape(tables[0]), scale)
+    for t in tables:
+        out = out * t
+    return out
+
+
+@dataclass(frozen=True)
+class SeparableTestFunction:
+    """Smooth h : R^d -> R, a sum of product terms scale * prod_a g_a(w_a).
+
+    The partial d^t h is the sum over terms of scale * prod_a g_a^{(c_a)}(w_a),
+    where c_a counts the occurrences of axis a in t; a term is skipped where
+    that partial vanishes (zero scale, or a factor whose derivative has sup
+    0).  `_tensor` is the
+    one place that builds such sums: it fills the symmetric tensor of every
+    partial of one order from per-axis factor tables, one table per distinct
+    (axis, factor), and value, gradient, hessian and fields all read off it.
+
+    `partial_sup(t)` returns a bound on sup_w |d^t h(w)| for a coordinate
+    tuple t (e.g. (0, 1) for d^2/dw_0 dw_1) of order up to three: the sum of
+    the terms' exact sups (exact for one term), or None when a non-vanishing
+    term has an unbounded factor.
     """
 
-    factors: tuple[Factor1D, ...]
-    scale: float = 1.0
+    terms: tuple[Term, ...]
     name: str = "separable"
+
+    def __post_init__(self):
+        if not self.terms or len({len(t.factors) for t in self.terms}) != 1:
+            raise ValueError("a test function needs terms with one factor per axis each")
 
     @property
     def dimension(self) -> int:
-        return len(self.factors)
+        return len(self.terms[0].factors)
 
-    def _tables(self, w, depth: int):
-        w = np.asarray(w, dtype=float)
-        return [f.tables(w[..., i])[: depth + 1] for i, f in enumerate(self.factors)]
+    def _tables(self, cols, depth: int) -> dict:
+        """Tables up to g^(depth) keyed by (axis, factor); cols[a] holds the
+        arguments of axis a."""
+        tabs = {}
+        for term in self.terms:
+            for a, f in enumerate(term.factors):
+                if (a, f) not in tabs:
+                    tabs[a, f] = f.tables(cols[a], depth)
+        return tabs
 
-    def _tensor(self, tabs, order: int) -> np.ndarray:
+    def _sum_terms(self, tabs, idx: tuple[int, ...], block, zero):
+        """Sum over the terms whose partial d^idx does not vanish of
+        block(scale, [per-axis derivative tables]); `zero` if every one
+        vanishes.  The first block is taken as is, so one term costs no extra
+        operation."""
+        counts = _counts(self.dimension, idx)
+        total = None
+        for term in self.terms:
+            if term.vanishes(counts):
+                continue
+            part = block(term.scale, [tabs[a, f][c] for a, (f, c) in enumerate(zip(term.factors, counts))])
+            total = part if total is None else total + part
+        return zero if total is None else total
+
+    def _tensor(self, tabs, shape, order: int) -> np.ndarray:
         d = self.dimension
-        shape = np.shape(tabs[0][0])
         out = np.empty(shape + (d,) * order)
         for idx in index_tuples(d, order):
-            block = np.full(shape, self.scale)
-            for i in range(d):
-                block = block * tabs[i][idx.count(i)]
-            _fill_partial(out, idx, block)
+            _fill_partial(out, idx, self._sum_terms(tabs, idx, _product, 0.0))
         return out
 
     def value(self, w):
-        return self._tensor(self._tables(w, 0), 0)
+        return self.fields(w, ("value",))["value"]
 
     def gradient(self, w):
-        return self._tensor(self._tables(w, 1), 1)
+        return self.fields(w, ("gradient",))["gradient"]
 
     def hessian(self, w):
-        return self._tensor(self._tables(w, 2), 2)
+        return self.fields(w, ("hessian",))["hessian"]
 
-    def fields(self, w, need):
+    def fields(self, w: np.ndarray, need: Sequence[str]) -> dict[str, np.ndarray]:
+        """Requested subset of value/gradient/hessian in one call."""
+        w = np.asarray(w, dtype=float)
         orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
-        tabs = self._tables(w, max(orders.values(), default=0))
-        return {name: self._tensor(tabs, k) for name, k in orders.items()}
+        tabs = self._tables([w[..., a] for a in range(self.dimension)], max(orders.values(), default=0))
+        return {name: self._tensor(tabs, w.shape[:-1], k) for name, k in orders.items()}
 
-    def partial_sup(self, idx):
-        counts = [0] * self.dimension
-        for a in idx:
-            counts[a] += 1
+    def partial_sup(self, idx: tuple[int, ...]) -> float | None:
+        counts = _counts(self.dimension, idx)
         if max(counts, default=0) > 3:
             raise ValueError("partials beyond order three are not tabulated")
-        out = abs(self.scale)
-        for i, c in enumerate(counts):
-            out *= self.factors[i].sups[c]
-        return out
+        total = 0.0
+        for term in self.terms:
+            if term.vanishes(counts):
+                continue
+            sups = [f.sups[c] for f, c in zip(term.factors, counts)]
+            if None in sups:
+                return None
+            out = abs(term.scale)
+            for s in sups:
+                out *= s
+            total += out
+        return total
 
-    @property
-    def lipschitz(self) -> float:
-        grads = [self.partial_sup((a,)) for a in range(self.dimension)]
-        return float(np.linalg.norm(grads))
+    def derivative_sup(self, order: int) -> float | None:
+        """max over coordinate tuples of sup |d^t h|; None if any is unbounded."""
+        sups = [self.partial_sup(t) for t in index_tuples(self.dimension, order)]
+        if any(s is None for s in sups):
+            return None
+        return max(sups) if sups else 0.0
 
 
-def builtin_test_functions(dim: int) -> list[TestFunction]:
+def product_function(factors, scale: float = 1.0, name: str = "separable") -> SeparableTestFunction:
+    """h(w) = scale * prod_a g_a(w_a), a single term."""
+    return SeparableTestFunction((Term(scale, tuple(factors)),), name)
+
+
+def _monomial(dim: int, coeff: float, axes: tuple[int, ...]) -> Term:
+    """coeff * prod of w_a over the (possibly repeated) axes."""
+    return Term(coeff, tuple(PowerFactor(axes.count(a)) for a in range(dim)))
+
+
+def affine_function(v, const: float = 0.0, name: str = "affine") -> SeparableTestFunction:
+    """h(w) = v . w + c."""
+    dim = len(v)
+    terms = [_monomial(dim, float(v[a]), (a,)) for a in range(dim)] + [_monomial(dim, const, ())]
+    return SeparableTestFunction(tuple(terms), name)
+
+
+def quadratic_function(q, v, const: float = 0.0, name: str = "quadratic") -> SeparableTestFunction:
+    """h(w) = w^T Q w / 2 + v . w + c with symmetric Q."""
+    q = check_symmetric(np.asarray(q, dtype=float))
+    lin = affine_function(v, const)
+    dim = lin.dimension
+    if q.shape[0] != dim:
+        raise ValueError("shape mismatch between quad and lin parts")
+    quad = [
+        _monomial(dim, (0.5 if a == b else 1.0) * float(q[a, b]), (a, b))
+        for a, b in index_tuples(dim, 2)
+    ]
+    return SeparableTestFunction(tuple(quad) + lin.terms, name)
+
+
+def builtin_test_functions(dim: int) -> list[SeparableTestFunction]:
     """The fixed test-function battery used by residual and bound sweeps."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -337,42 +354,33 @@ def builtin_test_functions(dim: int) -> list[TestFunction]:
     q = np.diag([1.0 + 0.5 * i for i in range(dim)])
     for i in range(dim - 1):
         q[i, i + 1] = q[i + 1, i] = 0.25
-    out: list[TestFunction] = [
-        AffineTestFunction(v, 0.5, name="affine"),
-        QuadraticTestFunction(tuple(map(tuple, q)), v, -0.25, name="quadratic"),
-        SeparableTestFunction(
-            tuple(TanhFactor(0.6, 0.3 * (i - 0.5)) for i in range(dim)), 1.0, "tanh_prod"
-        ),
-        SeparableTestFunction(
-            tuple(TanhFactor(0.4 + 0.15 * i, -0.2) for i in range(dim)), 0.7, "tanh_asym"
-        ),
-        SeparableTestFunction(
-            tuple(GaussFactor(1.2, 0.4) for _ in range(dim)), 1.0, "gauss_bump"
-        ),
-        SeparableTestFunction(
-            tuple(GaussFactor(2.0, -0.3 * i) for i in range(dim)), 0.8, "gauss_wide"
-        ),
+    return [
+        affine_function(v, 0.5, name="affine"),
+        quadratic_function(q, v, -0.25, name="quadratic"),
+        product_function([TanhFactor(0.6, 0.3 * (i - 0.5)) for i in range(dim)], 1.0, "tanh_prod"),
+        product_function([TanhFactor(0.4 + 0.15 * i, -0.2) for i in range(dim)], 0.7, "tanh_asym"),
+        product_function([GaussFactor(1.2, 0.4)] * dim, 1.0, "gauss_bump"),
+        product_function([GaussFactor(2.0, -0.3 * i) for i in range(dim)], 0.8, "gauss_wide"),
     ]
-    return out
 
 
-def smooth_metric_family(dim: int) -> list[TestFunction]:
+def smooth_metric_family(dim: int) -> list[SeparableTestFunction]:
     """Bounded test functions rescaled so that max_t sup |d^t h| = 1 at order 3."""
-    raw: list[TestFunction] = [
-        SeparableTestFunction(tuple(TanhFactor(1.0, 0.0) for _ in range(dim)), 1.0, "m_tanh0"),
-        SeparableTestFunction(tuple(TanhFactor(0.7, 0.8) for _ in range(dim)), 1.0, "m_tanh1"),
-        SeparableTestFunction(tuple(TanhFactor(1.3, -0.5) for _ in range(dim)), 1.0, "m_tanh2"),
-        SeparableTestFunction(tuple(GaussFactor(1.0, 0.0) for _ in range(dim)), 1.0, "m_bump0"),
-        SeparableTestFunction(tuple(GaussFactor(1.5, 1.0) for _ in range(dim)), 1.0, "m_bump1"),
-        SeparableTestFunction(tuple(GaussFactor(0.8, -1.2) for _ in range(dim)), 1.0, "m_bump2"),
-        SeparableTestFunction(tuple(SinFactor(1.0, 0.4) for _ in range(dim)), 1.0, "m_sin0"),
-        SeparableTestFunction(tuple(SinFactor(0.6, -0.9) for _ in range(dim)), 1.0, "m_sin1"),
+    raw = [
+        ("m_tanh0", TanhFactor(1.0, 0.0)),
+        ("m_tanh1", TanhFactor(0.7, 0.8)),
+        ("m_tanh2", TanhFactor(1.3, -0.5)),
+        ("m_bump0", GaussFactor(1.0, 0.0)),
+        ("m_bump1", GaussFactor(1.5, 1.0)),
+        ("m_bump2", GaussFactor(0.8, -1.2)),
+        ("m_sin0", SinFactor(1.0, 0.4)),
+        ("m_sin1", SinFactor(0.6, -0.9)),
     ]
     out = []
-    for h in raw:
-        d3 = h.derivative_sup(3)
-        scale = 1.0 / d3 if d3 and d3 > 1e-12 else 1.0
-        out.append(SeparableTestFunction(h.factors, h.scale * scale, h.name))
+    for name, factor in raw:
+        factors = [factor] * dim
+        d3 = product_function(factors).derivative_sup(3)
+        out.append(product_function(factors, 1.0 / d3 if d3 and d3 > 1e-12 else 1.0, name))
     return out
 
 
@@ -436,11 +444,6 @@ def _points(w) -> np.ndarray:
     return w.points() if isinstance(w, TensorGrid) else np.asarray(w, dtype=float)
 
 
-def grid_path(h: TestFunction, w) -> bool:
-    """Whether `SteinSolution.evaluate` contracts per-axis tables for (h, w)."""
-    return isinstance(w, TensorGrid) and isinstance(h, SeparableTestFunction)
-
-
 class SteinSolution:
     """Quadrature-backed solution of the multivariate comparison equation.
 
@@ -450,7 +453,7 @@ class SteinSolution:
     pass over the shared point set.
     """
 
-    def __init__(self, h: TestFunction, sigma, gh_order: int = 20, u_order: int = 32):
+    def __init__(self, h: SeparableTestFunction, sigma, gh_order: int = 20, u_order: int = 32):
         self.h = h
         self.sigma = check_symmetric(np.asarray(sigma, dtype=float))
         d = h.dimension
@@ -479,7 +482,7 @@ class SteinSolution:
     ) -> dict[str, np.ndarray]:
         """Evaluate the requested fields at points w of shape (..., d) or on a
         TensorGrid (fields then have shape (points,) + (d,) * order)."""
-        if grid_path(self.h, w):
+        if isinstance(w, TensorGrid):
             return self._grid_fields(w, need)
         w = _points(w)
         single = w.ndim == 1
@@ -514,38 +517,37 @@ class SteinSolution:
         return out
 
     def _grid_fields(self, grid: TensorGrid, need) -> dict[str, np.ndarray]:
-        """Per-axis path for a separable h: tables T_a[j, i, g] of each factor
-        derivative at u_j x_{a,g} + c_j z_{i,a}, contracted over the GH nodes
-        i into psi[j, g_0, ..., g_{d-1}], then weighted over the u-nodes j."""
-        h, d = self.h, self.dimension
+        """Per-axis path: tables T_a[j, i, g] of each factor derivative at
+        u_j x_{a,g} + c_j z_{i,a}, one per distinct (axis, factor), contracted
+        term by term over the GH nodes i into psi[j, g_0, ..., g_{d-1}],
+        summed over the terms, then weighted over the u-nodes j."""
+        d = self.dimension
         orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
-        depth = max(orders.values(), default=0)
         un, uw = self._unodes, self._uweights
         u = un[:, None, None]
         c = np.sqrt(1.0 - un**2)[:, None, None]
-        tabs = [
-            f.tables(u * x + c * self._znodes[None, :, a, None])[: depth + 1]
-            for a, (f, x) in enumerate(zip(h.factors, grid.axes))
-        ]
-        j, i = un.size, self._zweights.size
-        weighted = np.broadcast_to((h.scale * self._zweights)[:, None], (j, i, 1))
+        args = [u * x + c * self._znodes[None, :, a, None] for a, x in enumerate(grid.axes)]
+        tabs = self.h._tables(args, max(orders.values(), default=0))
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
         out = {}
         for name, k in orders.items():
             field = np.empty(grid.shape[:1] + (d,) * k)
             for idx in index_tuples(d, k):
-                factors = [tabs[a][idx.count(a)] for a in range(d)]
-                # outer products along the first d-1 axes, then one matmul
-                # over i per u-node against the last axis's table
-                acc = weighted
-                for t in factors[:-1]:
-                    acc = (acc[..., None] * t[:, :, None, :]).reshape(j, i, -1)
-                psi = (acc.transpose(0, 2, 1) @ factors[-1]).reshape(j, -1)
+                psi = self.h._sum_terms(tabs, idx, self._contract, np.zeros((un.size, grid.shape[0])))
                 if k == 0:
                     psi = psi - self.phi_h
                 _fill_partial(field, idx, -(u_weights[k] @ psi))
             out[name] = field
         return out
+
+    def _contract(self, scale: float, tables) -> np.ndarray:
+        """psi[j, g_0 ... g_{d-1}] of one term: outer products along the first
+        d-1 axes, then one matmul over i per u-node against the last table."""
+        j, i, _ = tables[0].shape
+        acc = np.broadcast_to((scale * self._zweights)[:, None], (j, i, 1))
+        for t in tables[:-1]:
+            acc = (acc[..., None] * t[:, :, None, :]).reshape(j, i, -1)
+        return (acc.transpose(0, 2, 1) @ tables[-1]).reshape(j, -1)
 
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]

@@ -223,6 +223,16 @@ def test_iid_driver_prefix_stable():
     assert a.min() >= 0.0 and a.max() <= 0.25
 
 
+def test_markov_driver_prefix_stable():
+    d = MarkovChainDriver(values=[0.05, 0.2], kernel=[[0.5, 0.5], [0.25, 0.75]], seed=7)
+    a = d.stream(64)
+    b = d.stream(256)
+    assert a.size == 65
+    np.testing.assert_array_equal(a, b[: a.size])
+    seq = RandomSequence(LsvFamily(), d, beta_star=0.25)
+    np.testing.assert_array_equal(seq.parameters(64), a)
+
+
 def test_random_sequence_quenched_parameters():
     fam = LsvFamily()
     seq = RandomSequence(fam, IidUniformDriver(0.0, 0.25, seed=3), beta_star=0.25)

@@ -233,7 +233,7 @@ def test_resolve_threads():
 
 
 def test_run_stein_check_small():
-    report = run_stein_check(1, seed=2, sigma_count=2, bound_grid=11)
+    report = run_stein_check(1, seed=2, sigma_count=2)
     assert report.dimension == 1
     assert len(report.rows) == 12
     assert report.passed
@@ -249,46 +249,42 @@ def test_run_stein_check_small():
 
 
 def test_run_stein_check_writes_csv(tmp_path):
-    report = run_stein_check(1, seed=2, sigma_count=1, check_bounds=False, out_dir=tmp_path)
+    report = run_stein_check(1, seed=2, sigma_count=1, out_dir=tmp_path)
     path = tmp_path / "stein_check_d1.csv"
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "h,sigma_index,max_residual,residual_tol,worst_margin,passed"
     assert len(lines) == 1 + len(report.rows)
-    assert report.bound_seconds == 0.0
 
 
 def test_run_stein_check_writes_manifest(tmp_path):
-    run_stein_check(1, seed=2, sigma_count=1, check_bounds=False, out_dir=tmp_path)
+    run_stein_check(1, seed=2, sigma_count=1, out_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "stein-check"
     assert set(manifest["outputs"]) == {"stein_check_d1.csv"}
     got = hashlib.sha256((tmp_path / "stein_check_d1.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["stein_check_d1.csv"] == got
     other = tmp_path / "other"
-    run_stein_check(1, seed=3, sigma_count=1, check_bounds=False, out_dir=other)
+    run_stein_check(1, seed=3, sigma_count=1, out_dir=other)
     other_manifest = json.loads((other / "manifest.json").read_text())
     assert other_manifest["config_hash"] != manifest["config_hash"]
 
 
 def test_run_stein_check_manifest_stages(tmp_path):
-    report = run_stein_check(1, seed=2, sigma_count=2, bound_grid=11, out_dir=tmp_path)
+    report = run_stein_check(1, seed=2, sigma_count=2, out_dir=tmp_path)
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     assert set(stages) == {"residual", "bound"}
     assert stages["residual"]["seconds"] == report.residual_seconds > 0.0
     assert stages["bound"]["seconds"] == report.bound_seconds > 0.0
     for name, (gh, u) in {"residual": (48, 32), "bound": (32, 32)}.items():
         stage = stages[name]
-        # four separable rows per sigma take the grid path, affine/quadratic the point path
-        assert (stage["grid_rows"], stage["point_rows"]) == (8, 4)
+        # six built-in test functions per sigma, every row on the per-axis path
+        assert set(stage) == {"seconds", "rows", "quadrature"}
+        assert stage["rows"] == 12
         cert = stage["quadrature"]
         assert (cert["gh_order"], cert["u_order"]) == (gh, u)
         assert cert["gh_min_weight"] > 0.0
         assert cert["gh_weight_sum_defect"] < 1e-13
         assert cert["gl_moment_defect"] < 1e-14
-    run_stein_check(1, seed=2, sigma_count=1, check_bounds=False, out_dir=tmp_path / "nb")
-    stages = json.loads((tmp_path / "nb" / "manifest.json").read_text())["stages"]
-    assert set(stages) == {"residual"}
-    assert (stages["residual"]["grid_rows"], stages["residual"]["point_rows"]) == (4, 2)
 
 
 def test_axis_grid_is_the_meshgrid_point_set():

@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 
 from steinclt.stein import (
-    AffineTestFunction,
     GaussFactor,
     LipschitzFunction,
     MollifierSmoother,
-    QuadraticTestFunction,
-    SeparableTestFunction,
+    PowerFactor,
     SinFactor,
     SteinSolution,
     TanhFactor,
     TensorGrid,
+    affine_function,
     builtin_test_functions,
     derivative_bound_check,
-    grid_path,
     index_tuples,
     lipschitz_family_1d,
     mollify,
+    product_function,
+    quadratic_function,
     smooth_metric_family,
     stein_residual,
     univariate_bound_check,
@@ -33,7 +33,7 @@ SIGMA2 = np.array([[1.2, 0.3], [0.3, 0.9]])
 
 
 def _mixed_separable():
-    return SeparableTestFunction(
+    return product_function(
         (TanhFactor(0.6, 0.2), GaussFactor(1.1, -0.4), SinFactor(0.8, 0.3)), 0.9, "mixed"
     )
 
@@ -46,7 +46,7 @@ def test_index_tuples():
 
 def test_affine_solution_closed_form():
     v = (0.7, -0.3)
-    h = AffineTestFunction(v, 0.5)
+    h = affine_function(v, 0.5)
     sol = SteinSolution(h, SIGMA2)
     rng = np.random.default_rng(1)
     w = rng.normal(size=(40, 2))
@@ -60,7 +60,7 @@ def test_affine_solution_closed_form():
 def test_quadratic_solution_closed_form():
     q = np.array([[1.5, 0.25], [0.25, 1.0]])
     v = np.array([0.5, -0.2])
-    h = QuadraticTestFunction(tuple(map(tuple, q)), tuple(v), -0.25)
+    h = quadratic_function(q, v, -0.25)
     sol = SteinSolution(h, SIGMA2)
     rng = np.random.default_rng(2)
     w = rng.normal(size=(40, 2))
@@ -85,7 +85,7 @@ def test_separable_fields_fusion_matches_single_calls():
 
 
 def test_base_fields_dispatch():
-    h = AffineTestFunction((0.4, 0.1))
+    h = affine_function((0.4, 0.1))
     w = np.zeros((4, 2))
     fused = h.fields(w, ("value", "hessian"))
     np.testing.assert_array_equal(fused["value"], h.value(w))
@@ -112,12 +112,13 @@ def test_separable_partials_are_factor_table_products():
     h = _mixed_separable()
     rng = np.random.default_rng(6)
     w = rng.normal(size=(4, 5, 3)) * 1.5
-    tabs = [f.tables(w[..., a]) for a, f in enumerate(h.factors)]
+    (term,) = h.terms
+    tabs = [f.tables(w[..., a], 2) for a, f in enumerate(term.factors)]
     tensors = (h.value(w), h.gradient(w), h.hessian(w))
     for order, tensor in enumerate(tensors):
         assert tensor.shape == w.shape[:-1] + (3,) * order
         for idx in product(range(3), repeat=order):
-            want = h.scale * np.prod([tabs[a][idx.count(a)] for a in range(3)], axis=0)
+            want = term.scale * np.prod([tabs[a][idx.count(a)] for a in range(3)], axis=0)
             np.testing.assert_allclose(tensor[(...,) + idx], want, rtol=1e-14, atol=0)
 
 
@@ -147,12 +148,61 @@ def test_partial_sups_dominate_grid_maxima():
 
 def test_quadratic_partial_sups():
     q = ((1.5, 0.25), (0.25, 1.0))
-    h = QuadraticTestFunction(q, (0.5, -0.2))
+    h = quadratic_function(q, (0.5, -0.2))
     assert h.partial_sup((0,)) is None
     assert h.partial_sup((0, 1)) == pytest.approx(0.25)
     assert h.partial_sup((0, 0, 1)) == 0.0
     assert h.derivative_sup(1) is None
     assert h.derivative_sup(2) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_partial_sups_pinned(dim):
+    affine, quadratic = builtin_test_functions(dim)[:2]
+    v = [1.0 / (a + 1.0) for a in range(dim)]
+    q = np.diag([1.0 + 0.5 * a for a in range(dim)])
+    for a in range(dim - 1):
+        q[a, a + 1] = q[a + 1, a] = 0.25
+    for order in (1, 2, 3):
+        for idx in index_tuples(dim, order):
+            assert affine.partial_sup(idx) == (v[idx[0]] if order == 1 else 0.0), idx
+            want = None if order == 1 else float(q[idx]) if order == 2 else 0.0
+            assert quadratic.partial_sup(idx) == want, idx
+
+
+def test_quadratic_rejects_non_symmetric_or_mismatched_q():
+    with pytest.raises(ValueError, match="symmetric"):
+        quadratic_function([[1.0, 0.4], [0.1, 1.0]], (0.5, -0.2))
+    with pytest.raises(ValueError):
+        quadratic_function(np.eye(3), (0.5, -0.2))
+    with pytest.raises(ValueError):
+        quadratic_function([[1.0, 0.5]], (0.5, -0.2))
+
+
+def test_factor_tables_stop_at_depth():
+    u = np.linspace(-2.0, 2.0, 17)
+    for f in (TanhFactor(0.6, 0.2), GaussFactor(1.1, -0.4), SinFactor(0.8, 0.3), PowerFactor(2)):
+        full = f.tables(u, 2)
+        assert len(full) == 3
+        for depth in (0, 1):
+            part = f.tables(u, depth)
+            assert len(part) == depth + 1
+            for got, want in zip(part, full):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_power_factor_derivatives_and_sups():
+    u = np.array([-1.5, 0.0, 0.5, 2.0])
+    ones, zeros = np.ones(4), np.zeros(4)
+    want = {0: (ones, zeros, zeros), 1: (u, ones, zeros), 2: (u * u, 2.0 * u, 2.0 * ones)}
+    for p, tables in want.items():
+        for got, expect in zip(PowerFactor(p).tables(u, 2), tables):
+            np.testing.assert_array_equal(got, expect)
+    assert PowerFactor(0).sups == (1.0, 0.0, 0.0, 0.0)
+    assert PowerFactor(1).sups == (None, 1.0, 0.0, 0.0)
+    assert PowerFactor(2).sups == (None, None, 2.0, 0.0)
+    with pytest.raises(ValueError):
+        PowerFactor(3)
 
 
 def test_stein_residual_small_for_smooth_battery():
@@ -176,7 +226,7 @@ def test_evaluate_single_point_shapes():
 
 
 def test_stein_solution_validation():
-    h = AffineTestFunction((1.0, 0.0))
+    h = affine_function((1.0, 0.0))
     with pytest.raises(ValueError):
         SteinSolution(h, np.eye(3))
     with pytest.raises(ValueError):
@@ -187,7 +237,7 @@ def test_stein_solution_validation():
 
 def test_derivative_bound_check_quadratic_margins():
     q = ((1.5, 0.25), (0.25, 1.0))
-    h = QuadraticTestFunction(q, (0.5, -0.2))
+    h = quadratic_function(q, (0.5, -0.2))
     sol = SteinSolution(h, SIGMA2)
     grid = TensorGrid([np.linspace(-2, 2, 7)] * 2)
     report = derivative_bound_check(sol, grid, orders=(1, 2))
@@ -237,17 +287,20 @@ def test_tensor_grid_points_and_shape():
 def test_grid_path_matches_point_path(dim):
     rng = np.random.default_rng(40 + dim)
     grid = _uneven_grid(dim)
-    separable = [h for h in builtin_test_functions(dim) if isinstance(h, SeparableTestFunction)]
-    assert len(separable) == 4
+    builtins = builtin_test_functions(dim)
+    assert len(builtins) == 6
     extra = [_mixed_separable()] if dim == 3 else []
-    for h in separable + smooth_metric_family(dim) + extra:
+    for h in builtins + smooth_metric_family(dim) + extra:
         sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=6, u_order=7)
-        assert grid_path(h, grid)
         fast = sol.evaluate(grid)
         slow = sol.evaluate(grid.points())
         assert set(fast) == set(slow) == {"value", "gradient", "hessian"}
         for name, want in slow.items():
             assert fast[name].shape == want.shape
+            if h.name == "affine" and name == "hessian":
+                # every term's second partials vanish, so both paths write zeros
+                assert not fast[name].any() and not want.any()
+                continue
             tol = 1e-13 * np.abs(want).max()
             np.testing.assert_allclose(fast[name], want, rtol=0, atol=tol, err_msg=f"{h.name} {name}")
         only = sol.evaluate(grid, ("hessian",))
@@ -257,16 +310,22 @@ def test_grid_path_matches_point_path(dim):
         np.testing.assert_allclose(res, stein_residual(sol, grid.points()), rtol=0, atol=1e-13)
 
 
-def test_tensor_grid_non_separable_takes_point_path_bits():
+def test_closed_form_solutions_on_tensor_grid():
     grid = _uneven_grid(2)
-    for h in builtin_test_functions(2)[:2]:
-        sol = SteinSolution(h, SIGMA2, gh_order=8, u_order=6)
-        assert not grid_path(h, grid)
-        got = sol.evaluate(grid)
-        want = sol.evaluate(grid.points())
-        for name in want:
-            np.testing.assert_array_equal(got[name], want[name])
-        np.testing.assert_array_equal(stein_residual(sol, grid), stein_residual(sol, grid.points()))
+    w = grid.points()
+    v = np.array([0.7, -0.3])
+    q = np.array([[1.5, 0.25], [0.25, 1.0]])
+    affine = SteinSolution(affine_function(v, 0.5), SIGMA2).evaluate(grid)
+    np.testing.assert_allclose(affine["value"], -(w @ v), atol=1e-12)
+    np.testing.assert_allclose(affine["gradient"], np.broadcast_to(-v, w.shape), atol=1e-12)
+    np.testing.assert_array_equal(affine["hessian"], 0.0)
+    sol = SteinSolution(quadratic_function(q, v, -0.25), SIGMA2)
+    quad = sol.evaluate(grid)
+    want_value = -(0.25 * (np.einsum("ba,ab->b", w @ q, w.T) - np.trace(q @ SIGMA2)) + w @ v)
+    np.testing.assert_allclose(quad["value"], want_value, atol=1e-11)
+    np.testing.assert_allclose(quad["gradient"], -0.5 * (w @ q) - v, atol=1e-11)
+    np.testing.assert_allclose(quad["hessian"], np.broadcast_to(-0.5 * q, (len(w), 2, 2)), atol=1e-12)
+    np.testing.assert_allclose(stein_residual(sol, grid), 0.0, atol=1e-10)
 
 
 def test_derivative_bound_check_third_order_on_tensor_grid():

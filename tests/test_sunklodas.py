@@ -9,7 +9,7 @@ import pytest
 from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
-from steinclt.stein import QuadraticTestFunction, SeparableTestFunction, TanhFactor
+from steinclt.stein import TanhFactor, product_function, quadratic_function
 from steinclt.sunklodas import (
     EnsembleMatrix,
     decompose,
@@ -19,11 +19,11 @@ from steinclt.sunklodas import (
 
 
 def _tanh_pair():
-    return SeparableTestFunction((TanhFactor(0.8, 0.1), TanhFactor(0.5, -0.3)), 1.0, "pair")
+    return product_function((TanhFactor(0.8, 0.1), TanhFactor(0.5, -0.3)), 1.0, "pair")
 
 
 def _tanh_single():
-    return SeparableTestFunction((TanhFactor(0.7, 0.2),), 1.0, "single")
+    return product_function((TanhFactor(0.7, 0.2),), 1.0, "single")
 
 
 def _doubling_ensemble(samples, times, seed):
@@ -109,7 +109,7 @@ def test_delta_matrix_endpoints():
 
 def test_identity_exact_for_quadratic():
     ens = _doubling_ensemble(400, 5, seed=4)
-    h = QuadraticTestFunction(((1.0,),), (0.3,))
+    h = quadratic_function([[1.0]], (0.3,))
     ledger = decompose(ens, h)
     # constant Hessian kills every correction term and the direct side
     for name, (val, _) in ledger.terms.items():
