@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads over the N grid (outputs do not depend on it)",
+        help="worker threads over sample shards (default: the usable CPUs; "
+        "outputs do not depend on it)",
     )
     p.add_argument(
         "--deterministic", action="store_true",

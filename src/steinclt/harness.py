@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 import resource
 import time
@@ -28,7 +29,6 @@ from .dynamics import (
     RandomSequence,
     SequentialSequence,
     ShiftedSlopeFamily,
-    orbit,
     trajectory,
 )
 from .linalg import DegenerateCovariance
@@ -45,6 +45,7 @@ from .stats import (
     birkhoff_raw_sums,
     build_ensemble,
     check_rate_grid,
+    empirical_covariance,
     fit_rate,
     normalize_sums,
     sigma_series,
@@ -136,7 +137,6 @@ CONFIG_SCHEMA = {
         "normalization": {"enum": ["self-norming", "sqrt-n"]},
         "fit_model": {"enum": ["pure-power", "power-times-log"]},
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "qds": {
             "type": "object",
             "additionalProperties": False,
@@ -170,7 +170,6 @@ _DEFAULTS = {
     "metric": "wasserstein1",
     "normalization": "self-norming",
     "fit_model": "pure-power",
-    "threads": 1,
 }
 
 
@@ -221,9 +220,7 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    # the thread count cannot change a result, so the hash leaves it out
-    kept = {key: val for key, val in cfg.items() if key != "threads"}
-    canon = json.dumps(kept, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -359,10 +356,6 @@ def _start(cfg: dict, out_dir, command: str) -> tuple[dict, RunManifest]:
     return cfg, RunManifest(config_hash(cfg), command, out_dir)
 
 
-def _resolve_threads(cfg: dict, threads: int | None) -> int:
-    return max(1, threads if threads is not None else cfg["threads"])
-
-
 def _check_horizon(cfg: dict, steps: int) -> None:
     """ConfigError unless explicit sequential params cover steps 1..`steps`
     (`build_system` adds slot 0, so L params cover steps 1..L)."""
@@ -386,6 +379,45 @@ def _rate_grid(cfg: dict, command: str) -> list[int]:
     except ValueError as exc:
         raise ConfigError(f"n_grid cannot be fitted: {exc}") from exc
     return grid
+
+
+_SHARDS = 16
+
+
+def _sharded_sums(
+    seq, f: Observable, checkpoints, samples: int, root: int, stage: dict,
+    threads: int | None = None, horizon: int | None = None,
+) -> np.ndarray:
+    """(len(checkpoints), samples, d) sums of `_SHARDS` fixed sample blocks.
+
+    Block i starts from uniform draws of the i-th child of SeedSequence(root)
+    and owns its column slice.  The blocks split into one contiguous group
+    per thread (`threads`, else the CPUs this process may use), and each
+    group is one `birkhoff_raw_sums` pass: large arrays per step keep the
+    threads from queueing on the interpreter lock.  Every operation of a
+    pass is elementwise over samples, so the grouping, and with it the
+    thread count, cannot change a bit of the result.  Adds the pass's
+    point-steps, threads and shards to `stage`.
+    """
+    width = max(1, min(_SHARDS, threads or len(os.sched_getaffinity(0))))
+    children = np.random.SeedSequence(root).spawn(_SHARDS)
+    edges = np.linspace(0, samples, _SHARDS + 1).astype(int)
+    x0 = np.concatenate([
+        np.random.default_rng(child).random(hi - lo)
+        for child, lo, hi in zip(children, edges[:-1], edges[1:])
+    ])
+    cuts = edges[np.linspace(0, _SHARDS, width + 1).astype(int)]
+    out = np.empty((len(checkpoints), samples, f.dimension))
+
+    def group(g: int) -> None:
+        lo, hi = cuts[g], cuts[g + 1]
+        birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], out[:, lo:hi], horizon)
+
+    with ThreadPoolExecutor(width) as pool:
+        list(pool.map(group, range(width)))
+    steps = stage.get("point_steps", 0) + samples * max(checkpoints[-1] - 1, 0)
+    stage.update(point_steps=steps, threads=width, shards=_SHARDS)
+    return out
 
 
 def _measure_distance(metric: str, w: np.ndarray, sigma: np.ndarray, seed: int):
@@ -414,10 +446,11 @@ class RatesResult:
 def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     """Distance-to-normal across the N grid, rate fit, CSV + plot data.
 
-    Each N has its own seed and the rows come back in grid order, so the
-    outputs do not depend on the thread count.  Raises DegenerateCovariance
-    naming the offending N when self-norming fails; emits rates.csv,
-    plot_rates.txt, rate_fit.csv, and manifest.json.
+    A random or sequential system reads every N off one orbit pass to max N;
+    a quasistatic one, whose maps depend on the horizon, takes a pass per N.
+    The outputs do not depend on `threads` (see `_sharded_sums`).  Raises
+    DegenerateCovariance naming the offending N when self-norming fails;
+    emits rates.csv, plot_rates.txt, rate_fit.csv, and manifest.json.
     """
     cfg, manifest = _start(cfg, out_dir, "rates")
     grid = _rate_grid(cfg, "rates")
@@ -426,38 +459,33 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     f = build_observable(cfg)
     seq = build_system(cfg)
     manifest.seed(cfg["seed"], "driver")
+    root = manifest.seed(cfg["seed"], "ensemble")
     samples = cfg["samples"]
-    n_threads = _resolve_threads(cfg, threads)
-
     floor = wasserstein_floor(samples)
 
-    def job(n: int):
-        seed_n = manifest.seed(cfg["seed"], f"ensemble-N{n}")
+    with manifest.stage("sums") as stage:
+        if cfg["system"]["kind"] == "quasistatic":
+            sums = [
+                _sharded_sums(seq, f, [n], samples, root, stage, threads, n - 1)[0]
+                for n in grid
+            ]
+        else:
+            sums = _sharded_sums(seq, f, grid, samples, root, stage, threads)
+    stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
+
+    rows = []
+    for n, raw in zip(grid, sums):
         with manifest.stage(f"N{n}") as stage:
-            sums = birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
             try:
-                w, norm, summary = normalize_sums(
-                    sums, cfg["normalization"], n_terms=n
-                )
+                w, _, summary = normalize_sums(raw, cfg["normalization"], n_terms=n)
             except DegenerateCovariance as exc:
                 raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
             target = np.eye(f.dimension) if cfg["normalization"] == "self-norming" else summary.matrix / n
             rep = _measure_distance(
                 cfg["metric"], w, target, stage_seed(cfg["seed"], f"slice-N{n}")
             )
-            stage.update(
-                point_steps=samples * (n - 1),
-                floor_ratio=rep.value / floor,
-                threads=n_threads,
-            )
-        stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
-        return n, rep, summary
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(job, grid))
-    else:
-        rows = [job(n) for n in grid]
+            stage["floor_ratio"] = rep.value / floor
+        rows.append((n, rep, summary))
 
     smallest = min(rep.value for _, rep, _ in rows)
     # the floor is that of the W1 estimator; the smooth metric has none
@@ -671,14 +699,15 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     def make_seq(seed: int):
         return build_system(cfg, driver_seed=seed)
 
-    series = sigma_series(
-        make_seq,
-        f,
-        k_max,
-        samples=series_samples,
-        runs=series_runs,
-        seed=stage_seed(base_seed, "sigma-series"),
-    )
+    with manifest.stage("series"):
+        series = sigma_series(
+            make_seq,
+            f,
+            k_max,
+            samples=series_samples,
+            runs=series_runs,
+            seed=stage_seed(base_seed, "sigma-series"),
+        )
     sigma = np.asarray(series.matrix)
     eigs = np.linalg.eigvalsh(sigma)
     if float(eigs.min()) <= 1e-10:
@@ -691,16 +720,17 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     fits = []
     rows = []
     for r in range(replicas):
-        seq = make_seq(manifest.seed(base_seed, f"replica-{r}"))
-        pairs = []
-        for n in grid:
-            seed_n = stage_seed(base_seed, f"replica-{r}-N{n}")
-            sums = birkhoff_raw_sums(seq, f, n, samples, seed_n, horizon=n - 1)
-            w, _, _ = normalize_sums(sums, sqrt_n_normalization(n, f.dimension))
-            rep = _measure_distance(metric, w, sigma, seed_n)
-            pairs.append((n, rep.value))
-            rows.append((manifest.config_hash, r, n, samples, rep.value, rep.stderr))
-        fits.append(fit_rate(pairs, cfg["fit_model"]))
+        with manifest.stage(f"replica-{r}") as stage:
+            seq = make_seq(manifest.seed(base_seed, f"replica-{r}"))
+            root = manifest.seed(base_seed, f"replica-{r}-ensemble")
+            sums = _sharded_sums(seq, f, grid, samples, root, stage)
+            pairs = []
+            for n, raw in zip(grid, sums):
+                w, _, _ = normalize_sums(raw, sqrt_n_normalization(n, f.dimension))
+                rep = _measure_distance(metric, w, sigma, root)
+                pairs.append((n, rep.value))
+                rows.append((manifest.config_hash, r, n, samples, rep.value, rep.stderr))
+            fits.append(fit_rate(pairs, cfg["fit_model"]))
     csv_path = manifest.write_rows(
         "quenched.csv", ("config", "replica", "N", "S", "value", "stderr"), rows
     )
@@ -730,30 +760,23 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
     samples = cfg["samples"]
     rows = []
     for n in grid:
-        seed_n = manifest.seed(cfg["seed"], f"qds-N{n}")
-        x0 = np.random.default_rng(seed_n).random(samples)
-        k_mid = int(math.floor(n * t_mid))
-        frac = n * t_mid - k_mid
-        acc = np.zeros((samples, f.dimension))
-        mid = None
-        for k, x in enumerate(orbit(seq, x0, n - 1, horizon=n)):
-            vals = f(x)
-            if k == k_mid:
-                mid = acc + frac * vals
-            acc += vals
-        if mid is None:
-            mid = acc.copy()
-        mid_centered = mid - mid.mean(axis=0, keepdims=True)
-        lam_min = float(
-            np.linalg.eigvalsh(mid_centered.T @ mid_centered / samples)[0]
-        )
-        try:
-            w, _, summary = normalize_sums(acc, "self-norming")
-        except DegenerateCovariance as exc:
-            raise DegenerateCovariance(f"degenerate covariance at n={n}: {exc}") from exc
-        rep = _measure_distance(
-            cfg["metric"], w, np.eye(f.dimension), stage_seed(cfg["seed"], f"qds-slice-N{n}")
-        )
+        with manifest.stage(f"N{n}") as stage:
+            k_mid = int(math.floor(n * t_mid))
+            frac = n * t_mid - k_mid
+            # t_mid = 1 gives k_mid = n and frac = 0, so mid is S_n
+            s_mid, s_next, s_n = _sharded_sums(
+                seq, f, [k_mid, min(k_mid + 1, n), n], samples,
+                manifest.seed(cfg["seed"], f"qds-N{n}"), stage, horizon=n,
+            )
+            mid = (1.0 - frac) * s_mid + frac * s_next
+            lam_min = empirical_covariance(mid - mid.mean(axis=0)).lambda_min
+            try:
+                w, _, _ = normalize_sums(s_n, "self-norming")
+            except DegenerateCovariance as exc:
+                raise DegenerateCovariance(f"degenerate covariance at n={n}: {exc}") from exc
+            rep = _measure_distance(
+                cfg["metric"], w, np.eye(f.dimension), stage_seed(cfg["seed"], f"qds-slice-N{n}")
+            )
         rows.append((n, lam_min, rep))
     by_n = {n: lam for n, lam, _ in rows}
     ratios = [(n, by_n[2 * n] / by_n[n]) for n in grid if 2 * n in by_n]

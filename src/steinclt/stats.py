@@ -1,4 +1,5 @@
-"""Ensembles, normalization algebra, distances to normal, and rate fitting."""
+"""Ensembles, Birkhoff sums read at checkpoints, normalization algebra,
+distances to normal, and rate fitting."""
 from __future__ import annotations
 
 import math
@@ -129,19 +130,31 @@ def build_ensemble(
 def birkhoff_raw_sums(
     seq,
     f: Observable,
-    n_terms: int,
-    samples: int,
-    seed: int,
+    checkpoints: Sequence[int],
+    x0: np.ndarray,
+    out: np.ndarray,
     horizon: int | None = None,
 ) -> np.ndarray:
-    """Uncentered sums over n_terms slots, streaming over time (O(S d) memory)."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    x0 = np.random.default_rng(seed).random(samples)
-    acc = np.zeros((samples, f.dimension))
-    for x in orbit(seq, x0, n_terms - 1, horizon):
-        acc += f(x)
-    return acc
+    """Fill out[j] with the uncentered sum of f over the first checkpoints[j]
+    slots (slot 0 is x0) of one orbit pass, read at `horizon`; returns out.
+
+    Checkpoints are non-decreasing, 0 and repeats allowed.  For a
+    prefix-stable system each out[j] has the bits of a pass to checkpoints[j].
+    """
+    cps = list(checkpoints)
+    if not cps or cps[0] < 0 or any(b < a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be a non-empty non-decreasing sequence >= 0")
+    last = cps[-1]
+    acc = np.zeros(out.shape[1:])
+    j = 0
+    for k, x in enumerate(orbit(seq, x0, max(last - 1, 0), horizon)):
+        while j < len(cps) and cps[j] == k:
+            out[j] = acc
+            j += 1
+        if k < last:
+            acc += f(x)
+    out[j:] = acc
+    return out
 
 
 def normalize_sums(

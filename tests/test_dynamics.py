@@ -108,7 +108,7 @@ def test_orbit_rejects_horizon_below_steps():
     with pytest.raises(ValueError, match="horizon"):
         trajectory(seq, x0, 5, horizon=4)
     with pytest.raises(ValueError, match="horizon"):
-        birkhoff_raw_sums(seq, OBSERVABLES["identity"](), 8, 10, seed=0, horizon=6)
+        birkhoff_raw_sums(seq, OBSERVABLES["identity"](), [8], x0, np.empty((1, 10, 1)), horizon=6)
 
 
 def test_orbit_applies_one_map_per_step_to_all_samples(monkeypatch):
@@ -120,7 +120,8 @@ def test_orbit_applies_one_map_per_step_to_all_samples(monkeypatch):
         return apply_param(self, param, x, *out)
 
     monkeypatch.setattr(LsvFamily, "apply_param", counting)
-    birkhoff_raw_sums(_random_lsv(), OBSERVABLES["identity"](), 9, 300, seed=2)
+    x0 = np.random.default_rng(2).random(300)
+    birkhoff_raw_sums(_random_lsv(), OBSERVABLES["identity"](), [3, 9], x0, np.empty((2, 300, 1)))
     assert seen == [(300,)] * 8
 
 
@@ -180,7 +181,33 @@ def test_birkhoff_sums_are_the_trajectory_sums():
     want = np.zeros((300, 1))
     for row in rows:
         want += f(row)
-    np.testing.assert_array_equal(birkhoff_raw_sums(seq, f, 10, 300, seed=7), want)
+    got = birkhoff_raw_sums(seq, f, [10], rows[0], np.empty((1, 300, 1)))
+    np.testing.assert_array_equal(got[0], want)
+
+
+_MARKOV = MarkovChainDriver(values=[0.05, 0.2], kernel=[[0.5, 0.5], [0.25, 0.75]], seed=7)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [_random_lsv(),
+     RandomSequence(LsvFamily(), _MARKOV, beta_star=0.25),
+     SequentialSequence(
+         ShiftedSlopeFamily(), tuple(np.random.default_rng(5).uniform(0.0, 1.0, 70)))],
+    ids=["iid", "markov", "sequential"],
+)
+def test_nested_sums_equal_separate_passes(seq):
+    f = OBSERVABLES["poly_pair"]()
+    x0 = np.random.default_rng(8).random(200)
+    checkpoints = [0, 1, 1, 5, 32, 32, 64]
+    nested = birkhoff_raw_sums(seq, f, checkpoints, x0, np.empty((7, 200, 2)))
+    for j, n in enumerate(checkpoints):
+        alone = birkhoff_raw_sums(seq, f, [n], x0, np.empty((1, 200, 2)), horizon=max(n - 1, 0))
+        np.testing.assert_array_equal(nested[j], alone[0])
+    np.testing.assert_array_equal(nested[0], 0.0)
+    np.testing.assert_array_equal(nested[1], f(x0))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        birkhoff_raw_sums(seq, f, [5, 4], x0, np.empty((2, 200, 2)))
 
 
 def test_orbit_rejects_points_outside_unit_interval():

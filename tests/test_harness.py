@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import warnings
 
 import numpy as np
@@ -25,8 +26,9 @@ from steinclt.harness import (
     stage_seed,
     validate_config,
     _axis_grid,
-    _resolve_threads,
+    _sharded_sums,
 )
+from steinclt.stats import birkhoff_raw_sums
 from steinclt.stein import TensorGrid
 
 
@@ -72,7 +74,7 @@ def test_validate_config_defaults_and_copy():
     assert out["metric"] == "wasserstein1"
     assert out["normalization"] == "self-norming"
     assert out["fit_model"] == "pure-power"
-    assert out["threads"] == 1
+    assert "threads" not in out
     assert "metric" not in cfg
     out["system"]["beta_star"] = 0.99
     assert cfg["system"]["beta_star"] == 0.25
@@ -86,6 +88,7 @@ def test_validate_config_rejections():
         _random_cfg(metric="total-variation"),
         _random_cfg(samples=10),
         _random_cfg(extras=True),
+        _random_cfg(threads=2),
         _random_cfg(system={"kind": "random", "family": "lsv", "beta_star": 0.25}),
         _random_cfg(
             system={
@@ -156,7 +159,6 @@ def test_config_hash_key_order_invariance():
     b = {"samples": 500, "seed": 2, "version": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({**a, "seed": 3})
-    assert config_hash(a) == config_hash({**a, "threads": 2})
     assert len(config_hash(a)) == 16
 
 
@@ -224,12 +226,6 @@ def test_random_spd_spectrum():
     a = random_spd(2, np.random.default_rng(1))
     b = random_spd(2, np.random.default_rng(1))
     np.testing.assert_array_equal(a, b)
-
-
-def test_resolve_threads():
-    cfg = {"threads": 2}
-    assert _resolve_threads(cfg, 5) == 5
-    assert _resolve_threads(cfg, None) == 2
 
 
 def test_run_stein_check_small():
@@ -317,15 +313,14 @@ def test_run_rates_outputs_and_rerun_simulates(tmp_path):
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest
     first = {name: (tmp_path / name).read_bytes() for name in _RATES_FILES}
-    # a rerun into the same directory simulates every N again
+    # a rerun into the same directory simulates the one nested pass again
     for threads in (1, 2):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            again = run_rates({**cfg, "threads": threads}, tmp_path)
+            again = run_rates(cfg, tmp_path, threads=threads)
         stages = json.loads(again.manifest_path.read_text())["stages"]
-        assert {name: s["point_steps"] for name, s in stages.items()} == {
-            f"N{n}": 2000 * (n - 1) for n in (128, 256, 512, 1024)
-        }
+        assert stages["sums"]["point_steps"] == 2000 * (1024 - 1)
+        assert stages["sums"]["threads"] == threads
         assert {name: (tmp_path / name).read_bytes() for name in _RATES_FILES} == first
 
 
@@ -337,30 +332,52 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
     manifest = json.loads(res.manifest_path.read_text())
     assert manifest["peak_rss_mb"] > 0.0
     stages = manifest["stages"]
-    assert set(stages) == {"N128", "N256", "N512", "N1024"}
+    assert set(stages) == {"sums", "N128", "N256", "N512", "N1024"}
+    sums = stages["sums"]
+    assert set(sums) == {"seconds", "point_steps", "point_steps_per_s", "threads", "shards"}
+    # one pass to max N serves every N of the grid
+    assert sums["point_steps"] == 2000 * (1024 - 1)
+    assert sums["point_steps_per_s"] == sums["point_steps"] / sums["seconds"] > 0.0
+    assert sums["threads"] == min(16, len(os.sched_getaffinity(0)))
+    assert sums["shards"] == 16
     with open(res.csv_path) as fh:
         values = {int(row["N"]): float(row["value"]) for row in csv.DictReader(fh)}
     for n, value in values.items():
         stage = stages[f"N{n}"]
-        assert set(stage) == {
-            "seconds", "point_steps", "point_steps_per_s", "floor_ratio", "threads"
-        }
-        assert stage["point_steps"] == 2000 * (n - 1)
-        assert stage["point_steps_per_s"] == stage["point_steps"] / stage["seconds"] > 0.0
+        assert set(stage) == {"seconds", "floor_ratio"}
+        assert stage["seconds"] > 0.0
         assert stage["floor_ratio"] == pytest.approx(value / res.floor, rel=1e-15)
-        assert stage["threads"] == 1
+
+
+def test_quasistatic_rates_take_one_pass_per_n(tmp_path):
+    cfg = _qds_cfg(samples=300, n_grid=[8, 16, 32, 64])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        again = run_rates({**cfg, "threads": 2}, tmp_path)
-    stages = json.loads(again.manifest_path.read_text())["stages"]
-    assert {s["threads"] for s in stages.values()} == {2}
+        res = run_rates(cfg, tmp_path)
+    stages = json.loads(res.manifest_path.read_text())["stages"]
+    assert stages["sums"]["point_steps"] == 300 * (7 + 15 + 31 + 63)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 16])
+def test_sharded_sums_equal_one_pass_per_shard(threads):
+    cfg = validate_config(_random_cfg(observable="poly_pair"))
+    seq, f = build_system(cfg), build_observable(cfg)
+    checkpoints = [0, 3, 40, 40, 64]
+    stage = {}
+    got = _sharded_sums(seq, f, checkpoints, 1000, 17, stage, threads)
+    assert stage == {"point_steps": 1000 * 63, "threads": threads, "shards": 16}
+    x0 = _shard_starts(17, 1000)
+    edges = np.linspace(0, 1000, 17).astype(int)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        alone = birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], np.empty((5, hi - lo, 2)))
+        np.testing.assert_array_equal(got[:, lo:hi], alone)
 
 
 def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
     cfg = _random_cfg()
     cfg_path = tmp_path / "rates.json"
     cfg_path.write_text(json.dumps(cfg))
-    outs = (tmp_path / "t1", tmp_path / "t2")
+    outs = (tmp_path / "t1", tmp_path / "t2", tmp_path / "t3")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_rates(cfg, outs[0], threads=1)
@@ -369,10 +386,12 @@ def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
                 ["rates", "--config", str(cfg_path), "--threads", "2", "--deterministic",
                  "--out", str(outs[1])]
             )
+        run_rates(cfg, outs[2], threads=3)
     assert rc == 0
     capsys.readouterr()
-    for name in ("rates.csv", "rate_fit.csv", "plot_rates.txt"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for out in outs[1:]:
+        for name in ("rates.csv", "rate_fit.csv", "plot_rates.txt"):
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out, name)
 
 
 def test_smooth_metric_rates_raise_no_floor_warning(tmp_path, capsys):
@@ -436,17 +455,33 @@ def test_run_qds_small(tmp_path):
     lines = res.csv_path.read_text().strip().splitlines()
     assert lines[0] == "config,N,S,t_mid,lambda_min,value,stderr"
     assert len(lines) == 5
+    stages = json.loads(res.manifest_path.read_text())["stages"]
+    assert {name: s["point_steps"] for name, s in stages.items()} == {
+        f"N{n}": 2000 * (n - 1) for n in (64, 128, 256, 512)
+    }
     with pytest.raises(ConfigError):
         run_qds(_random_cfg(), tmp_path)
 
 
-@pytest.mark.parametrize("t_mid", [0.3, 1.0])
+def _shard_starts(root: int, samples: int) -> np.ndarray:
+    """The starting points of a sharded pass: 16 blocks, block i drawn from
+    the i-th child of SeedSequence(root)."""
+    children = np.random.SeedSequence(root).spawn(16)
+    edges = np.linspace(0, samples, 17).astype(int)
+    return np.concatenate([
+        np.random.default_rng(child).random(hi - lo)
+        for child, lo, hi in zip(children, edges[:-1], edges[1:])
+    ])
+
+
+# t_mid = 0.01 puts k_mid at 0 for n = 32 (mid = 0.32 f(y_0))
+@pytest.mark.parametrize("t_mid", [0.01, 0.3, 1.0])
 def test_run_qds_lambda_min_is_the_interpolated_partial_sum(tmp_path, t_mid):
     cfg = validate_config(_qds_cfg(samples=500, n_grid=[32, 64, 128, 256], qds={"t_mid": t_mid}))
     res = run_qds(cfg, tmp_path)
     seq, f = build_system(cfg), build_observable(cfg)
     for n, lam_min, _ in res.rows:
-        x0 = np.random.default_rng(stage_seed(cfg["seed"], f"qds-N{n}")).random(500)
+        x0 = _shard_starts(stage_seed(cfg["seed"], f"qds-N{n}"), 500)
         # S_n(x, t) = sum_{k < floor(nt)} f(y_k) + (nt - floor(nt)) f(y_floor(nt))
         nt = n * t_mid
         m = min(int(np.floor(nt + 1e-12)), n)
@@ -469,6 +504,9 @@ def test_run_quenched_small(tmp_path):
     assert res.sigma_tail >= 0.0
     lines = res.csv_path.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 4
+    stages = json.loads(res.manifest_path.read_text())["stages"]
+    assert set(stages) == {"series", "replica-0", "replica-1"}
+    assert stages["replica-1"]["point_steps"] == 1500 * (512 - 1)
     with pytest.raises(ConfigError):
         run_quenched(_qds_cfg(), tmp_path)
 

@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import steinclt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,54 +31,101 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-_TRACED_RATES = """
+_TRACED_RUNS = """
 import json, sys, warnings
 from spans import Tracer, install
 from steinclt import cli
 tracer = Tracer()
 install(tracer)
+rates, decompose, out = sys.argv[1:]
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    rc = cli.main(["rates", "--config", sys.argv[1], "--out", sys.argv[2]])
-steps = [s.counts["points"] for s in tracer.spans if s.name == "dynamics.step"]
-print(json.dumps({"rc": rc, "steps": steps}))
+    rcs = [
+        cli.main(["rates", "--config", rates, "--threads", "2", "--out", out + "/rates"]),
+        cli.main(["decompose", "--config", decompose, "--out", out + "/decompose"]),
+        cli.main(["stein-check", "--dim", "1", "--sigmas", "1", "--out", out + "/stein"]),
+    ]
+print(json.dumps({"rcs": rcs, "spans": [s.to_json() for s in tracer.spans]}))
 """
 
+_SLOPE_SYSTEM = {
+    "kind": "random",
+    "family": "shifted-slope",
+    "beta_star": 1.0,
+    "driver": {"kind": "iid-uniform", "low": 0.0, "high": 1.0},
+}
 
-def test_perfbench_tracer_installs(tmp_path):
+
+def _traced_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH", "")]
     )
+    return env
+
+
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory) -> tuple[list, int]:
+    """Spans of a rates, a decompose and a stein-check call under the tracer,
+    and the id of the rates call's span."""
+    tmp_path = tmp_path_factory.mktemp("traced")
+    rates = {"version": 1, "system": _SLOPE_SYSTEM, "observable": "quartic",
+             "n_grid": [8, 16, 32, 64], "samples": 150, "seed": 4}
+    decompose = {"version": 1, "system": _SLOPE_SYSTEM, "observable": "poly_pair",
+                 "samples": 100, "seed": 4, "decompose": {"n_terms": 3}}
+    paths = []
+    for name, cfg in (("rates", rates), ("decompose", decompose)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUNS, *map(str, paths), str(tmp_path)],
+        env=_traced_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["rcs"] == [0, 0, 0]
+    spans = result["spans"]
+    runs = sorted((s for s in spans if s["name"] == "harness.run"), key=lambda s: s["start"])
+    assert len(runs) == 3
+    return spans, runs[0]["id"]
+
+
+def test_perfbench_tracer_installs(traced_runs):
     code = "from spans import Tracer, install; install(Tracer())"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=_traced_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 
     # the tracer counts the points of each step from the last positional
-    # argument of apply_param, which orbit passes as (param, x, out)
-    cfg = {
-        "version": 1,
-        "system": {
-            "kind": "random",
-            "family": "shifted-slope",
-            "beta_star": 1.0,
-            "driver": {"kind": "iid-uniform", "low": 0.0, "high": 1.0},
-        },
-        "observable": "quartic",
-        "n_grid": [8, 16, 32, 64],
-        "samples": 150,
-        "seed": 4,
-    }
-    cfg_path = tmp_path / "rates.json"
-    cfg_path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RATES, str(cfg_path), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+    # argument of apply_param, which orbit passes as (param, x, out); rates
+    # runs one pass to max N = 64 per thread, each over 8 of the 16 shards
+    spans, rates = traced_runs
+    under_rates = {s["id"] for s in spans if s["parent"] == rates}
+    steps = sorted(
+        s["counts"]["points"]
+        for s in spans
+        if s["name"] == "dynamics.step" and s["parent"] in under_rates
     )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["rc"] == 0
-    assert result["steps"] == [150] * sum(n - 1 for n in cfg["n_grid"])
+    edges = np.linspace(0, 150, 17).astype(int)
+    assert steps == [edges[8] - edges[0]] * 63 + [edges[16] - edges[8]] * 63
+
+
+def test_perfbench_tracer_reaches_every_patched_name(traced_runs):
+    """Every name `spans.install` patches is still the one src calls: a
+    rename in src would leave a patched name unreached and a layer at 0."""
+    spans, rates = traced_runs
+    names = {s["name"] for s in spans}
+    assert names == {
+        "dynamics.step", "dynamics.observable", "stats.sums", "stats.normalize",
+        "stats.distance", "stats.fit", "stein.solution_init", "stein.evaluate",
+        "stein.residual", "stein.bound_check", "sunklodas.decompose", "harness.run",
+    }
+    # the shard pool is harness.ThreadPoolExecutor: its two workers' sums
+    # run under the rates call's span, not as roots of their own
+    by_id = {s["id"]: s for s in spans}
+    rates_sums = [s for s in spans if s["name"] == "stats.sums" and s["parent"] == rates]
+    assert len(rates_sums) == 2
+    assert by_id[rates]["thread"] not in {s["thread"] for s in rates_sums}

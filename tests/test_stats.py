@@ -265,7 +265,8 @@ def test_build_ensemble_options_and_validation():
 def test_birkhoff_sums_match_ensemble():
     f = OBSERVABLES["identity"]()
     seq = _doubling_seq()
-    sums = birkhoff_raw_sums(seq, f, 6, 500, seed=10)
+    x0 = np.random.default_rng(10).random(500)
+    sums = birkhoff_raw_sums(seq, f, [6], x0, np.empty((1, 500, 1)))[0]
     custom = NormalizationMatrix(np.eye(1), np.eye(1), "custom", 1.0)
     ens = build_ensemble(seq, f, 6, 500, seed=10).with_normalization(custom.b)
     np.testing.assert_allclose(
