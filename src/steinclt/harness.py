@@ -399,7 +399,7 @@ def _sharded_sums(
     thread count, cannot change a bit of the result.  Adds the pass's
     point-steps, threads and shards to `stage`.
     """
-    width = max(1, min(_SHARDS, threads or len(os.sched_getaffinity(0))))
+    width = min(_SHARDS, threads or len(os.sched_getaffinity(0)))
     children = np.random.SeedSequence(root).spawn(_SHARDS)
     edges = np.linspace(0, samples, _SHARDS + 1).astype(int)
     x0 = np.concatenate([
@@ -448,10 +448,13 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
 
     A random or sequential system reads every N off one orbit pass to max N;
     a quasistatic one, whose maps depend on the horizon, takes a pass per N.
-    The outputs do not depend on `threads` (see `_sharded_sums`).  Raises
-    DegenerateCovariance naming the offending N when self-norming fails;
-    emits rates.csv, plot_rates.txt, rate_fit.csv, and manifest.json.
+    The outputs do not depend on `threads` (see `_sharded_sums`); a count
+    below 1 is a ConfigError.  Raises DegenerateCovariance naming the
+    offending N when self-norming fails; emits rates.csv, plot_rates.txt,
+    rate_fit.csv, and manifest.json.
     """
+    if threads is not None and threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg, manifest = _start(cfg, out_dir, "rates")
     grid = _rate_grid(cfg, "rates")
     _check_horizon(cfg, grid[-1] - 1)
@@ -615,7 +618,8 @@ def run_stein_check(dim: int, seed: int = 0, sigma_count: int = 5, out_dir=None)
 
     Closed-form cases (affine, quadratic) must pass at 1e-10; the smooth
     bump-type functions at 1e-4 (quadrature-limited).  Every row evaluates
-    its solution on tensor grids, so each takes the per-axis path.  With
+    its solution on tensor grids, so each contracts its factor tables by
+    outer products across axes.  With
     `out_dir`, writes stein_check_d{dim}.csv and a manifest.json whose config
     hash covers the arguments; its `stages` give, for the residual and the
     bound sweep, the seconds, the number of rows and the certificate of the

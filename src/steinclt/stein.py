@@ -18,17 +18,22 @@ scale times one 1-D factor per axis.  The closed-form cases are such sums
 too, built from the power factors u^0, u^1, u^2.
 
 `SteinSolution.evaluate` takes either an array of points or a `TensorGrid`
-(every combination of one coordinate per axis), and the input type alone
-picks the path.  On a tensor grid the quadrature argument on axis a,
-u_j x_a + sqrt(1-u_j^2) z_{i,a}, depends only on (j, i, x_a), so each partial
-of A is a sum over terms of one contraction of per-axis factor tables of
-size J*I*G_a instead of J*I*G^d point evaluations.  The tables hold the same
-bits as the point path; only the order of the sums differs, so the grid path
-agrees with it to a few units in the last place (tests/test_stein.py checks
-1e-13 of each field's largest entry).  A plain array runs the point path.
+(every combination of one coordinate per axis), and both take one path.  The
+quadrature argument on axis a, u_j x_a + sqrt(1-u_j^2) z_{i,a}, depends only
+on (j, i, x_a), so each partial of A is a sum over terms of one contraction
+over the GH nodes i of per-axis factor tables T_a[j, i, g], built at the
+input's coordinates on axis a: the grid's axis, or the points' a-th column.
+The input type picks only the contraction.  A grid takes outer products
+across axes, from tables of size J*I*G_a instead of J*I*G^d point
+evaluations; a point set, the diagonal of the grid of its coordinate columns,
+takes the elementwise product across axes, in chunks of a fixed number of
+table values.  Both multiply the same table bits in a different order, so a
+grid agrees with its `points()` to a few units in the last place
+(tests/test_stein.py checks 1e-13 of each field's largest entry).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, permutations
@@ -208,9 +213,9 @@ def _counts(dim: int, idx: tuple[int, ...]) -> list[int]:
 
 
 def _product(scale: float, tables) -> np.ndarray:
-    out = np.full(np.shape(tables[0]), scale)
-    for t in tables:
-        out = out * t
+    out = scale * tables[0]
+    for t in tables[1:]:
+        out *= t
     return out
 
 
@@ -440,8 +445,10 @@ class TensorGrid:
         return self + np.negative(shift)
 
 
-def _points(w) -> np.ndarray:
-    return w.points() if isinstance(w, TensorGrid) else np.asarray(w, dtype=float)
+# Values per factor table (u-nodes x GH nodes x points) in one chunk of the
+# point input to `SteinSolution.evaluate`.  It bounds the memory of a call:
+# each distinct (axis, factor) holds up to three tables of this size at once.
+_CHUNK_VALUES = 1_000_000
 
 
 class SteinSolution:
@@ -449,8 +456,9 @@ class SteinSolution:
 
     Fixed Gauss-Hermite nodes (order `gh_order` per axis) handle the Gaussian
     expectation and fixed Gauss-Legendre nodes (`u_order`, interior to (0,1))
-    the outer integral; `evaluate` returns A, grad A and D^2 A from a single
-    pass over the shared point set.
+    the outer integral; `evaluate` returns A, grad A and D^2 A from one set of
+    per-axis factor tables, contracted over a grid or over a point set as the
+    input type picks (module docstring).
     """
 
     def __init__(self, h: SeparableTestFunction, sigma, gh_order: int = 20, u_order: int = 32):
@@ -472,82 +480,72 @@ class SteinSolution:
         self._unodes, self._uweights = gauss_legendre_01(u_order)
         self.phi_h = float(self._zweights @ np.asarray(h.value(self._znodes)))
 
-    def _point_block(self, w_chunk: np.ndarray) -> np.ndarray:
-        u = self._unodes[None, :, None, None]
-        c = np.sqrt(1.0 - self._unodes**2)[None, :, None, None]
-        return u * w_chunk[:, None, None, :] + c * self._znodes[None, None, :, :]
-
     def evaluate(
         self, w, need: tuple[str, ...] = ("value", "gradient", "hessian")
     ) -> dict[str, np.ndarray]:
         """Evaluate the requested fields at points w of shape (..., d) or on a
         TensorGrid (fields then have shape (points,) + (d,) * order)."""
         if isinstance(w, TensorGrid):
-            return self._grid_fields(w, need)
-        w = _points(w)
-        single = w.ndim == 1
-        pts = w[None, :] if single else w.reshape(-1, w.shape[-1])
-        b = pts.shape[0]
-        d = self.dimension
-        out = {name: np.empty((b,) + (d,) * k) for k, name in enumerate(_FIELDS) if name in need}
-        j = self._unodes.size
-        i = self._znodes.shape[0]
-        # ~8M values per chunk: the point block has d per node, the Hessian d*d
-        width = d * d if "hessian" in need else d
-        chunk = max(1, int(8_000_000 / max(1, j * i * width)))
-        uw = self._uweights
-        un = self._unodes
-        zw = self._zweights
-        for lo in range(0, b, chunk):
-            hi = min(b, lo + chunk)
-            p = self._point_block(pts[lo:hi])
-            fl = self.h.fields(p, need)
-            if "value" in need:
-                psi = np.einsum("i,bji->bj", zw, fl["value"])
-                out["value"][lo:hi] = -((psi - self.phi_h) / un) @ uw
-            if "gradient" in need:
-                out["gradient"][lo:hi] = -np.einsum("j,i,bjid->bd", uw, zw, fl["gradient"])
-            if "hessian" in need:
-                out["hessian"][lo:hi] = -np.einsum("j,i,bjide->bde", uw * un, zw, fl["hessian"])
-        if single:
-            out = {k: v[0] for k, v in out.items()}
-        else:
-            shape = w.shape[:-1]
-            out = {k: v.reshape(shape + v.shape[1:]) for k, v in out.items()}
-        return out
+            out = self._empty(w.shape[0], need)
+            self._fill(w.axes, self._contract, out)
+            return out
+        w = np.asarray(w, dtype=float)
+        pts = w.reshape(-1, w.shape[-1])
+        out = self._empty(pts.shape[0], need)
+        chunk = max(1, _CHUNK_VALUES // (self._unodes.size * self._znodes.shape[0]))
+        for lo in range(0, pts.shape[0], chunk):
+            rows = slice(lo, lo + chunk)
+            self._fill(pts[rows].T, self._diagonal, {k: v[rows] for k, v in out.items()})
+        # [()] turns the value at a single point into a scalar
+        return {k: v.reshape(w.shape[:-1] + v.shape[1:])[()] for k, v in out.items()}
 
-    def _grid_fields(self, grid: TensorGrid, need) -> dict[str, np.ndarray]:
-        """Per-axis path: tables T_a[j, i, g] of each factor derivative at
-        u_j x_{a,g} + c_j z_{i,a}, one per distinct (axis, factor), contracted
-        term by term over the GH nodes i into psi[j, g_0, ..., g_{d-1}],
+    def _empty(self, count: int, need) -> dict[str, np.ndarray]:
+        return {
+            name: np.empty((count,) + (self.dimension,) * k)
+            for k, name in enumerate(_FIELDS)
+            if name in need
+        }
+
+    def _fill(self, cols, contract, out: dict[str, np.ndarray]) -> None:
+        """Write each field of `out` at the points whose axis-a coordinates
+        are cols[a]: tables T_a[j, i, g] of each factor derivative at
+        u_j cols[a][g] + c_j z_{i,a}, one per distinct (axis, factor),
+        contracted term by term over the GH nodes i into psi[j, point],
         summed over the terms, then weighted over the u-nodes j."""
         d = self.dimension
-        orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
         un, uw = self._unodes, self._uweights
         u = un[:, None, None]
         c = np.sqrt(1.0 - un**2)[:, None, None]
-        args = [u * x + c * self._znodes[None, :, a, None] for a, x in enumerate(grid.axes)]
-        tabs = self.h._tables(args, max(orders.values(), default=0))
+        args = [u * x + c * self._znodes[None, :, a, None] for a, x in enumerate(cols)]
+        tabs = self.h._tables(args, max((_FIELDS.index(name) for name in out), default=0))
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
-        out = {}
-        for name, k in orders.items():
-            field = np.empty(grid.shape[:1] + (d,) * k)
+        for name, field in out.items():
+            k = _FIELDS.index(name)
+            zero = np.zeros((un.size, field.shape[0]))
             for idx in index_tuples(d, k):
-                psi = self.h._sum_terms(tabs, idx, self._contract, np.zeros((un.size, grid.shape[0])))
+                psi = self.h._sum_terms(tabs, idx, contract, zero)
                 if k == 0:
                     psi = psi - self.phi_h
                 _fill_partial(field, idx, -(u_weights[k] @ psi))
-            out[name] = field
-        return out
 
     def _contract(self, scale: float, tables) -> np.ndarray:
-        """psi[j, g_0 ... g_{d-1}] of one term: outer products along the first
-        d-1 axes, then one matmul over i per u-node against the last table."""
+        """psi[j, g_0 ... g_{d-1}] of one term on a grid: outer products along
+        the first d-1 axes, then one matmul over i per u-node against the last
+        table."""
         j, i, _ = tables[0].shape
         acc = np.broadcast_to((scale * self._zweights)[:, None], (j, i, 1))
         for t in tables[:-1]:
             acc = (acc[..., None] * t[:, :, None, :]).reshape(j, i, -1)
         return (acc.transpose(0, 2, 1) @ tables[-1]).reshape(j, -1)
+
+    def _diagonal(self, scale: float, tables) -> np.ndarray:
+        """psi[j, b] of one term at a point set, the diagonal of the grid of
+        its coordinate columns: the elementwise product across axes, then the
+        GH weights over i.  einsum, not `zweights @`: BLAS rounds some columns
+        differently, so tables that do not vary over the points (a
+        quadratic's Hessian) would give unequal values, and the ledger terms
+        that vanish for such a function would read 1e-19 instead of 0.0."""
+        return np.einsum("i,jib->jb", self._zweights, _product(scale, tables))
 
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]
@@ -563,7 +561,7 @@ def stein_residual(sol: SteinSolution, w) -> np.ndarray:
     """|tr(Sigma D^2 A) - w . grad A - h(w) + E h(Z)| at the given points
     (an array or a TensorGrid)."""
     ev = sol.evaluate(w, ("gradient", "hessian"))
-    w = _points(w)
+    w = w.points() if isinstance(w, TensorGrid) else np.asarray(w, dtype=float)
     lhs = np.einsum("ab,...ba->...", sol.sigma, ev["hessian"]) - np.einsum(
         "...a,...a->...", w, ev["gradient"]
     )
@@ -738,19 +736,6 @@ class MollifierSmoother:
         self.epsilon = float(epsilon)
         self.order = order
         self.c = mollifier_normalization(dim)
-        self._pair_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def _nodes(self) -> np.ndarray:
-        if self._pair_cache is None:
-            self._pair_cache = self._kernel_nodes(self.dim, self.order)
-        return self._pair_cache[0]
-
-    @property
-    def _weights(self) -> np.ndarray:
-        if self._pair_cache is None:
-            self._pair_cache = self._kernel_nodes(self.dim, self.order)
-        return self._pair_cache[1]
 
     def eta(self, x) -> np.ndarray:
         """Single-block kernel value; x has shape (..., dim)."""
@@ -761,8 +746,10 @@ class MollifierSmoother:
         safe = np.maximum(1.0 - r2, 1e-150)
         return np.where(r2 < 1.0, self.c * np.exp(-1.0 / safe**2), 0.0)
 
-    def _kernel_nodes(self, dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-        pts, ww = tensor_rule(*np.polynomial.legendre.leggauss(order), dim)
+    @functools.cached_property
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, weights) of the paired kernel, built on first use."""
+        pts, ww = tensor_rule(*np.polynomial.legendre.leggauss(self.order), self.dim)
         r2 = np.sum(pts * pts, axis=-1)
         dens = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-150) ** 2), 0.0)
         block_w = ww * self.c * dens
@@ -795,8 +782,7 @@ class MollifierSmoother:
 
     def smooth(self, g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         """Return x -> integral of g(x - eps y) j(y) dy; g must broadcast over rows."""
-        nodes = self._nodes
-        weights = self._weights
+        nodes, weights = self._kernel
 
         def smoothed(x):
             x = np.asarray(x, dtype=float)

@@ -140,26 +140,27 @@ class EnsembleMatrix:
         return self._mean_over_samples(np.einsum("sa,sb->sab", w, w))
 
 
-def _window(cum: np.ndarray, n: int, m: int) -> np.ndarray:
-    """sum over |i-n| <= m of rows, from a cumulative sum along axis -2."""
-    last = cum.shape[-2] - 1
-    hi = min(n + m, last)
-    lo = n - m - 1
-    out = cum[..., hi, :].copy()
-    if lo >= 0:
-        out -= cum[..., lo, :]
-    return out
+def _punctured(y: np.ndarray, n, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, W^{n,m}, Y^{n,m}) for rows y of shape (..., N, d) and broadcastable
+    index arrays 0 <= n < N, -1 <= m < N; the last two gain the broadcast
+    shape of (n, m) before the component axis.
 
-
-def _ring(rows: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Y^{n,m}: sum over |i-n| = m of rows along axis -2."""
-    if m == 0:
-        return rows[..., n, :].copy()
-    out = np.zeros(rows.shape[:-2] + rows.shape[-1:])
-    for i in (n - m, n + m):
-        if 0 <= i < rows.shape[-2]:
-            out += rows[..., i, :]
-    return out
+    Both are gathers from the rows behind one zero row.  The window
+    |i-n| <= m is a difference of their cumulative sums, empty for m = -1.
+    The ring adds rows n-m and n+m; a side outside 0..N-1 reads the zero
+    row, as does the right side for m = 0 and both sides for m = -1.
+    """
+    big_n = y.shape[-2]
+    pad = np.concatenate([np.zeros_like(y[..., :1, :]), y], axis=-2)
+    cum = np.cumsum(pad, axis=-2)
+    w = y.sum(axis=-2)
+    hi = np.minimum(n + m + 1, big_n)
+    lo = np.minimum(np.maximum(n - m, 0), hi)
+    window = cum[..., hi, :] - cum[..., lo, :]
+    wnm = np.expand_dims(w, tuple(range(-1 - np.ndim(hi), -1))) - window
+    left = np.where((m >= 0) & (n - m >= 0), n - m + 1, 0)
+    right = np.where((m > 0) & (n + m < big_n), n + m + 1, 0)
+    return w, wnm, pad[..., left, :] + pad[..., right, :]
 
 
 def punctured_sums(y_rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,24 +169,12 @@ def punctured_sums(y_rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.n
     m = -1 returns (W, W, 0); m = N-1 always gives W^{n,m} = 0.
     """
     y = np.asarray(y_rows, dtype=float)
-    single = y.ndim == 2
-    if single:
-        y = y[None]
-    big_n = y.shape[1]
+    big_n = y.shape[-2]
     if not (0 <= n < big_n):
         raise IndexError("time index n outside 0..N-1")
     if not (-1 <= m <= big_n - 1):
         raise IndexError("puncture radius m outside -1..N-1")
-    w = y.sum(axis=1)
-    if m == -1:
-        wnm = w.copy()
-        ynm = np.zeros_like(w)
-    else:
-        wnm = w - _window(np.cumsum(y, axis=1), n, m)
-        ynm = _ring(y, n, m)
-    if single:
-        return w[0], wnm[0], ynm[0]
-    return w, wnm, ynm
+    return _punctured(y, n, m)
 
 
 def delta_matrix(solution, y_row: np.ndarray, n: int, k: int, u: float = 1.0) -> np.ndarray:
@@ -258,7 +247,6 @@ def decompose(
     """
     s_count, big_n, d = ens.samples, ens.times, ens.dimension
     y = ens.y_values()
-    w = y.sum(axis=1)
     weights = ens.weights
     sigma_emp = ens.w_covariance()
     eigs = np.linalg.eigvalsh(0.5 * (sigma_emp + sigma_emp.T))
@@ -280,17 +268,14 @@ def decompose(
     if s_count * big_n * (big_n + 1) * d * d > memory_budget:
         raise ValueError("N^2 * S * d^2 exceeds the memory budget; reduce S or N")
 
-    cum = np.cumsum(y, axis=1)
-    # punctured sums W^{n,m} for m = -1..N-1 (storage index m+1), rings Y^{n,m}
-    wnk = np.empty((s_count, big_n, big_n + 1, d))
-    wnk[:, :, 0, :] = w[:, None, :]
-    rings = np.empty((s_count, big_n, big_n, d))
-    for n in range(big_n):
-        for m in range(big_n):
-            wnk[:, n, m + 1, :] = w - _window(cum, n, m)
-            rings[:, n, m, :] = _ring(y, n, m)
-    grad = np.asarray(solution.gradient(wnk.reshape(-1, d))).reshape(wnk.shape)
-    hess = np.asarray(solution.hessian(wnk.reshape(-1, d))).reshape(wnk.shape + (d,))
+    # W^{n,m} for m = -1..N-1 at storage index m+1, and the rings Y^{n,m}
+    # for m = 0..N-1, copied contiguous: einsum sums a strided view in
+    # another order, which moves the last bits of E3, E4 and E6
+    w, wnk, ynk = _punctured(y, np.arange(big_n)[:, None], np.arange(-1, big_n))
+    rings = np.ascontiguousarray(ynk[:, :, 1:])
+    points = wnk.reshape(-1, d)
+    grad = np.asarray(solution.gradient(points)).reshape(wnk.shape)
+    hess = np.asarray(solution.hessian(points)).reshape(wnk.shape + (d,))
     hess_mean = ens._mean_over_samples(hess)
     hess_c = hess - hess_mean
 

@@ -394,6 +394,26 @@ def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
             assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out, name)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, threads):
+    calls = []
+    real = harness._sharded_sums
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_sharded_sums", counting)
+    cfg_path = tmp_path / "rates.json"
+    cfg_path.write_text(json.dumps(_random_cfg()))
+    rc = cli.main(
+        ["rates", "--config", str(cfg_path), "--threads", threads, "--out", str(tmp_path / "r")]
+    )
+    assert rc == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_smooth_metric_rates_raise_no_floor_warning(tmp_path, capsys):
     cfg = _random_cfg(observable="poly_pair", metric="smooth-metric", samples=1000,
                       n_grid=[16, 32, 64, 128])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steinclt.stein import (
+    _CHUNK_VALUES,
     GaussFactor,
     LipschitzFunction,
     MollifierSmoother,
@@ -290,7 +291,13 @@ def test_grid_path_matches_point_path(dim):
     builtins = builtin_test_functions(dim)
     assert len(builtins) == 6
     extra = [_mixed_separable()] if dim == 3 else []
-    for h in builtins + smooth_metric_family(dim) + extra:
+    cases = [(grid, h) for h in builtins + smooth_metric_family(dim) + extra]
+    if dim == 3:
+        # its points() span several chunks of the point input (gh 6, u 7)
+        seams = TensorGrid([np.linspace(-3.0, 3.0, 16), np.linspace(-2.5, 2.0, 12), np.linspace(-2.0, 2.5, 10)])
+        assert seams.shape[0] > 2 * (_CHUNK_VALUES // (7 * 6**3))
+        cases += [(seams, h) for h in builtins + extra]
+    for grid, h in cases:
         sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=6, u_order=7)
         fast = sol.evaluate(grid)
         slow = sol.evaluate(grid.points())

@@ -80,6 +80,24 @@ def test_punctured_sums_stacked_and_errors():
         punctured_sums(stack, 0, 4)
 
 
+@pytest.mark.parametrize("big_n", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 3])
+def test_punctured_sums_match_their_definition(big_n, d):
+    rng = np.random.default_rng(10 * big_n + d)
+    stack = rng.normal(size=(3, big_n, d))
+    for n in range(big_n):
+        for m in range(-1, big_n):
+            got = punctured_sums(stack, n, m)
+            for s, y in enumerate(stack):
+                w = sum((y[i] for i in range(big_n)), np.zeros(d))
+                window = sum((y[i] for i in range(big_n) if abs(i - n) <= m), np.zeros(d))
+                ring = sum((y[i] for i in range(big_n) if abs(i - n) == m), np.zeros(d))
+                for stacked, single, want in zip(got, punctured_sums(y, n, m), (w, w - window, ring)):
+                    assert stacked.shape == (3, d) and single.shape == (d,)
+                    np.testing.assert_allclose(stacked[s], want, rtol=0, atol=1e-14)
+                    np.testing.assert_allclose(single, want, rtol=0, atol=1e-14)
+
+
 def test_hessian_telescoping_over_puncture_radius():
     h = _tanh_pair()
     rng = np.random.default_rng(2)
