@@ -65,18 +65,22 @@ def _on_copy(kernel, x, param):
 def _lsv(x: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
     """x (1 + (2x)^alpha) on [0, 1/2), 2x - 1 on [1/2, 1], written into out.
 
-    out may be x itself: the branch mask and the left branch are computed
-    before out is written.  The operations and their order are those of
-    np.where(x < 0.5, x * (1 + (2x)**alpha), 2x - 1), so the bits agree.
+    out may be x itself: the mask and the left branch t are computed first.
+    Each branch takes the operations of np.where(x < 0.5, x * (1 + (2x)**alpha),
+    2x - 1) in order.  Zeroing t off the mask and taking the maximum picks
+    the branch with no data-dependent jump (a masked copy mispredicts), and
+    for x, alpha in [0, 1] it is exact: for x < 1/2, t >= 0 > 2x - 1; for
+    x > 1/2, t * False = +0.0 < 2x - 1; at x = 1/2 both are +0.0.
     """
     left = x < 0.5
     t = 2.0 * x
     t **= alpha
     t += 1.0
     t *= x
+    t *= left
     np.multiply(x, 2.0, out=out)
     out -= 1.0
-    np.copyto(out, t, where=left)
+    np.maximum(out, t, out=out)
     return out
 
 

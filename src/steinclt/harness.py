@@ -211,12 +211,15 @@ def validate_config(cfg: dict) -> dict:
 
 
 def load_config(path) -> dict:
+    """Read and schema-check a config document and return it as written:
+    each runner fills the defaults, and `quenched` rejects keys given."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return validate_config(raw)
+    validate_config(raw)
+    return raw
 
 
 def config_hash(cfg: dict) -> str:
@@ -549,14 +552,20 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     _check_horizon(cfg, n_terms - 1)
     seq = build_system(cfg)
     seed = manifest.seed(cfg["seed"], "decompose-ensemble")
-    ens = build_ensemble(seq, f, n_terms, cfg["samples"], seed)
+    samples = cfg["samples"]
+    with manifest.stage("ensemble") as stage:
+        ens = build_ensemble(seq, f, n_terms, samples, seed)
+        stage["point_steps"] = samples * (n_terms - 1)
     # The split is exact for any fixed C^2 function, so the solution backing
     # the ledger can use light quadrature; accuracy of A against the true
     # Stein solution is not what the residual measures.
-    sol = SteinSolution(
-        h, ens.w_covariance(), gh_order=_DECOMP_GH[f.dimension], u_order=8
-    )
-    ledger = decompose(ens, sol)
+    with manifest.stage("solution"):
+        sol = SteinSolution(
+            h, ens.w_covariance(), gh_order=_DECOMP_GH[f.dimension], u_order=8
+        )
+    with manifest.stage("ledger") as stage:
+        ledger = decompose(ens, sol)
+        stage["points"] = samples * n_terms * (n_terms + 1)
     tol = options.get("tolerance", 1e-9 + 4.0 * ledger.combined_stderr)
     passed = abs(ledger.residual) <= tol
     csv_path = manifest.out / "decomposition.csv"
@@ -687,7 +696,12 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
 
     Sigma comes from the truncated annealed covariance series; aborts when
     it is not positive definite (no variance growth, no limit theorem).
+    The normalization and metric are fixed, so a config that sets
+    `normalization` or `metric` is a ConfigError.
     """
+    for key in ("normalization", "metric"):
+        if key in cfg:
+            raise ConfigError(f"quenched runs do not read {key!r}; remove it from the config")
     cfg, manifest = _start(cfg, out_dir, "quenched")
     if cfg["system"]["kind"] != "random":
         raise ConfigError("quenched runs need a random system")
@@ -803,7 +817,9 @@ def simulate(cfg: dict, out_dir, steps: int = 64, orbit_count: int = 8) -> Path:
     seq = build_system(cfg)
     rng = np.random.default_rng(manifest.seed(cfg["seed"], "simulate"))
     x0 = rng.random(orbit_count)
-    points = trajectory(seq, x0, steps)
+    with manifest.stage("orbits") as stage:
+        points = trajectory(seq, x0, steps)
+        stage["point_steps"] = orbit_count * steps
     csv_path = manifest.write_rows(
         "orbits.csv",
         ("config", "orbit", "step", "x"),

@@ -229,7 +229,7 @@ class SeparableTestFunction:
     0).  `_tensor` is the
     one place that builds such sums: it fills the symmetric tensor of every
     partial of one order from per-axis factor tables, one table per distinct
-    (axis, factor), and value, gradient, hessian and fields all read off it.
+    (axis, factor), and value, gradient, hessian and evaluate all read off it.
 
     `partial_sup(t)` returns a bound on sup_w |d^t h(w)| for a coordinate
     tuple t (e.g. (0, 1) for d^2/dw_0 dw_1) of order up to three: the sum of
@@ -280,15 +280,15 @@ class SeparableTestFunction:
         return out
 
     def value(self, w):
-        return self.fields(w, ("value",))["value"]
+        return self.evaluate(w, ("value",))["value"]
 
     def gradient(self, w):
-        return self.fields(w, ("gradient",))["gradient"]
+        return self.evaluate(w, ("gradient",))["gradient"]
 
     def hessian(self, w):
-        return self.fields(w, ("hessian",))["hessian"]
+        return self.evaluate(w, ("hessian",))["hessian"]
 
-    def fields(self, w: np.ndarray, need: Sequence[str]) -> dict[str, np.ndarray]:
+    def evaluate(self, w: np.ndarray, need: Sequence[str]) -> dict[str, np.ndarray]:
         """Requested subset of value/gradient/hessian in one call."""
         w = np.asarray(w, dtype=float)
         orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
@@ -518,6 +518,7 @@ class SteinSolution:
         c = np.sqrt(1.0 - un**2)[:, None, None]
         args = [u * x + c * self._znodes[None, :, a, None] for a, x in enumerate(cols)]
         tabs = self.h._tables(args, max((_FIELDS.index(name) for name in out), default=0))
+        del args  # free them before the contractions allocate
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
         for name, field in out.items():
             k = _FIELDS.index(name)

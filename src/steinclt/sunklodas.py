@@ -237,12 +237,13 @@ def decompose(
 ) -> DecompositionLedger:
     """Estimate E1..E7 and the direct LHS for the given C^2 function.
 
-    `solution` needs `gradient` and `hessian` evaluators accepting (..., d)
-    stacks; when it also carries a `sigma` attribute, that matrix must agree
-    with the empirical mu(W W^T) (the identity only holds for the
-    self-consistent Sigma).  Both evaluators run once over the S*N*(N+1)
-    punctured sums and the terms follow by telescoping (module docstring),
-    exact to roundoff when the Hessian is the derivative of the gradient.
+    `solution` needs an `evaluate(points, need)` method that returns the
+    "gradient" and "hessian" fields at a (..., d) stack; when it also carries
+    a `sigma` attribute, that matrix must agree with the empirical
+    mu(W W^T) (the identity only holds for the self-consistent Sigma).  One
+    call evaluates both fields over the S*N*(N+1) punctured sums and the
+    terms follow by telescoping (module docstring), exact to roundoff when
+    the Hessian is the derivative of the gradient.
     Means are exact when the ensemble carries weights.
     """
     s_count, big_n, d = ens.samples, ens.times, ens.dimension
@@ -274,8 +275,9 @@ def decompose(
     w, wnk, ynk = _punctured(y, np.arange(big_n)[:, None], np.arange(-1, big_n))
     rings = np.ascontiguousarray(ynk[:, :, 1:])
     points = wnk.reshape(-1, d)
-    grad = np.asarray(solution.gradient(points)).reshape(wnk.shape)
-    hess = np.asarray(solution.hessian(points)).reshape(wnk.shape + (d,))
+    fields = solution.evaluate(points, ("gradient", "hessian"))
+    grad = np.asarray(fields["gradient"]).reshape(wnk.shape)
+    hess = np.asarray(fields["hessian"]).reshape(wnk.shape + (d,))
     hess_mean = ens._mean_over_samples(hess)
     hess_c = hess - hess_mean
 

@@ -157,6 +157,29 @@ def test_in_place_step_is_bit_identical(fam, driver):
         assert np.all((got >= 0.0) & (got <= 1.0))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.22, 0.25, 1.0])
+def test_lsv_step_has_the_bytes_of_its_two_branch_definition(alpha):
+    fam = LsvFamily()
+
+    def reference(x):
+        return np.where(x < 0.5, x * (1 + (2 * x) ** alpha), 2 * x - 1)
+
+    def check(x):
+        want = reference(x).tobytes()
+        apart = fam.apply_param(alpha, x, np.empty_like(x))
+        state = x.copy()
+        assert fam.apply_param(alpha, state, state) is state
+        for got in (apart, state):
+            assert got.tobytes() == want
+            assert not np.signbit(got).any()
+        return state
+
+    x = np.random.default_rng(24).random(10_000)
+    for _ in range(100):
+        x = check(x)
+    check(_edge_points(2.0))
+
+
 def test_orbit_steps_one_state_array_and_leaves_x0_alone():
     seq = _random_lsv()
     x0 = np.random.default_rng(3).random(40)

@@ -531,6 +531,21 @@ def test_run_quenched_small(tmp_path):
         run_quenched(_qds_cfg(), tmp_path)
 
 
+@pytest.mark.parametrize("key, value", [("metric", "sliced-wasserstein"), ("normalization", "sqrt-n")])
+def test_quenched_config_setting_a_fixed_choice_is_a_config_error(key, value, tmp_path, capsys, monkeypatch):
+    calls = []
+    real = harness.sigma_series
+    monkeypatch.setattr(harness, "sigma_series", lambda *a, **k: calls.append(a) or real(*a, **k))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_random_cfg(**{key: value})))
+    out = tmp_path / "out"
+    rc = cli.main(["quenched", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert f"quenched runs do not read {key!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_simulate_writes_orbits(tmp_path):
     path = simulate(validate_config(_qds_cfg()), tmp_path, steps=16, orbit_count=3)
     lines = path.read_text().strip().splitlines()
@@ -628,6 +643,7 @@ def test_every_runner_lists_checksums_and_writes_plain_numbers(command, tmp_path
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
+    assert manifest["stages"] and all(manifest["stages"].values())
     # the listed outputs and the manifest, and nothing else: no subdirectory
     assert {p.name for p in out.iterdir()} == set(manifest["outputs"]) | {"manifest.json"}
     assert all(p.is_file() for p in out.iterdir())

@@ -77,18 +77,18 @@ def test_separable_fields_fusion_matches_single_calls():
     h = _mixed_separable()
     rng = np.random.default_rng(3)
     w = rng.normal(size=(25, 3))
-    fused = h.fields(w, ("value", "gradient", "hessian"))
+    fused = h.evaluate(w, ("value", "gradient", "hessian"))
     np.testing.assert_array_equal(fused["value"], h.value(w))
     np.testing.assert_array_equal(fused["gradient"], h.gradient(w))
     np.testing.assert_array_equal(fused["hessian"], h.hessian(w))
-    only_grad = h.fields(w, ("gradient",))
+    only_grad = h.evaluate(w, ("gradient",))
     assert set(only_grad) == {"gradient"}
 
 
 def test_base_fields_dispatch():
     h = affine_function((0.4, 0.1))
     w = np.zeros((4, 2))
-    fused = h.fields(w, ("value", "hessian"))
+    fused = h.evaluate(w, ("value", "hessian"))
     np.testing.assert_array_equal(fused["value"], h.value(w))
     np.testing.assert_array_equal(fused["hessian"], h.hessian(w))
 
