@@ -166,6 +166,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: `jsonschema.validate` checks the schema itself on every call.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 _DEFAULTS = {
     "metric": "wasserstein1",
     "normalization": "self-norming",
@@ -173,12 +176,16 @@ _DEFAULTS = {
 }
 
 
+def _check_schema(cfg: dict) -> None:
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config rejected by schema: {error.message}") from error
+
+
 def validate_config(cfg: dict) -> dict:
-    """Schema-check a config document and fill defaults (returns a copy)."""
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+    """Schema-check a config document, check what the schema cannot express
+    and fill defaults (returns a copy)."""
+    _check_schema(cfg)
     out = json.loads(json.dumps(cfg))
     for key, val in _DEFAULTS.items():
         out.setdefault(key, val)
@@ -212,13 +219,14 @@ def validate_config(cfg: dict) -> dict:
 
 def load_config(path) -> dict:
     """Read and schema-check a config document and return it as written:
-    each runner fills the defaults, and `quenched` rejects keys given."""
+    each runner's `validate_config` fills the defaults and makes the other
+    checks, and `quenched` rejects keys given."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    validate_config(raw)
+    _check_schema(raw)
     return raw
 
 
@@ -717,7 +725,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     def make_seq(seed: int):
         return build_system(cfg, driver_seed=seed)
 
-    with manifest.stage("series"):
+    with manifest.stage("series") as stage:
         series = sigma_series(
             make_seq,
             f,
@@ -726,6 +734,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
             runs=series_runs,
             seed=stage_seed(base_seed, "sigma-series"),
         )
+        stage["point_steps"] = series.point_steps
     sigma = np.asarray(series.matrix)
     eigs = np.linalg.eigvalsh(sigma)
     if float(eigs.min()) <= 1e-10:

@@ -347,6 +347,7 @@ class SigmaSeriesReport:
     k_max: int
     runs: int
     samples: int
+    point_steps: int  # runs * samples * (burn_in + window + k_max)
 
 
 def sigma_series(
@@ -391,7 +392,7 @@ def sigma_series(
         terms.append(term)
         total += term
     tail = spectral_norm(terms[-1]) if terms else 0.0
-    return SigmaSeriesReport(total, tuple(terms), tail, k_max, runs, samples)
+    return SigmaSeriesReport(total, tuple(terms), tail, k_max, runs, samples, runs * samples * (n_slots - 1))
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,14 @@ too, built from the power factors u^0, u^1, u^2.
 `SteinSolution.evaluate` takes either an array of points or a `TensorGrid`
 (every combination of one coordinate per axis), and both take one path.  The
 quadrature argument on axis a, u_j x_a + sqrt(1-u_j^2) z_{i,a}, depends only
-on (j, i, x_a), so each partial of A is a sum over terms of one contraction
-over the GH nodes i of per-axis factor tables T_a[j, i, g], built at the
-input's coordinates on axis a: the grid's axis, or the points' a-th column.
-The input type picks only the contraction.  A grid takes outer products
-across axes, from tables of size J*I*G_a instead of J*I*G^d point
-evaluations; a point set, the diagonal of the grid of its coordinate columns,
-takes the elementwise product across axes, in chunks of a fixed number of
-table values.  Both multiply the same table bits in a different order, so a
+on (j, x_a, i), so each partial of A is a sum over terms of one contraction
+over the GH nodes i of per-axis factor tables T_a[j, g, i], built at the
+input's coordinates g on axis a: the grid's axis, or the points' a-th column.
+The GH axis, the long one, is last so that loops over it run contiguous.  The
+input type picks only the contraction.  A grid takes outer products across
+axes, from tables of size J*G_a*I instead of J*G^d*I point evaluations; a
+point set, the diagonal of the grid of its coordinate columns, takes the
+elementwise product across axes, in chunks of a fixed number of table values.  Both multiply the same table bits in a different order, so a
 grid agrees with its `points()` to a few units in the last place
 (tests/test_stein.py checks 1e-13 of each field's largest entry).
 """
@@ -445,7 +445,7 @@ class TensorGrid:
         return self + np.negative(shift)
 
 
-# Values per factor table (u-nodes x GH nodes x points) in one chunk of the
+# Values per factor table (u-nodes x points x GH nodes) in one chunk of the
 # point input to `SteinSolution.evaluate`.  It bounds the memory of a call:
 # each distinct (axis, factor) holds up to three tables of this size at once.
 _CHUNK_VALUES = 1_000_000
@@ -508,15 +508,18 @@ class SteinSolution:
 
     def _fill(self, cols, contract, out: dict[str, np.ndarray]) -> None:
         """Write each field of `out` at the points whose axis-a coordinates
-        are cols[a]: tables T_a[j, i, g] of each factor derivative at
+        are cols[a]: tables T_a[j, g, i] of each factor derivative at
         u_j cols[a][g] + c_j z_{i,a}, one per distinct (axis, factor),
         contracted term by term over the GH nodes i into psi[j, point],
-        summed over the terms, then weighted over the u-nodes j."""
+        summed over the terms, then weighted over the u-nodes j row by row,
+        not by a BLAS `@`, which rounds some columns differently: a psi equal
+        at every point (a quadratic's Hessian) must give equal values, or
+        the ledger terms that vanish for such a function do not read 0.0."""
         d = self.dimension
         un, uw = self._unodes, self._uweights
         u = un[:, None, None]
         c = np.sqrt(1.0 - un**2)[:, None, None]
-        args = [u * x + c * self._znodes[None, :, a, None] for a, x in enumerate(cols)]
+        args = [u * x[:, None] + c * self._znodes[None, None, :, a] for a, x in enumerate(cols)]
         tabs = self.h._tables(args, max((_FIELDS.index(name) for name in out), default=0))
         del args  # free them before the contractions allocate
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
@@ -527,26 +530,24 @@ class SteinSolution:
                 psi = self.h._sum_terms(tabs, idx, contract, zero)
                 if k == 0:
                     psi = psi - self.phi_h
-                _fill_partial(field, idx, -(u_weights[k] @ psi))
+                _fill_partial(field, idx, -(u_weights[k][:, None] * psi).sum(axis=0))
 
     def _contract(self, scale: float, tables) -> np.ndarray:
         """psi[j, g_0 ... g_{d-1}] of one term on a grid: outer products along
-        the first d-1 axes, then one matmul over i per u-node against the last
-        table."""
-        j, i, _ = tables[0].shape
-        acc = np.broadcast_to((scale * self._zweights)[:, None], (j, i, 1))
+        the first d-1 axes with i innermost, acc[j, (g_0 ... g_a), i], then
+        one matmul over i per u-node against the last table."""
+        j, _, i = tables[0].shape
+        acc = (scale * self._zweights)[None, None, :]
         for t in tables[:-1]:
-            acc = (acc[..., None] * t[:, :, None, :]).reshape(j, i, -1)
-        return (acc.transpose(0, 2, 1) @ tables[-1]).reshape(j, -1)
+            acc = (acc[:, :, None, :] * t[:, None, :, :]).reshape(j, -1, i)
+        return (acc @ tables[-1].transpose(0, 2, 1)).reshape(j, -1)
 
     def _diagonal(self, scale: float, tables) -> np.ndarray:
         """psi[j, b] of one term at a point set, the diagonal of the grid of
         its coordinate columns: the elementwise product across axes, then the
-        GH weights over i.  einsum, not `zweights @`: BLAS rounds some columns
-        differently, so tables that do not vary over the points (a
-        quadratic's Hessian) would give unequal values, and the ledger terms
-        that vanish for such a function would read 1e-19 instead of 0.0."""
-        return np.einsum("i,jib->jb", self._zweights, _product(scale, tables))
+        GH weights over the contiguous last axis i.  einsum, not `@ zweights`,
+        for the reason `_fill` gives."""
+        return np.einsum("i,jbi->jb", self._zweights, _product(scale, tables))
 
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]

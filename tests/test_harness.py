@@ -6,12 +6,14 @@ import json
 import os
 import warnings
 
+import jsonschema
 import numpy as np
 import pytest
 
 from steinclt import cli, harness
 from steinclt.dynamics import QuasistaticSequence, RandomSequence, SequentialSequence, trajectory
 from steinclt.harness import (
+    CONFIG_SCHEMA,
     ConfigError,
     build_observable,
     build_system,
@@ -128,6 +130,36 @@ def test_validate_config_rejections():
     for cfg in bad:
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+
+def test_config_schema_is_valid_and_keeps_the_validate_messages():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    for cfg in ({}, _random_cfg(samples=10), _random_cfg(extras=True), _random_cfg(observable="septic")):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == f"config rejected by schema: {want.value.message}"
+
+
+def test_cli_run_warns_about_beta_star_once(tmp_path):
+    cfg = _random_cfg(
+        system={
+            "kind": "random",
+            "family": "lsv",
+            "beta_star": 0.45,
+            "driver": {"kind": "iid-uniform", "low": 0.1, "high": 0.4},
+        }
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--steps", "4"])
+    assert rc == 0
+    assert [str(w.message) for w in caught if "beta_star" in str(w.message)] == [
+        "beta_star >= 2/5: the intermittent rate bound carries no information"
+    ]
 
 
 def test_beta_star_warning_is_lsv_specific():
@@ -527,6 +559,8 @@ def test_run_quenched_small(tmp_path):
     stages = json.loads(res.manifest_path.read_text())["stages"]
     assert set(stages) == {"series", "replica-0", "replica-1"}
     assert stages["replica-1"]["point_steps"] == 1500 * (512 - 1)
+    # sigma_series runs 64 burn-in and 16 window steps past which it reads k_max lags
+    assert stages["series"]["point_steps"] == 2 * 512 * (64 + 16 + 8)
     with pytest.raises(ConfigError):
         run_quenched(_qds_cfg(), tmp_path)
 

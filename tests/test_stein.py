@@ -297,6 +297,13 @@ def test_grid_path_matches_point_path(dim):
         seams = TensorGrid([np.linspace(-3.0, 3.0, 16), np.linspace(-2.5, 2.0, 12), np.linspace(-2.0, 2.5, 10)])
         assert seams.shape[0] > 2 * (_CHUNK_VALUES // (7 * 6**3))
         cases += [(seams, h) for h in builtins + extra]
+    # one-coordinate axes (G=1): a lone d=1 point, which takes no outer
+    # product, and d=3 grids with G=1 first and last, then in the middle
+    thin = {
+        1: [[[0.3]]],
+        3: [[[-0.4], [0.1, 1.2, -1.5], [0.7]], [[0.2, -1.1], [0.9], [-0.5, 0.4, 1.3]]],
+    }
+    cases += [(TensorGrid(axes), h) for axes in thin.get(dim, []) for h in builtins]
     for grid, h in cases:
         sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=6, u_order=7)
         fast = sol.evaluate(grid)

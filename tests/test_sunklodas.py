@@ -9,7 +9,13 @@ import pytest
 from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
-from steinclt.stein import TanhFactor, product_function, quadratic_function
+from steinclt.stein import (
+    SteinSolution,
+    TanhFactor,
+    builtin_test_functions,
+    product_function,
+    quadratic_function,
+)
 from steinclt.sunklodas import (
     EnsembleMatrix,
     decompose,
@@ -135,6 +141,21 @@ def test_identity_exact_for_quadratic():
             assert abs(val) < 1e-12, name
     assert abs(ledger.residual) < 1e-12
     assert not ledger.exact
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stein_solution_of_a_polynomial_leaves_e3_to_e7_exactly_zero(d):
+    # affine and quadratic h have a Hessian of A that is the same at every
+    # point (zero for affine), so every centred or differenced Hessian is 0.0
+    rng = np.random.default_rng(20 + d)
+    vals = rng.standard_normal((60, 5, d))
+    ens = EnsembleMatrix.from_raw(vals, np.eye(d), float(np.abs(vals).max()))
+    for h in builtin_test_functions(d)[:2]:
+        sol = SteinSolution(h, ens.w_covariance(), gh_order=6, u_order=8)
+        ledger = decompose(ens, sol)
+        for name in ("E3", "E4", "E5", "E6", "E7"):
+            assert ledger.terms[name] == (0.0, 0.0), (h.name, name)
+        assert abs(ledger.residual) < 1e-12, h.name
 
 
 def test_identity_exact_on_weighted_spaces():
