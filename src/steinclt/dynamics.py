@@ -55,13 +55,6 @@ def _like_input(x, out):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _on_copy(kernel, x, param):
-    """kernel(x, param, out) on a checked x into a new array (a float for a
-    scalar x)."""
-    arr = _as_unit_interval(x)
-    return _like_input(x, kernel(arr, param, np.empty_like(arr)))
-
-
 def _lsv(x: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
     """x (1 + (2x)^alpha) on [0, 1/2), 2x - 1 on [1/2, 1], written into out.
 
@@ -164,7 +157,8 @@ class LsvMap(IntervalMap):
             raise ValueError("alpha must lie in [0, 1]")
 
     def apply(self, x):
-        return _on_copy(_lsv, x, self.alpha)
+        arr = _as_unit_interval(x)
+        return _like_input(x, _lsv(arr, self.alpha, np.empty_like(arr)))
 
     def branches(self) -> list[Branch]:
         a = self.alpha
@@ -244,14 +238,12 @@ class MapFamily:
     def make(self, param: float) -> IntervalMap:
         raise NotImplementedError
 
-    def apply_param(self, param: float, x, out=None):
-        """The map with parameter `param` at x.
+    def apply_param(self, param: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The map with parameter `param` at x, written into out and returned.
 
-        Without `out`, x is checked against [0, 1] and the image comes back
-        as a new array (a float for a scalar x).  With `out` (passed
-        positionally by `orbit`), x is not checked and the image is written
-        into out, which may be x itself, and returned.  Both give the bits
-        of `make(param).apply(x)`.
+        x is not checked against [0, 1] and out may be x itself: this is
+        `orbit`'s in-place step, which passes `out` positionally.  It gives
+        the bits of `make(param).apply(x)`, the checked copy.
         """
         raise NotImplementedError
 
@@ -263,9 +255,7 @@ class LsvFamily(MapFamily):
     def make(self, param: float) -> LsvMap:
         return LsvMap(float(param))
 
-    def apply_param(self, param: float, x, out=None):
-        if out is None:
-            return _on_copy(_lsv, x, param)
+    def apply_param(self, param: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return _lsv(x, param, out)
 
 
@@ -278,9 +268,7 @@ class ShiftedSlopeFamily(MapFamily):
     def make(self, param: float) -> PiecewiseLinearMap:
         return PiecewiseLinearMap(slopes=(self.base + float(param),))
 
-    def apply_param(self, param: float, x, out=None):
-        if out is None:
-            return _on_copy(_mod1_scaled, x, self.base + param)
+    def apply_param(self, param: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return _mod1_scaled(x, self.base + param, out)
 
 
@@ -313,8 +301,8 @@ class IidUniformDriver:
 class MarkovChainDriver:
     """Finite-state Markov chain over a grid of parameter values.
 
-    The chain starts from its stationary vector (power iteration) so the
-    stream is stationary.
+    The chain starts from its stationary vector (`stationary`) so the stream
+    is stationary.
     """
 
     values: tuple[float, ...]
@@ -332,14 +320,14 @@ class MarkovChainDriver:
         return np.asarray(self.kernel, dtype=float)
 
     def stationary(self) -> np.ndarray:
+        """The v with vP = v and sum(v) = 1, solved directly as one stacked
+        least-squares system, so a periodic chain gets its stationary vector
+        too (power iteration would cycle there)."""
         p = self._kernel_array()
-        v = np.full(len(self.values), 1.0 / len(self.values))
-        for _ in range(10000):
-            v2 = v @ p
-            if np.abs(v2 - v).sum() < 1e-14:
-                return v2
-            v = v2
-        return v
+        m = len(self.values)
+        rhs = np.zeros(m + 1)
+        rhs[m] = 1.0
+        return np.linalg.lstsq(np.vstack([p.T - np.eye(m), np.ones(m)]), rhs, rcond=None)[0]
 
     def stream(self, n: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -376,13 +364,6 @@ class SequentialSequence:
         object.__setattr__(self, "params", params)
         _validate_params(np.asarray(params), self.beta_star)
 
-    def parameter_at(self, n: int, k: int) -> float:
-        if not (0 <= k <= n):
-            raise IndexError("need 0 <= k <= n")
-        if k >= len(self.params):
-            raise IndexError("parameter list shorter than requested step")
-        return self.params[k]
-
     def parameters(self, n: int) -> np.ndarray:
         if n >= len(self.params):
             raise IndexError("parameter list shorter than requested horizon")
@@ -396,11 +377,6 @@ class QuasistaticSequence:
     family: MapFamily
     curve: Callable[[float], float]
     beta_star: float
-
-    def parameter_at(self, n: int, k: int) -> float:
-        if not (0 <= k <= n):
-            raise IndexError("need 0 <= k <= n")
-        return float(np.clip(self.curve(k / n), 0.0, self.beta_star))
 
     def parameters(self, n: int) -> np.ndarray:
         t = np.arange(n + 1) / n if n > 0 else np.zeros(1)
@@ -423,11 +399,6 @@ class RandomSequence:
 
     def parameters(self, n: int) -> np.ndarray:
         return self.driver.stream(n)
-
-    def parameter_at(self, n: int, k: int) -> float:
-        if not (0 <= k <= n):
-            raise IndexError("need 0 <= k <= n")
-        return float(self.parameters(n)[k])
 
 
 def orbit(seq, x0, steps: int, horizon: int | None = None):
@@ -462,11 +433,10 @@ def trajectory(seq, x0, steps: int, horizon: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observable:
-    """R^d-valued observable on [0, 1] with declared Lipschitz and sup bounds."""
+    """R^d-valued observable on [0, 1] with a declared sup bound."""
 
     dimension: int
     func: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
     bound: float
     name: str = ""
 
@@ -478,28 +448,17 @@ class Observable:
             raise ValueError(f"observable returned shape {out.shape}, expected {want}")
         return out
 
-    def spot_check(self, grid: int = 257) -> None:
-        """Raise if the declared bounds fail on a uniform grid."""
-        x = np.linspace(0.0, 1.0, grid)
-        v = self(x)
-        if float(np.abs(v).max()) > self.bound + 1e-12:
-            raise ValueError("declared sup bound violated on grid")
-        diffs = np.linalg.norm(np.diff(v, axis=0), axis=-1)
-        steps = np.diff(x)
-        if float((diffs / steps).max()) > self.lipschitz * (1.0 + 1e-6) + 1e-12:
-            raise ValueError("declared Lipschitz constant violated on grid")
-
 
 def _obs_identity() -> Observable:
-    return Observable(1, lambda x: x[..., None], 1.0, 1.0, "identity")
+    return Observable(1, lambda x: x[..., None], 1.0, "identity")
 
 
 def _obs_square() -> Observable:
-    return Observable(1, lambda x: (x**2)[..., None], 2.0, 1.0, "square")
+    return Observable(1, lambda x: (x**2)[..., None], 1.0, "square")
 
 
 def _obs_cube() -> Observable:
-    return Observable(1, lambda x: (x**3)[..., None], 3.0, 1.0, "cube")
+    return Observable(1, lambda x: (x**3)[..., None], 1.0, "cube")
 
 
 def _quartic(x):
@@ -510,14 +469,13 @@ def _quartic(x):
 
 
 def _obs_quartic() -> Observable:
-    return Observable(1, _quartic, 4.0, 1.0, "quartic")
+    return Observable(1, _quartic, 1.0, "quartic")
 
 
 def _obs_poly_pair() -> Observable:
     return Observable(
         2,
         lambda x: np.stack([x, x**2], axis=-1),
-        math.sqrt(5.0),
         math.sqrt(2.0),
         "poly_pair",
     )
@@ -528,7 +486,6 @@ def _obs_fourier_pair() -> Observable:
     return Observable(
         2,
         lambda x: np.stack([np.cos(two_pi * x), np.sin(two_pi * x)], axis=-1),
-        two_pi,
         math.sqrt(2.0),
         "fourier_pair",
     )

@@ -367,6 +367,14 @@ def _start(cfg: dict, out_dir, command: str) -> tuple[dict, RunManifest]:
     return cfg, RunManifest(config_hash(cfg), command, out_dir)
 
 
+def _check_counts(**counts: tuple[int, int]) -> None:
+    """ConfigError naming the first command-line count below its least
+    allowed value; each keyword maps an option name to (value, least)."""
+    for name, (value, least) in counts.items():
+        if value < least:
+            raise ConfigError(f"--{name} must be at least {least}, got {value}")
+
+
 def _check_horizon(cfg: dict, steps: int) -> None:
     """ConfigError unless explicit sequential params cover steps 1..`steps`
     (`build_system` adds slot 0, so L params cover steps 1..L)."""
@@ -464,8 +472,8 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     offending N when self-norming fails; emits rates.csv, plot_rates.txt,
     rate_fit.csv, and manifest.json.
     """
-    if threads is not None and threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {threads}")
+    if threads is not None:
+        _check_counts(threads=(threads, 1))
     cfg, manifest = _start(cfg, out_dir, "rates")
     grid = _rate_grid(cfg, "rates")
     _check_horizon(cfg, grid[-1] - 1)
@@ -644,6 +652,7 @@ def run_stein_check(dim: int, seed: int = 0, sigma_count: int = 5, out_dir=None)
     """
     if not (1 <= dim <= 3):
         raise ConfigError("stein-check supports 1 <= d <= 3")
+    _check_counts(seed=(seed, 0), sigmas=(sigma_count, 1))
     params = {"dim": dim, "seed": seed, "sigma_count": sigma_count}
     manifest = RunManifest(config_hash(params), "stein-check", out_dir)
     manifest.stage_seeds["sigmas"] = seed
@@ -710,12 +719,15 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     for key in ("normalization", "metric"):
         if key in cfg:
             raise ConfigError(f"quenched runs do not read {key!r}; remove it from the config")
+    if replicas is not None:
+        _check_counts(replicas=(replicas, 1))
     cfg, manifest = _start(cfg, out_dir, "quenched")
     if cfg["system"]["kind"] != "random":
         raise ConfigError("quenched runs need a random system")
     grid = _rate_grid(cfg, "quenched")
     options = cfg.get("quenched", {})
-    replicas = replicas or options.get("replicas", 4)
+    if replicas is None:
+        replicas = options.get("replicas", 4)
     k_max = options.get("k_max", 16)
     series_samples = options.get("series_samples", 4096)
     series_runs = options.get("series_runs", 8)
@@ -821,6 +833,7 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
 
 def simulate(cfg: dict, out_dir, steps: int = 64, orbit_count: int = 8) -> Path:
     """Write a small CSV of orbits for eyeballing a configured system."""
+    _check_counts(steps=(steps, 0), orbits=(orbit_count, 1))
     cfg, manifest = _start(cfg, out_dir, "simulate")
     _check_horizon(cfg, steps)
     seq = build_system(cfg)

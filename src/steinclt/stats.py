@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .dynamics import Observable, orbit
 from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
@@ -27,7 +27,6 @@ __all__ = [
     "build_ensemble",
     "birkhoff_raw_sums",
     "normalize_sums",
-    "normal_cdf",
     "normal_quantile",
     "wasserstein1_1d",
     "wasserstein_floor",
@@ -90,6 +89,15 @@ def empirical_covariance(data) -> CovarianceSummary:
     return CovarianceSummary(cov, float(eigs[0]), float(eigs[-1]), spectral_norm(cov))
 
 
+def _orbit_values(seq, f: Observable, x0: np.ndarray, slots: int) -> np.ndarray:
+    """(samples, slots, d) array of f at the first `slots` points of the
+    orbits from x0 (slot 0 is x0), one `f` call per slot in time order."""
+    vals = np.empty((x0.shape[0], slots, f.dimension))
+    for k, x in enumerate(orbit(seq, x0, slots - 1)):
+        vals[:, k, :] = f(x)
+    return vals
+
+
 def build_ensemble(
     seq,
     f: Observable,
@@ -119,9 +127,7 @@ def build_ensemble(
         x0 = np.asarray(initial, dtype=float)
         if x0.shape != (samples,):
             raise ValueError("initial points must have shape (samples,)")
-    raw = np.empty((samples, n_terms, f.dimension))
-    for k, x in enumerate(orbit(seq, x0, n_terms - 1)):
-        raw[:, k, :] = f(x)
+    raw = _orbit_values(seq, f, x0, n_terms)
     centered = raw - raw.mean(axis=0, keepdims=True)
     norm = matrix_sqrt(empirical_covariance(centered.sum(axis=1)).matrix)
     return EnsembleMatrix.from_raw(raw, norm.b, f.bound)
@@ -197,12 +203,9 @@ class DistanceReport:
             raise ValueError("distances are nonnegative")
 
 
-def normal_cdf(x) -> np.ndarray:
-    return ndtr(np.asarray(x, dtype=float))
-
-
 def normal_quantile(p) -> np.ndarray:
-    """Standard normal quantile, the inverse of `normal_cdf` on (0, 1)."""
+    """Standard normal quantile: scipy's `ndtri` on (0, 1), a float for a
+    scalar p; p outside (0, 1) is a ValueError."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile argument must lie in (0, 1)")
@@ -374,9 +377,7 @@ def sigma_series(
     n_slots = burn_in + window + k_max + 1
     for _ in range(runs):
         seq = make_sequence(int(rng.integers(2**63)))
-        vals = np.empty((samples, n_slots, d))
-        for k, x in enumerate(orbit(seq, rng.random(samples), n_slots - 1)):
-            vals[:, k, :] = f(x)
+        vals = _orbit_values(seq, f, rng.random(samples), n_slots)
         vals -= vals.mean(axis=0, keepdims=True)
         for k in range(k_max + 1):
             acc = np.zeros((d, d))

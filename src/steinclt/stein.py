@@ -752,9 +752,7 @@ class MollifierSmoother:
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, weights) of the paired kernel, built on first use."""
         pts, ww = tensor_rule(*np.polynomial.legendre.leggauss(self.order), self.dim)
-        r2 = np.sum(pts * pts, axis=-1)
-        dens = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-150) ** 2), 0.0)
-        block_w = ww * self.c * dens
+        block_w = ww * self.eta(pts)
         keep = block_w > 0
         pts, block_w = pts[keep], block_w[keep]
         # product over the two blocks
@@ -774,9 +772,7 @@ class MollifierSmoother:
         """Independent tensor-grid estimate of the single-block mass."""
         order = order or (self.order + 17)
         pts, ww = tensor_rule(*np.polynomial.legendre.leggauss(order), self.dim)
-        r2 = np.sum(pts * pts, axis=-1)
-        dens = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-150) ** 2), 0.0)
-        return float((self.c * dens) @ ww)
+        return float(self.eta(pts) @ ww)
 
     def normalization_lower_bound_ok(self) -> bool:
         """Crude lower bound 1/c >= e^{-2} (1/2)^d vol(B_d)."""

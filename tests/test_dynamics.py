@@ -1,5 +1,6 @@
 """Map families, parameter sequences, drivers, and observables."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -56,12 +57,12 @@ def test_lsv_rejects_bad_alpha():
 
 def test_shifted_slope_values_and_snap():
     fam = ShiftedSlopeFamily()
-    assert fam.apply_param(1.0, 0.4) == pytest.approx(0.2, abs=1e-14)
-    assert fam.apply_param(0.5, 0.9) == pytest.approx(0.25, abs=1e-14)
+    assert fam.make(1.0)(0.4) == pytest.approx(0.2, abs=1e-14)
+    assert fam.make(0.5)(0.9) == pytest.approx(0.25, abs=1e-14)
     # (2 + 0) * 0.5 = 1.0 must wrap to 0, not stay at the right endpoint
-    assert fam.apply_param(0.0, 0.5) == 0.0
+    assert fam.make(0.0)(0.5) == 0.0
     x = np.linspace(0.0, 1.0, 101)
-    y = fam.apply_param(0.7, x)
+    y = fam.make(0.7)(x)
     assert np.all((y >= 0.0) & (y < 1.0))
     # np.mod is exact for y >= 0, so no image rounds up to 1.0: check the
     # largest double below 1 and the points one ulp either side of 1/slope
@@ -70,7 +71,7 @@ def test_shifted_slope_values_and_snap():
         edge = 1.0 / slope
         pts = np.array([np.nextafter(1.0, 0.0), np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
         want = [float(Fraction(p) % 1) for p in slope * pts]
-        for y in (fam.apply_param(param, pts), fam.make(param)(pts)):
+        for y in (fam.apply_param(param, pts, np.empty_like(pts)), fam.make(param)(pts)):
             assert np.all((y >= 0.0) & (y < 1.0))
             np.testing.assert_array_equal(y, want)
 
@@ -78,7 +79,7 @@ def test_shifted_slope_values_and_snap():
 def test_lsv_family_matches_map():
     fam = LsvFamily()
     x = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_allclose(fam.apply_param(0.25, x), LsvMap(0.25)(x), atol=1e-15)
+    np.testing.assert_allclose(fam.apply_param(0.25, x, np.empty_like(x)), LsvMap(0.25)(x), atol=1e-15)
 
 
 def test_trajectory_doubling_orbit():
@@ -115,9 +116,9 @@ def test_orbit_applies_one_map_per_step_to_all_samples(monkeypatch):
     seen = []
     apply_param = LsvFamily.apply_param
 
-    def counting(self, param, x, *out):
+    def counting(self, param, x, out):
         seen.append(np.shape(x))
-        return apply_param(self, param, x, *out)
+        return apply_param(self, param, x, out)
 
     monkeypatch.setattr(LsvFamily, "apply_param", counting)
     x0 = np.random.default_rng(2).random(300)
@@ -145,14 +146,12 @@ def test_in_place_step_is_bit_identical(fam, driver):
     state = x.copy()
     for param in params[1:]:
         assert fam.apply_param(param, state, state) is state
-        want = fam.apply_param(param, x)
+        want = fam.make(param).apply(x)
         np.testing.assert_array_equal(state, want)
-        np.testing.assert_array_equal(fam.make(param).apply(x), want)
         x = want
     for param in (0.0, 0.25, 0.5, 1.0):
         pts = _edge_points(2.0 + param)
         got = fam.apply_param(param, pts, np.empty_like(pts))
-        np.testing.assert_array_equal(got, fam.apply_param(param, pts))
         np.testing.assert_array_equal(got, fam.make(param)(pts))
         assert np.all((got >= 0.0) & (got <= 1.0))
 
@@ -246,7 +245,6 @@ def test_sequential_parameters_include_slot_zero():
     params = seq.parameters(2)
     assert params.shape == (3,)
     np.testing.assert_allclose(params, [0.1, 0.1, 0.2])
-    assert seq.parameter_at(2, 2) == pytest.approx(0.2)
     with pytest.raises(IndexError):
         seq.parameters(3)
 
@@ -261,7 +259,7 @@ def test_quasistatic_clamps_curve():
     params = seq.parameters(10)
     assert params.shape == (11,)
     assert params.max() <= 0.2 + 1e-15
-    assert seq.parameter_at(10, 2) == pytest.approx(0.1)
+    assert params[2] == pytest.approx(0.1)
 
 
 def test_iid_driver_prefix_stable():
@@ -309,13 +307,47 @@ def test_markov_driver_stream_and_validation():
         MarkovChainDriver(values=[0.05, 0.2], kernel=[[0.9, 0.2], [0.5, 0.5]], seed=1)
 
 
+def test_markov_stationary_vector_of_a_periodic_chain():
+    # period 2: power iteration from the uniform vector cycles between
+    # [1/3, 1/3, 1/3] and [1/6, 2/3, 1/6] and never reaches the answer
+    kernel = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
+    v = MarkovChainDriver(values=[0.0, 0.1, 0.2], kernel=kernel, seed=1).stationary()
+    np.testing.assert_allclose(v, [0.25, 0.5, 0.25], atol=1e-14)
+    np.testing.assert_allclose(v @ np.asarray(kernel), v, atol=1e-14)
+
+
+# Lipschitz constant of each built-in observable on [0, 1]
+_LIPSCHITZ = {
+    "identity": 1.0,
+    "square": 2.0,
+    "cube": 3.0,
+    "quartic": 4.0,
+    "poly_pair": math.sqrt(5.0),
+    "fourier_pair": 2.0 * math.pi,
+}
+
+
+def _spot_check(f: Observable, lipschitz: float) -> None:
+    """Raise if the sup bound or the Lipschitz constant fails on a uniform grid."""
+    x = np.linspace(0.0, 1.0, 257)
+    v = f(x)
+    if float(np.abs(v).max()) > f.bound + 1e-12:
+        raise ValueError("declared sup bound violated on grid")
+    slopes = np.linalg.norm(np.diff(v, axis=0), axis=-1) / np.diff(x)
+    if float(slopes.max()) > lipschitz * (1.0 + 1e-6) + 1e-12:
+        raise ValueError("Lipschitz constant violated on grid")
+
+
 def test_observables_spot_check():
+    assert set(_LIPSCHITZ) == set(OBSERVABLES)
     for name, make in OBSERVABLES.items():
         f = make()
-        f.spot_check()
+        _spot_check(f, _LIPSCHITZ[name])
         assert f.name == name
-    with pytest.raises(ValueError):
-        Observable(1, lambda x: (3.0 * x)[..., None], 1.0, 1.0, "bad").spot_check()
+    with pytest.raises(ValueError, match="Lipschitz"):
+        _spot_check(Observable(1, lambda x: (3.0 * x)[..., None], 3.0, "bad"), 1.0)
+    with pytest.raises(ValueError, match="sup bound"):
+        _spot_check(Observable(1, lambda x: (3.0 * x)[..., None], 1.0, "bad"), 3.0)
 
 
 def test_observable_shape_contract():
@@ -323,7 +355,7 @@ def test_observable_shape_contract():
     out = f(np.zeros((5, 7)))
     assert out.shape == (5, 7, 2)
     with pytest.raises(ValueError):
-        Observable(2, lambda x: x[..., None], 1.0, 1.0, "short")(np.zeros(3))
+        Observable(2, lambda x: x[..., None], 1.0, "short")(np.zeros(3))
 
 
 def test_piecewise_linear_map_round_trip():
@@ -331,5 +363,5 @@ def test_piecewise_linear_map_round_trip():
     m = fam.make(0.5)
     assert isinstance(m, PiecewiseLinearMap)
     x = np.linspace(0.0, 1.0, 97)
-    np.testing.assert_allclose(m(x), fam.apply_param(0.5, x), atol=1e-15)
+    np.testing.assert_allclose(m(x), fam.apply_param(0.5, x, np.empty_like(x)), atol=1e-15)
 

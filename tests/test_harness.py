@@ -219,7 +219,7 @@ def test_build_system_variants():
 
     qds = build_system(validate_config(_qds_cfg()))
     assert isinstance(qds, QuasistaticSequence)
-    assert qds.parameter_at(10, 7) == pytest.approx(0.2)
+    assert qds.parameters(10)[7] == pytest.approx(0.2)
     lin_cfg = _qds_cfg(
         system={
             "kind": "quasistatic",
@@ -229,7 +229,7 @@ def test_build_system_variants():
         }
     )
     lin = build_system(validate_config(lin_cfg))
-    assert lin.parameter_at(10, 5) == pytest.approx(0.1)
+    assert lin.parameters(10)[5] == pytest.approx(0.1)
 
     rnd_cfg = validate_config(_random_cfg())
     r1 = build_system(rnd_cfg)
@@ -444,6 +444,30 @@ def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch
     assert rc == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quenched", "--replicas", "0"],
+        ["quenched", "--replicas", "-1"],
+        ["stein-check", "--dim", "1", "--sigmas", "0"],
+        ["stein-check", "--dim", "1", "--seed", "-1"],
+        ["simulate", "--steps", "-1"],
+        ["simulate", "--orbits", "-1"],
+        ["simulate", "--orbits", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_counts_exit_2_before_writing(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_random_cfg()))
+    if argv[0] != "stein-check":
+        argv = argv + ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_smooth_metric_rates_raise_no_floor_warning(tmp_path, capsys):

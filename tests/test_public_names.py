@@ -1,6 +1,8 @@
-"""Every exported name resolves, and the benchmark tracer still finds the
-names it patches and counts the points of every orbit step."""
+"""Every exported name resolves, no src module imports a name it never
+reads, and the benchmark tracer still finds the names it patches and counts
+the points of every orbit step."""
 
+import ast
 import importlib
 import json
 import os
@@ -29,6 +31,40 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in `__all__`."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read | exported)
+
+
+def test_no_src_module_imports_a_name_it_never_reads():
+    unused = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "steinclt").glob("*.py"))
+        if (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+    assert _unused_imports("from scipy.special import ndtr, ndtri\nx = ndtri(0.5)\n") == [
+        "ndtr (line 1)"
+    ]
 
 
 _TRACED_RUNS = """

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
-from steinclt.dynamics import LsvFamily, OBSERVABLES, SequentialSequence
+from steinclt.dynamics import (
+    IidUniformDriver,
+    LsvFamily,
+    OBSERVABLES,
+    RandomSequence,
+    SequentialSequence,
+    trajectory,
+)
 from steinclt.linalg import DegenerateCovariance
 from steinclt.stats import (
     DistanceReport,
@@ -16,7 +24,6 @@ from steinclt.stats import (
     empirical_covariance,
     fit_rate,
     matrix_sqrt,
-    normal_cdf,
     normal_quantile,
     normalize_sums,
     scale_distance,
@@ -70,7 +77,7 @@ def test_empirical_covariance():
 def test_normal_quantile_round_trip_and_values():
     p = np.linspace(1e-6, 1.0 - 1e-6, 4001)
     x = normal_quantile(p)
-    np.testing.assert_allclose(normal_cdf(x), p, atol=1e-12)
+    np.testing.assert_allclose(scipy.special.ndtr(x), p, atol=1e-12)
     assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
     assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
     np.testing.assert_allclose(normal_quantile(1.0 - p[:5]), -x[:5], atol=1e-12)
@@ -78,11 +85,6 @@ def test_normal_quantile_round_trip_and_values():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             normal_quantile(bad)
-
-
-def test_normal_cdf_values():
-    assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
 
 
 def test_wasserstein_floor():
@@ -272,6 +274,30 @@ def test_birkhoff_sums_match_ensemble():
     np.testing.assert_allclose(
         ens.values.sum(axis=1), sums - sums.mean(axis=0), atol=1e-12
     )
+
+
+def _trajectory_values(seq, f, x0, slots):
+    return np.stack([f(x) for x in trajectory(seq, x0, slots - 1)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["identity", "poly_pair"])
+def test_ensemble_and_series_values_are_the_trajectory_values(name):
+    f = OBSERVABLES[name]()
+    seq = RandomSequence(LsvFamily(), IidUniformDriver(0.1, 0.25, seed=12), beta_star=0.25)
+    ens = build_ensemble(seq, f, 7, 300, seed=13)
+    raw = _trajectory_values(seq, f, np.random.default_rng(13).random(300), 7)
+    assert ens.values.tobytes() == (raw - raw.mean(axis=0)[None]).tobytes()
+
+    # one run, lag 0 and a one-slot window: the matrix is the symmetrized
+    # covariance of slot burn_in, with the arithmetic of sigma_series
+    report = sigma_series(lambda seed: seq, f, k_max=0, samples=300, runs=1,
+                          burn_in=5, window=0, seed=14)
+    rng = np.random.default_rng(14)
+    rng.integers(2**63)  # the driver seed sigma_series draws before x0
+    vals = _trajectory_values(seq, f, rng.random(300), 6)
+    vals -= vals.mean(axis=0, keepdims=True)
+    cov = vals[:, 5].T @ vals[:, 5] / 300
+    assert report.matrix.tobytes() == (0.5 * (cov + cov.T)).tobytes()
 
 
 def test_normalize_sums():
