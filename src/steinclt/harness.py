@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__
 from .dynamics import (
@@ -284,16 +284,17 @@ def _versions() -> dict:
     return {
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "python": platform.python_version(),
     }
 
 
 @dataclass
 class RunManifest:
-    """One run: its output directory (created here unless None), the stage
-    seeds it draws, its timed stages and the checksums of the files it
-    writes, all of which `finish` records in manifest.json."""
+    """One run: its output directory (created at the first write, so a run
+    that fails its checks leaves none), the stage seeds it draws, its timed
+    stages and the checksums of the files it writes, all of which `finish`
+    records in manifest.json."""
 
     config_hash: str
     command: str
@@ -307,7 +308,13 @@ class RunManifest:
     def __post_init__(self):
         if self.out is not None:
             self.out = Path(self.out)
-            self.out.mkdir(parents=True, exist_ok=True)
+            if self.out.exists() and not self.out.is_dir():
+                raise NotADirectoryError(f"output path {self.out} is not a directory")
+
+    def path(self, name: str) -> Path:
+        """`name` inside the output directory, which this creates."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
     def seed(self, base: int, label: str) -> int:
         value = stage_seed(base, label)
@@ -327,7 +334,7 @@ class RunManifest:
 
     def write_rows(self, name: str, header, rows, sep: str = ",") -> Path:
         """Write `header` (None for none) and `rows` as `sep`-joined `str` fields."""
-        path = self.out / name
+        path = self.path(name)
         with open(path, "w", newline="") as fh:
             if header is not None:
                 fh.write(sep.join(header) + "\n")
@@ -356,7 +363,7 @@ class RunManifest:
             "stages": self.stages,
             "outputs": self.outputs,
         }
-        path = self.out / "manifest.json"
+        path = self.path("manifest.json")
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -582,9 +589,10 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     with manifest.stage("ledger") as stage:
         ledger = decompose(ens, sol)
         stage["points"] = samples * n_terms * (n_terms + 1)
+        stage["distinct_points"] = ledger.distinct_points
     tol = options.get("tolerance", 1e-9 + 4.0 * ledger.combined_stderr)
     passed = abs(ledger.residual) <= tol
-    csv_path = manifest.out / "decomposition.csv"
+    csv_path = manifest.path("decomposition.csv")
     ledger.to_csv(csv_path)
     manifest.record_output(csv_path)
     return DecomposeResult(ledger, tol, passed, csv_path, manifest.finish())

@@ -514,7 +514,9 @@ class SteinSolution:
         summed over the terms, then weighted over the u-nodes j row by row,
         not by a BLAS `@`, which rounds some columns differently: a psi equal
         at every point (a quadratic's Hessian) must give equal values, or
-        the ledger terms that vanish for such a function do not read 0.0."""
+        the ledger terms that vanish for such a function do not read 0.0.
+        Nor by `.sum(axis=0)`, which sums a one-point psi pairwise: each
+        point gets the same bits in whatever batch or chunk it sits."""
         d = self.dimension
         un, uw = self._unodes, self._uweights
         u = un[:, None, None]
@@ -530,7 +532,7 @@ class SteinSolution:
                 psi = self.h._sum_terms(tabs, idx, contract, zero)
                 if k == 0:
                     psi = psi - self.phi_h
-                _fill_partial(field, idx, -(u_weights[k][:, None] * psi).sum(axis=0))
+                _fill_partial(field, idx, -functools.reduce(np.add, u_weights[k][:, None] * psi))
 
     def _contract(self, scale: float, tables) -> np.ndarray:
         """psi[j, g_0 ... g_{d-1}] of one term on a grid: outer products along

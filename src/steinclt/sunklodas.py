@@ -13,9 +13,10 @@ W^{n,m-1}, every segment integral and every k-sum of increments telescopes:
     int_0^1 D^2A(W^{n,m} + u Y^{n,m}) Y^{n,m} du = grad A(W^{n,m-1}) - grad A(W^{n,m}),
     sum_{k=a}^{b} delta^{n,k} = D^2A(W^{n,a-1}) - D^2A(W^{n,b}).
 
-`decompose` evaluates grad A and D^2 A once at every punctured sum and reads
-all seven terms off those values, so the split is exact to roundoff for any
-A whose Hessian is the derivative of its gradient (the discretised
+`decompose` evaluates grad A and D^2 A once at every distinct punctured sum
+(many (n, m) share a clipped window, and every empty window gives W) and
+reads all seven terms off those values, so the split is exact to roundoff
+for any A whose Hessian is the derivative of its gradient (the discretised
 `SteinSolution` included).  It reports all terms, the direct left-hand
 side, and the residual of the identity.
 """
@@ -189,12 +190,14 @@ def delta_matrix(solution, y_row: np.ndarray, n: int, k: int, u: float = 1.0) ->
 
 @dataclass(frozen=True)
 class DecompositionLedger:
-    """Values and standard errors of E1..E7, the direct LHS, and the residual."""
+    """Values and standard errors of E1..E7, the direct LHS, and the residual;
+    `distinct_points` counts the punctured sums the solution was evaluated at."""
 
     terms: dict
     lhs: tuple[float, float]
     samples: int
     exact: bool
+    distinct_points: int
 
     @property
     def term_sum(self) -> float:
@@ -241,9 +244,10 @@ def decompose(
     "gradient" and "hessian" fields at a (..., d) stack; when it also carries
     a `sigma` attribute, that matrix must agree with the empirical
     mu(W W^T) (the identity only holds for the self-consistent Sigma).  One
-    call evaluates both fields over the S*N*(N+1) punctured sums and the
-    terms follow by telescoping (module docstring), exact to roundoff when
-    the Hessian is the derivative of the gradient.
+    call evaluates both fields at the bitwise-distinct rows among the
+    S*N*(N+1) punctured sums, gathered back to every slot, and the terms
+    follow by telescoping (module docstring), exact to roundoff when the
+    Hessian is the derivative of the gradient.
     Means are exact when the ensemble carries weights.
     """
     s_count, big_n, d = ens.samples, ens.times, ens.dimension
@@ -274,10 +278,16 @@ def decompose(
     # another order, which moves the last bits of E3, E4 and E6
     w, wnk, ynk = _punctured(y, np.arange(big_n)[:, None], np.arange(-1, big_n))
     rings = np.ascontiguousarray(ynk[:, :, 1:])
-    points = wnk.reshape(-1, d)
-    fields = solution.evaluate(points, ("gradient", "hessian"))
-    grad = np.asarray(fields["gradient"]).reshape(wnk.shape)
-    hess = np.asarray(fields["hessian"]).reshape(wnk.shape + (d,))
+    # Slots with the same clipped window, or any empty one, hold the same
+    # bits, so each distinct row is evaluated once and gathered back.  Rows
+    # compare as bit patterns: -0.0 and 0.0 stay apart.
+    distinct, inv = np.unique(
+        wnk.reshape(-1, d).view(np.int64), axis=0, return_inverse=True
+    )
+    fields = solution.evaluate(distinct.view(float), ("gradient", "hessian"))
+    inv = inv.ravel()  # numpy 2.0.0 returns it as a column
+    grad = np.asarray(fields["gradient"])[inv].reshape(wnk.shape)
+    hess = np.asarray(fields["hessian"])[inv].reshape(wnk.shape + (d,))
     hess_mean = ens._mean_over_samples(hess)
     hess_c = hess - hess_mean
 
@@ -316,4 +326,4 @@ def decompose(
         )
     }
     lhs = _mean_and_stderr(lhs_contrib, weights, exact)
-    return DecompositionLedger(terms, lhs, s_count, exact)
+    return DecompositionLedger(terms, lhs, s_count, exact, len(distinct))

@@ -9,11 +9,14 @@ values / G.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import IntervalMap
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "UlamOperator",
@@ -95,6 +98,8 @@ def build_ulam(imap: IntervalMap, grid: int) -> UlamOperator:
     exact cell-to-cell mass split (each elementary interval lies in a single
     source cell and maps into a single target cell).
     """
+    import scipy.sparse as sp  # only Ulam assembly needs it
+
     if grid < 2:
         raise ValueError("grid must have at least 2 cells")
     edges = np.arange(grid + 1) / grid

@@ -446,27 +446,48 @@ def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
+_SHORT_PARAMS = {"kind": "sequential", "family": "lsv", "beta_star": 0.3, "params": [0.1, 0.2, 0.3]}
+
+
+def _exit_2_case(argv, message="must be at least", cfg=None, id=None):
+    return pytest.param(argv, message, cfg or _random_cfg(), id=id or " ".join(argv))
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message, cfg",
     [
-        ["quenched", "--replicas", "0"],
-        ["quenched", "--replicas", "-1"],
-        ["stein-check", "--dim", "1", "--sigmas", "0"],
-        ["stein-check", "--dim", "1", "--seed", "-1"],
-        ["simulate", "--steps", "-1"],
-        ["simulate", "--orbits", "-1"],
-        ["simulate", "--orbits", "0"],
+        _exit_2_case(["quenched", "--replicas", "0"]),
+        _exit_2_case(["quenched", "--replicas", "-1"]),
+        _exit_2_case(["stein-check", "--dim", "1", "--sigmas", "0"]),
+        _exit_2_case(["stein-check", "--dim", "1", "--seed", "-1"]),
+        _exit_2_case(["simulate", "--steps", "-1"]),
+        _exit_2_case(["simulate", "--orbits", "-1"]),
+        _exit_2_case(["simulate", "--orbits", "0"]),
+        _exit_2_case(["rates"], "n_grid cannot be fitted", _random_cfg(n_grid=[16, 32]),
+                     "rates unfittable n_grid"),
+        _exit_2_case(["quenched"], "n_grid cannot be fitted", _random_cfg(n_grid=[16, 32]),
+                     "quenched unfittable n_grid"),
+        _exit_2_case(["quenched"], "need a random system", _qds_cfg(), "quenched quasistatic"),
+        _exit_2_case(["qds"], "n_grid cannot be fitted", _qds_cfg(n_grid=[16, 32]),
+                     "qds unfittable n_grid"),
+        _exit_2_case(["qds"], "need a quasistatic system", None, "qds random"),
+        _exit_2_case(["simulate"], "system.params covers", _random_cfg(system=_SHORT_PARAMS),
+                     "simulate short params"),
+        _exit_2_case(["rates"], "system.params covers", _random_cfg(system=_SHORT_PARAMS),
+                     "rates short params"),
+        _exit_2_case(["decompose"], "system.params covers", _random_cfg(system=_SHORT_PARAMS),
+                     "decompose short params"),
+        _exit_2_case(["decompose", "--test-function", "nope"], "unknown test function"),
     ],
-    ids=lambda argv: " ".join(argv),
 )
-def test_out_of_range_counts_exit_2_before_writing(tmp_path, capsys, argv):
+def test_out_of_range_counts_exit_2_before_writing(tmp_path, capsys, argv, message, cfg):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_random_cfg()))
+    cfg_path.write_text(json.dumps(cfg))
     if argv[0] != "stein-check":
         argv = argv + ["--config", str(cfg_path)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -500,6 +521,10 @@ def test_run_decompose_small(tmp_path):
     assert abs(res.ledger.residual) <= res.tolerance
     assert set(res.ledger.terms) == {"E1", "E2", "E3", "E4", "E5", "E6", "E7"}
     assert res.csv_path.exists() and res.manifest_path.exists()
+    ledger_stage = json.loads(res.manifest_path.read_text())["stages"]["ledger"]
+    assert ledger_stage["points"] == 300 * 5 * 6
+    assert ledger_stage["distinct_points"] == res.ledger.distinct_points
+    assert 0 < res.ledger.distinct_points < 300 * 5 * 6
     with pytest.raises(ConfigError, match="unknown test function"):
         run_decompose(cfg, tmp_path, h_name="bogus")
     cfg["decompose"]["u_order"] = 8
@@ -654,9 +679,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "n_grid cannot be fitted" in capsys.readouterr().err
     assert [p.name for p in (tmp_path / "s").rglob("*") if p.is_file()] == []
 
-    short_params = {"kind": "sequential", "family": "lsv", "beta_star": 0.3,
-                    "params": [0.1, 0.2, 0.3]}
-    short.write_text(json.dumps(_random_cfg(system=short_params, n_grid=[4, 8, 16, 32])))
+    short.write_text(json.dumps(_random_cfg(system=_SHORT_PARAMS, n_grid=[4, 8, 16, 32])))
     for command, needed in (("simulate", 64), ("rates", 31), ("decompose", 7)):
         out = tmp_path / f"p-{command}"
         rc = cli.main([command, "--config", str(short), "--out", str(out)])

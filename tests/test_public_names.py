@@ -1,6 +1,7 @@
 """Every exported name resolves, no src module imports a name it never
-reads, and the benchmark tracer still finds the names it patches and counts
-the points of every orbit step."""
+reads, importing the CLI leaves scipy.sparse unloaded, and the benchmark
+tracer still finds the names it patches and counts the points of every
+orbit step."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import steinclt
 
@@ -65,6 +67,23 @@ def test_no_src_module_imports_a_name_it_never_reads():
     assert _unused_imports("from scipy.special import ndtr, ndtri\nx = ndtri(0.5)\n") == [
         "ndtr (line 1)"
     ]
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # only Ulam assembly needs scipy.sparse; manifests still name scipy's version
+    code = (
+        "import json, sys; from steinclt import cli, harness; "
+        "print(json.dumps(['scipy.sparse' in sys.modules, harness._versions()]))"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    sparse_loaded, versions = json.loads(proc.stdout)
+    assert not sparse_loaded
+    assert versions["scipy"] == scipy.__version__
 
 
 _TRACED_RUNS = """

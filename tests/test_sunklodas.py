@@ -10,6 +10,7 @@ from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
 from steinclt.stein import (
+    _CHUNK_VALUES,
     SteinSolution,
     TanhFactor,
     builtin_test_functions,
@@ -271,6 +272,72 @@ def test_monte_carlo_term_consistency():
         v2, s2 = big.terms[name]
         assert abs(v1 - v2) <= 3.0 * (s1 + s2) + 1e-12, name
     assert abs(small.lhs[0] - big.lhs[0]) <= 3.0 * (small.lhs[1] + big.lhs[1])
+
+
+@pytest.mark.parametrize("d, gh", [(1, 16), (2, 8)])
+def test_point_path_gives_each_point_its_bits_in_any_batch(d, gh):
+    # both calls span chunk boundaries and end on a one-row chunk
+    sol = SteinSolution(builtin_test_functions(d)[2], np.eye(d) + 0.3 - 0.3 * np.eye(d),
+                        gh_order=gh, u_order=8)
+    chunk = _CHUNK_VALUES // (8 * gh**d)
+    rng = np.random.default_rng(30 + d)
+    distinct = rng.normal(size=(chunk + 1, d))
+    inv = np.concatenate([rng.permutation(chunk + 1), rng.integers(0, chunk + 1, chunk)])
+    every = sol.evaluate(distinct[inv])
+    once = sol.evaluate(distinct)
+    for name, field in every.items():
+        assert np.array_equal(field, once[name][inv]), name
+
+
+class _Counting:
+    """A solution that records the rows of every `evaluate` call."""
+
+    def __init__(self, sol):
+        self.sol, self.sigma, self.rows = sol, sol.sigma, []
+
+    def evaluate(self, points, need):
+        self.rows.append(np.array(points))
+        return self.sol.evaluate(points, need)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_decompose_evaluates_each_distinct_punctured_sum_once(d):
+    rng = np.random.default_rng(40 + d)
+    big_n = 6
+    vals = rng.uniform(-1.0, 1.0, size=(50, big_n, d))
+    ens = EnsembleMatrix.from_raw(vals, np.eye(d), 1.0)
+    sol = SteinSolution(_tanh_pair() if d == 2 else _tanh_single(), ens.w_covariance(),
+                        gh_order=8, u_order=8)
+    slots = np.stack([
+        punctured_sums(ens.y_values(), n, m)[1]
+        for n in range(big_n) for m in range(-1, big_n)
+    ], axis=1).reshape(-1, d)
+    counting = _Counting(sol)
+    ledger = decompose(ens, counting)
+    (rows,) = counting.rows
+    seen = {row.tobytes() for row in rows}
+    assert len(seen) == len(rows) == ledger.distinct_points
+    assert seen == {row.tobytes() for row in slots}
+    assert ledger.distinct_points < len(slots)
+
+    # every slot evaluated in one call, served row by row, gives the same ledger
+    fields = sol.evaluate(slots, ("gradient", "hessian"))
+    first = {}
+    for i, row in enumerate(slots):
+        j = first.setdefault(row.tobytes(), i)
+        for field in fields.values():
+            assert np.array_equal(field[i], field[j])
+
+    class EverySlot:
+        sigma = sol.sigma
+
+        def evaluate(self, points, need):
+            idx = [first[row.tobytes()] for row in points]
+            return {name: fields[name][idx] for name in need}
+
+    from_slots = decompose(ens, EverySlot())
+    assert from_slots.terms == ledger.terms
+    assert from_slots.lhs == ledger.lhs
 
 
 def test_ledger_csv_round_trip(tmp_path):
