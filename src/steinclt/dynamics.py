@@ -1,16 +1,17 @@
 """Interval maps and time-dependent composition regimes.
 
-All maps act on [0, 1].  A composition regime supplies, for a horizon n and a
-step index k in 0..n, the parameter of the map applied at step k; orbits
-consume step indices 1..n (index 0 is a placeholder so that time-0 observables
-need no map).  `orbit` is the one loop that applies the maps.  It owns one
-state array: it checks the starting points against [0, 1] and copies them
-once, then each step overwrites that array in place
-(`family.apply_param(param, x, x)`) and yields it again, so a point is valid
-only until the next step.  Trajectories copy each row; ensembles, lag
+All maps act on [0, 1].  A composition regime supplies, for each n, the
+parameter row n, alpha_{n,0..n}: step k of an orbit applies the map with
+parameter alpha_{n,k} (index 0 is a placeholder so that time-0 observables
+need no map).  `orbit` is the one loop that applies the maps, and an orbit of
+n steps reads row n.  It owns one state array: it checks the starting points
+against [0, 1] and copies them once, then each step overwrites that array in
+place (`family.apply_param(param, x, x)`) and yields it again, so a point is
+valid only until the next step.  Trajectories copy each state; ensembles, lag
 covariances and Birkhoff sums (read at checkpoints, which gives the
 quasistatic partial sums too) reduce each point as it is yielded.  Three
-regimes are supported:
+regimes are supported; the rows of the first and the last nest (row n is a
+prefix of every later row), a curve's only when it is constant:
 
 * an explicit per-step parameter list,
 * a slowly varying parameter curve sampled on the triangular array
@@ -93,7 +94,7 @@ class Branch:
     """One monotone increasing piece of an interval map.
 
     The piece maps [lo, hi) onto [image_lo, image_hi) (the rightmost piece is
-    taken closed).  `slope` is set for affine pieces and None otherwise.
+    taken closed).
     """
 
     lo: float
@@ -101,7 +102,6 @@ class Branch:
     image_lo: float
     image_hi: float
     invert: Callable[[np.ndarray], np.ndarray]
-    slope: float | None = None
 
 
 class IntervalMap:
@@ -164,7 +164,7 @@ class LsvMap(IntervalMap):
         a = self.alpha
         return [
             Branch(0.0, 0.5, 0.0, 1.0, lambda y, a=a: _lsv_left_inverse(y, a)),
-            Branch(0.5, 1.0, 0.0, 1.0, lambda y: (np.asarray(y, dtype=float) + 1.0) / 2.0, slope=2.0),
+            Branch(0.5, 1.0, 0.0, 1.0, lambda y: (np.asarray(y, dtype=float) + 1.0) / 2.0),
         ]
 
 
@@ -223,7 +223,6 @@ class PiecewiseLinearMap(IntervalMap):
                         slope * lo - k,
                         slope * hi - k,
                         lambda y, s=slope, k=k: (np.asarray(y, dtype=float) + k) / s,
-                        slope=slope,
                     )
                 )
         return pieces
@@ -401,34 +400,30 @@ class RandomSequence:
         return self.driver.stream(n)
 
 
-def orbit(seq, x0, steps: int, horizon: int | None = None):
+def orbit(seq, x0, steps: int):
     """Yield y_0 = x0, y_1, ..., y_steps with y_k = T_{alpha(k)}(y_{k-1}).
 
-    Parameters are read once off the triangular array at the given horizon
-    (defaults to `steps`).  x0 may be a scalar or an array of starting
-    points; it is checked against [0, 1] and copied once, and x0 itself is
-    never modified.  Every yield is the same array, the orbit's state, with
-    x0's shape: the next step overwrites it in place, so a caller that keeps
-    a point must copy it.  The arguments are checked when the first point is
-    drawn.
+    Parameters are read once, as row `seq.parameters(steps)`.  x0 may be
+    a scalar or an array of starting points; it is checked against [0, 1]
+    and copied once, and x0 itself is never modified.  Every yield is the
+    same array, the orbit's state, with x0's shape: the next step overwrites
+    it in place, so a caller that keeps a point must copy it.  The arguments
+    are checked when the first point is drawn.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    n = steps if horizon is None else horizon
-    if n < steps:
-        raise ValueError("horizon must be >= steps")
     x = np.array(_as_unit_interval(x0))
-    params = np.asarray(seq.parameters(n), dtype=float)
+    params = np.asarray(seq.parameters(steps), dtype=float)
     yield x
     for k in range(1, steps + 1):
         seq.family.apply_param(params[k], x, x)
         yield x
 
 
-def trajectory(seq, x0, steps: int, horizon: int | None = None) -> np.ndarray:
+def trajectory(seq, x0, steps: int) -> np.ndarray:
     """The points of `orbit`, copied and stacked on a leading time axis of
     length steps + 1."""
-    return np.stack([x.copy() for x in orbit(seq, x0, steps, horizon)])
+    return np.stack([x.copy() for x in orbit(seq, x0, steps)])
 
 
 @dataclass(frozen=True)

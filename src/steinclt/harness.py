@@ -412,7 +412,7 @@ _SHARDS = 16
 
 def _sharded_sums(
     seq, f: Observable, checkpoints, samples: int, root: int, stage: dict,
-    threads: int | None = None, horizon: int | None = None,
+    threads: int | None = None,
 ) -> np.ndarray:
     """(len(checkpoints), samples, d) sums of `_SHARDS` fixed sample blocks.
 
@@ -437,7 +437,7 @@ def _sharded_sums(
 
     def group(g: int) -> None:
         lo, hi = cuts[g], cuts[g + 1]
-        birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], out[:, lo:hi], horizon)
+        birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], out[:, lo:hi])
 
     with ThreadPoolExecutor(width) as pool:
         list(pool.map(group, range(width)))
@@ -472,8 +472,9 @@ class RatesResult:
 def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     """Distance-to-normal across the N grid, rate fit, CSV + plot data.
 
-    A random or sequential system reads every N off one orbit pass to max N;
-    a quasistatic one, whose maps depend on the horizon, takes a pass per N.
+    When every N's parameter row is a prefix of max N's (a random or
+    sequential system, or a constant curve), one orbit pass to max N gives
+    every N; otherwise each N takes its own pass from the same shard starts.
     The outputs do not depend on `threads` (see `_sharded_sums`); a count
     below 1 is a ConfigError.  Raises DegenerateCovariance naming the
     offending N when self-norming fails; emits rates.csv, plot_rates.txt,
@@ -493,13 +494,11 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     floor = wasserstein_floor(samples)
 
     with manifest.stage("sums") as stage:
-        if cfg["system"]["kind"] == "quasistatic":
-            sums = [
-                _sharded_sums(seq, f, [n], samples, root, stage, threads, n - 1)[0]
-                for n in grid
-            ]
-        else:
+        last = seq.parameters(grid[-1] - 1)
+        if all(np.array_equal(seq.parameters(n - 1), last[:n]) for n in grid):
             sums = _sharded_sums(seq, f, grid, samples, root, stage, threads)
+        else:
+            sums = [_sharded_sums(seq, f, [n], samples, root, stage, threads)[0] for n in grid]
     stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
 
     rows = []
@@ -810,10 +809,12 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
         with manifest.stage(f"N{n}") as stage:
             k_mid = int(math.floor(n * t_mid))
             frac = n * t_mid - k_mid
-            # t_mid = 1 gives k_mid = n and frac = 0, so mid is S_n
+            # t_mid = 1 gives k_mid = n and frac = 0, so mid is S_n; the
+            # n - 1 steps to S_n apply row n of the triangular array
+            row = SequentialSequence(seq.family, tuple(seq.parameters(n)), seq.beta_star)
             s_mid, s_next, s_n = _sharded_sums(
-                seq, f, [k_mid, min(k_mid + 1, n), n], samples,
-                manifest.seed(cfg["seed"], f"qds-N{n}"), stage, horizon=n,
+                row, f, [k_mid, min(k_mid + 1, n), n], samples,
+                manifest.seed(cfg["seed"], f"qds-N{n}"), stage,
             )
             mid = (1.0 - frac) * s_mid + frac * s_next
             lam_min = empirical_covariance(mid - mid.mean(axis=0)).lambda_min

@@ -4,6 +4,10 @@ from __future__ import annotations
 import numpy as np
 
 
+# the smallest eigenvalue a covariance must exceed to be inverted
+MIN_EIGENVALUE = 1e-10
+
+
 class DegenerateCovariance(ValueError):
     """Raised when a covariance matrix is (numerically) singular."""
 
@@ -26,18 +30,18 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def symmetric_sqrt(sigma: np.ndarray, min_eigenvalue: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def symmetric_sqrt(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric square root via eigendecomposition.
 
     Returns (b, b_inv, eigenvalues) with b = V diag(sqrt(lam)) V^T.  Raises
     DegenerateCovariance when the smallest eigenvalue does not clear
-    `min_eigenvalue`.
+    `MIN_EIGENVALUE`.
     """
     sym = check_symmetric(sigma)
     vals, vecs = np.linalg.eigh(sym)
-    if float(vals.min()) <= min_eigenvalue:
+    if float(vals.min()) <= MIN_EIGENVALUE:
         raise DegenerateCovariance(
-            f"smallest eigenvalue {vals.min():.3e} <= {min_eigenvalue:.1e}"
+            f"smallest eigenvalue {vals.min():.3e} <= {MIN_EIGENVALUE:.1e}"
         )
     root = np.sqrt(vals)
     b = (vecs * root) @ vecs.T

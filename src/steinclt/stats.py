@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .dynamics import Observable, orbit
-from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
+from .linalg import MIN_EIGENVALUE, DegenerateCovariance, spectral_norm, symmetric_sqrt
 from .quadrature import gauss_hermite_standard
 from .stein import smooth_metric_family
 from .sunklodas import EnsembleMatrix
@@ -61,9 +61,9 @@ class CovarianceSummary:
     spectral: float
 
 
-def matrix_sqrt(sigma: np.ndarray, min_eigenvalue: float = 1e-10) -> NormalizationMatrix:
+def matrix_sqrt(sigma: np.ndarray) -> NormalizationMatrix:
     """Self-norming b = Sigma^(1/2) by symmetric eigendecomposition."""
-    b, b_inv, eigs = symmetric_sqrt(sigma, min_eigenvalue)
+    b, b_inv, eigs = symmetric_sqrt(sigma)
     cond = float(math.sqrt(eigs.max() / eigs.min()))
     return NormalizationMatrix(b, b_inv, "self-norming", cond)
 
@@ -139,13 +139,13 @@ def birkhoff_raw_sums(
     checkpoints: Sequence[int],
     x0: np.ndarray,
     out: np.ndarray,
-    horizon: int | None = None,
 ) -> np.ndarray:
     """Fill out[j] with the uncentered sum of f over the first checkpoints[j]
-    slots (slot 0 is x0) of one orbit pass, read at `horizon`; returns out.
+    slots (slot 0 is x0) of one orbit pass; returns out.
 
-    Checkpoints are non-decreasing, 0 and repeats allowed.  For a
-    prefix-stable system each out[j] has the bits of a pass to checkpoints[j].
+    The pass takes max(checkpoints) - 1 steps, so it reads that parameter
+    row.  Checkpoints are non-decreasing, 0 and repeats allowed.  When the
+    rows nest, each out[j] has the bits of a pass to checkpoints[j].
     """
     cps = list(checkpoints)
     if not cps or cps[0] < 0 or any(b < a for a, b in zip(cps, cps[1:])):
@@ -153,7 +153,7 @@ def birkhoff_raw_sums(
     last = cps[-1]
     acc = np.zeros(out.shape[1:])
     j = 0
-    for k, x in enumerate(orbit(seq, x0, max(last - 1, 0), horizon)):
+    for k, x in enumerate(orbit(seq, x0, max(last - 1, 0))):
         while j < len(cps) and cps[j] == k:
             out[j] = acc
             j += 1
@@ -166,7 +166,6 @@ def birkhoff_raw_sums(
 def normalize_sums(
     raw_sums: np.ndarray,
     normalization: NormalizationMatrix | str = "self-norming",
-    min_eigenvalue: float = 1e-10,
     n_terms: int | None = None,
 ) -> tuple[np.ndarray, NormalizationMatrix, CovarianceSummary]:
     """Center raw sums, then apply b^{-1}; returns (W, b, covariance summary)."""
@@ -176,11 +175,11 @@ def normalize_sums(
     if isinstance(normalization, NormalizationMatrix):
         norm = normalization
     elif normalization == "self-norming":
-        if summary.lambda_min <= min_eigenvalue:
+        if summary.lambda_min <= MIN_EIGENVALUE:
             raise DegenerateCovariance(
                 "covariance of the sums is singular; increase N or the sample count"
             )
-        norm = matrix_sqrt(summary.matrix, min_eigenvalue)
+        norm = matrix_sqrt(summary.matrix)
     elif normalization == "sqrt-n":
         if n_terms is None:
             raise ValueError("sqrt-n normalization needs n_terms")

@@ -221,15 +221,13 @@ class DecompositionLedger:
             writer.writerow(["residual", repr(float(self.residual)), ""])
 
 
-def _mean_and_stderr(contrib: np.ndarray, weights: np.ndarray | None, exact: bool) -> tuple[float, float]:
-    if weights is None:
-        mean = float(contrib.mean())
-        n = contrib.size
-        se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    else:
-        mean = float(weights @ contrib)
-        se = 0.0 if exact else float(math.sqrt(np.sum(weights**2 * (contrib - mean) ** 2)))
-    return mean, 0.0 if exact else se
+def _mean_and_stderr(contrib: np.ndarray, weights: np.ndarray | None) -> tuple[float, float]:
+    """Monte Carlo mean and standard error, or the exact weighted mean."""
+    if weights is not None:
+        return float(weights @ contrib), 0.0
+    n = contrib.size
+    se = float(contrib.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(contrib.mean()), se
 
 
 def decompose(
@@ -318,12 +316,11 @@ def decompose(
         "sa,sa->s", w, grad[:, 0, 0]
     )
 
-    exact = ens.exact
     terms = {
-        name: _mean_and_stderr(arr, weights, exact)
+        name: _mean_and_stderr(arr, weights)
         for name, arr in zip(
             ["E1", "E2", "E3", "E4", "E5", "E6", "E7"], [e1, e2, e3, e4, e5, e6, e7]
         )
     }
-    lhs = _mean_and_stderr(lhs_contrib, weights, exact)
-    return DecompositionLedger(terms, lhs, s_count, exact, len(distinct))
+    lhs = _mean_and_stderr(lhs_contrib, weights)
+    return DecompositionLedger(terms, lhs, s_count, ens.exact, len(distinct))

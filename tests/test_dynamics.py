@@ -95,21 +95,10 @@ def _random_lsv(seed=4):
 def test_orbit_rows_equal_trajectory():
     seq = _random_lsv()
     x0 = np.random.default_rng(1).random(50)
-    rows = [r.copy() for r in orbit(seq, x0, 12, horizon=20)]
+    rows = [r.copy() for r in orbit(seq, x0, 12)]
     assert len(rows) == 13
-    np.testing.assert_array_equal(np.stack(rows), trajectory(seq, x0, 12, horizon=20))
+    np.testing.assert_array_equal(np.stack(rows), trajectory(seq, x0, 12))
     np.testing.assert_array_equal(rows[0], x0)
-
-
-def test_orbit_rejects_horizon_below_steps():
-    seq = _random_lsv()
-    x0 = np.full(10, 0.3)
-    with pytest.raises(ValueError, match="horizon"):
-        list(orbit(seq, x0, 5, horizon=4))
-    with pytest.raises(ValueError, match="horizon"):
-        trajectory(seq, x0, 5, horizon=4)
-    with pytest.raises(ValueError, match="horizon"):
-        birkhoff_raw_sums(seq, OBSERVABLES["identity"](), [8], x0, np.empty((1, 10, 1)), horizon=6)
 
 
 def test_orbit_applies_one_map_per_step_to_all_samples(monkeypatch):
@@ -224,7 +213,7 @@ def test_nested_sums_equal_separate_passes(seq):
     checkpoints = [0, 1, 1, 5, 32, 32, 64]
     nested = birkhoff_raw_sums(seq, f, checkpoints, x0, np.empty((7, 200, 2)))
     for j, n in enumerate(checkpoints):
-        alone = birkhoff_raw_sums(seq, f, [n], x0, np.empty((1, 200, 2)), horizon=max(n - 1, 0))
+        alone = birkhoff_raw_sums(seq, f, [n], x0, np.empty((1, 200, 2)))
         np.testing.assert_array_equal(nested[j], alone[0])
     np.testing.assert_array_equal(nested[0], 0.0)
     np.testing.assert_array_equal(nested[1], f(x0))

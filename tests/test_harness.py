@@ -381,13 +381,37 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
         assert stage["floor_ratio"] == pytest.approx(value / res.floor, rel=1e-15)
 
 
-def test_quasistatic_rates_take_one_pass_per_n(tmp_path):
+# a constant curve's rows nest, so one pass to max N serves every N; a
+# linear curve's do not, so each N takes its own pass
+@pytest.mark.parametrize(
+    "curve, steps",
+    [({"kind": "constant", "value": 0.2}, 63),
+     ({"kind": "linear", "start": 0.05, "end": 0.25}, 7 + 15 + 31 + 63)],
+    ids=["constant", "linear"],
+)
+def test_rates_pass_count_follows_row_nesting(tmp_path, curve, steps):
     cfg = _qds_cfg(samples=300, n_grid=[8, 16, 32, 64])
+    cfg["system"]["curve"] = curve
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = run_rates(cfg, tmp_path)
     stages = json.loads(res.manifest_path.read_text())["stages"]
-    assert stages["sums"]["point_steps"] == 300 * (7 + 15 + 31 + 63)
+    assert stages["sums"]["point_steps"] == 300 * steps
+
+
+def test_constant_curve_rates_equal_sequential_rates(tmp_path):
+    cfg = _qds_cfg(samples=300, n_grid=[8, 16, 32, 64])
+    flat = _qds_cfg(samples=300, n_grid=[8, 16, 32, 64])
+    flat["system"] = {"kind": "sequential", "family": "lsv", "beta_star": 0.25, "params": [0.2] * 63}
+    columns = []
+    for name, c in (("curve", cfg), ("flat", flat)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_rates(c, tmp_path / name)
+        with open(res.csv_path, newline="") as fh:
+            columns.append([(r["value"], r["stderr"]) for r in csv.DictReader(fh)])
+    assert len(columns[0]) == 4
+    assert columns[0] == columns[1]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 16])
@@ -587,7 +611,8 @@ def test_run_qds_lambda_min_is_the_interpolated_partial_sum(tmp_path, t_mid):
         nt = n * t_mid
         m = min(int(np.floor(nt + 1e-12)), n)
         frac = nt - m if nt - m >= 1e-12 else 0.0
-        vals = f(trajectory(seq, x0, m, horizon=n))
+        row = SequentialSequence(seq.family, tuple(seq.parameters(n)), seq.beta_star)
+        vals = f(trajectory(row, x0, m))
         mid = vals[:m].sum(axis=0) + frac * vals[m]
         mid -= mid.mean(axis=0)
         want = np.linalg.eigvalsh(mid.T @ mid / 500)[0]
