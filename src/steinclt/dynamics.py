@@ -329,15 +329,15 @@ class MarkovChainDriver:
         return np.linalg.lstsq(np.vstack([p.T - np.eye(m), np.ones(m)]), rhs, rcond=None)[0]
 
     def stream(self, n: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        p = self._kernel_array()
-        cum = np.cumsum(p, axis=1)
-        pi = np.cumsum(self.stationary())
-        u = rng.random(n + 1)
-        states = np.empty(n + 1, dtype=int)
-        states[0] = np.searchsorted(pi, u[0])
+        """Values of states 0..n: state k inverts the cumulative kernel row of
+        state k-1 at u[k], each row inverted at every u by one searchsorted."""
+        u = np.random.default_rng(self.seed).random(n + 1)
+        after = [np.searchsorted(row, u).tolist() for row in np.cumsum(self._kernel_array(), axis=1)]
+        state = int(np.searchsorted(np.cumsum(self.stationary()), u[0]))
+        states = [state]
         for k in range(1, n + 1):
-            states[k] = np.searchsorted(cum[states[k - 1]], u[k])
+            state = after[state][k]
+            states.append(state)
         return np.asarray(self.values)[states]
 
     @property

@@ -19,17 +19,15 @@ too, built from the power factors u^0, u^1, u^2.
 
 `SteinSolution.evaluate` takes either an array of points or a `TensorGrid`
 (every combination of one coordinate per axis), and both take one path.  The
-quadrature argument on axis a, u_j x_a + sqrt(1-u_j^2) z_{i,a}, depends only
-on (j, x_a, i), so each partial of A is a sum over terms of one contraction
-over the GH nodes i of per-axis factor tables T_a[j, g, i], built at the
-input's coordinates g on axis a: the grid's axis, or the points' a-th column.
-The GH axis, the long one, is last so that loops over it run contiguous.  The
-input type picks only the contraction.  A grid takes outer products across
-axes, from tables of size J*G_a*I instead of J*G^d*I point evaluations; a
-point set, the diagonal of the grid of its coordinate columns, takes the
-elementwise product across axes, in chunks of a fixed number of table values.  Both multiply the same table bits in a different order, so a
-grid agrees with its `points()` to a few units in the last place
-(tests/test_stein.py checks 1e-13 of each field's largest entry).
+GH nodes are z = xi L^T, xi the tensor grid (last axis fastest) and L the
+lower Cholesky factor, so z_{i,a} depends on (i_0 ... i_a) only, and the
+weights factor as w[i_0] ... w[i_{d-1}].  Per-axis factor tables T_a[j, g, i]
+at u_j x_a + sqrt(1-u_j^2) z_{i,a} thus span gh^(a+1) GH columns i (last, so
+sums run contiguous), at the input's coordinates g on axis a: the grid's
+axis, or the points' a-th column.  Each term is contracted one GH axis at a
+time from the last; only the multiply between axes depends on the input, an
+outer product on a grid and elementwise at points, so a grid equals its
+`points()` bit for bit (tests/test_stein.py).
 """
 from __future__ import annotations
 
@@ -445,9 +443,9 @@ class TensorGrid:
         return self + np.negative(shift)
 
 
-# Values per factor table (u-nodes x points x GH nodes) in one chunk of the
-# point input to `SteinSolution.evaluate`.  It bounds the memory of a call:
-# each distinct (axis, factor) holds up to three tables of this size at once.
+# Values of the last axis's factor table (u-nodes x points x gh^d GH columns),
+# the largest, in one chunk of the point input to `SteinSolution.evaluate`.
+# It bounds a call's memory: each (axis, factor) holds up to three tables.
 _CHUNK_VALUES = 1_000_000
 
 
@@ -476,9 +474,9 @@ class SteinSolution:
         self._chol = np.linalg.cholesky(self.sigma)
         xi, zw = gauss_hermite_standard(gh_order, d)
         self._znodes = xi @ self._chol.T
-        self._zweights = zw
+        self._gh_weights = gauss_hermite_standard(gh_order, 1)[1]
         self._unodes, self._uweights = gauss_legendre_01(u_order)
-        self.phi_h = float(self._zweights @ np.asarray(h.value(self._znodes)))
+        self.phi_h = float(zw @ np.asarray(h.value(self._znodes)))
 
     def evaluate(
         self, w, need: tuple[str, ...] = ("value", "gradient", "hessian")
@@ -487,7 +485,7 @@ class SteinSolution:
         TensorGrid (fields then have shape (points,) + (d,) * order)."""
         if isinstance(w, TensorGrid):
             out = self._empty(w.shape[0], need)
-            self._fill(w.axes, self._contract, out)
+            self._fill(w.axes, True, out)
             return out
         w = np.asarray(w, dtype=float)
         pts = w.reshape(-1, w.shape[-1])
@@ -495,7 +493,7 @@ class SteinSolution:
         chunk = max(1, _CHUNK_VALUES // (self._unodes.size * self._znodes.shape[0]))
         for lo in range(0, pts.shape[0], chunk):
             rows = slice(lo, lo + chunk)
-            self._fill(pts[rows].T, self._diagonal, {k: v[rows] for k, v in out.items()})
+            self._fill(pts[rows].T, False, {k: v[rows] for k, v in out.items()})
         # [()] turns the value at a single point into a scalar
         return {k: v.reshape(w.shape[:-1] + v.shape[1:])[()] for k, v in out.items()}
 
@@ -506,22 +504,23 @@ class SteinSolution:
             if name in need
         }
 
-    def _fill(self, cols, contract, out: dict[str, np.ndarray]) -> None:
+    def _fill(self, cols, outer: bool, out: dict[str, np.ndarray]) -> None:
         """Write each field of `out` at the points whose axis-a coordinates
-        are cols[a]: tables T_a[j, g, i] of each factor derivative at
-        u_j cols[a][g] + c_j z_{i,a}, one per distinct (axis, factor),
-        contracted term by term over the GH nodes i into psi[j, point],
-        summed over the terms, then weighted over the u-nodes j row by row,
-        not by a BLAS `@`, which rounds some columns differently: a psi equal
-        at every point (a quadratic's Hessian) must give equal values, or
-        the ledger terms that vanish for such a function do not read 0.0.
-        Nor by `.sum(axis=0)`, which sums a one-point psi pairwise: each
-        point gets the same bits in whatever batch or chunk it sits."""
+        are cols[a] (a grid's axes if `outer`): tables T_a[j, g, i] of each
+        factor derivative at u_j cols[a][g] + c_j z_{i,a}, i over the nodes
+        with i_{a+1} = ... = 0, one per distinct (axis, factor), contracted
+        term by term (`_contract`) into psi[j, point], summed over the terms,
+        then weighted over the u-nodes j row by row, not by a BLAS `@`, which
+        rounds some columns differently: a psi equal at every point (a
+        quadratic's Hessian) must give equal values, or the ledger terms that
+        vanish for such a function do not read 0.0.  Nor by `.sum(axis=0)`,
+        which sums a one-point psi pairwise: each point gets the same bits in
+        whatever batch or chunk it sits."""
         d = self.dimension
         un, uw = self._unodes, self._uweights
         u = un[:, None, None]
         c = np.sqrt(1.0 - un**2)[:, None, None]
-        args = [u * x[:, None] + c * self._znodes[None, None, :, a] for a, x in enumerate(cols)]
+        args = [u * x[:, None] + c * self._znodes[:: self.gh_order ** (d - 1 - a), a] for a, x in enumerate(cols)]
         tabs = self.h._tables(args, max((_FIELDS.index(name) for name in out), default=0))
         del args  # free them before the contractions allocate
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
@@ -529,27 +528,24 @@ class SteinSolution:
             k = _FIELDS.index(name)
             zero = np.zeros((un.size, field.shape[0]))
             for idx in index_tuples(d, k):
-                psi = self.h._sum_terms(tabs, idx, contract, zero)
+                psi = self.h._sum_terms(tabs, idx, functools.partial(self._contract, outer=outer), zero)
                 if k == 0:
                     psi = psi - self.phi_h
                 _fill_partial(field, idx, -functools.reduce(np.add, u_weights[k][:, None] * psi))
 
-    def _contract(self, scale: float, tables) -> np.ndarray:
-        """psi[j, g_0 ... g_{d-1}] of one term on a grid: outer products along
-        the first d-1 axes with i innermost, acc[j, (g_0 ... g_a), i], then
-        one matmul over i per u-node against the last table."""
-        j, _, i = tables[0].shape
-        acc = (scale * self._zweights)[None, None, :]
-        for t in tables[:-1]:
-            acc = (acc[:, :, None, :] * t[:, None, :, :]).reshape(j, -1, i)
-        return (acc @ tables[-1].transpose(0, 2, 1)).reshape(j, -1)
-
-    def _diagonal(self, scale: float, tables) -> np.ndarray:
-        """psi[j, b] of one term at a point set, the diagonal of the grid of
-        its coordinate columns: the elementwise product across axes, then the
-        GH weights over the contiguous last axis i.  einsum, not `@ zweights`,
-        for the reason `_fill` gives."""
-        return np.einsum("i,jbi->jb", self._zweights, _product(scale, tables))
+    def _contract(self, scale: float, tables, outer: bool) -> np.ndarray:
+        """psi[j, point] = scale sum_i W_i prod_a T_a[j, g_a, i] of one term,
+        nested from the last axis in: sum acc's trailing GH index against the
+        1-D weights (per row, by einsum, for the reason `_fill` gives), times
+        the next table, repeat.  On a grid the product is outer across
+        coordinates, at a point set elementwise; nothing else differs."""
+        w = self._gh_weights
+        j = tables[0].shape[0]
+        acc = tables[-1]
+        for t in reversed(tables[:-1]):
+            acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w).reshape(j, -1, t.shape[-1])
+            acc = (t[:, :, None, :] * acc[:, None]).reshape(j, -1, t.shape[-1]) if outer else t * acc
+        return scale * np.einsum("jmi,i->jm", acc, w)
 
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]

@@ -296,6 +296,30 @@ def test_markov_driver_stream_and_validation():
         MarkovChainDriver(values=[0.05, 0.2], kernel=[[0.9, 0.2], [0.5, 0.5]], seed=1)
 
 
+def _markov_stream_by_steps(d: MarkovChainDriver, n: int) -> np.ndarray:
+    """Reference: one `searchsorted` per step on the current state's row."""
+    u = np.random.default_rng(d.seed).random(n + 1)
+    cum = np.cumsum(np.asarray(d.kernel, dtype=float), axis=1)
+    states = np.empty(n + 1, dtype=int)
+    states[0] = np.searchsorted(np.cumsum(d.stationary()), u[0])
+    for k in range(1, n + 1):
+        states[k] = np.searchsorted(cum[states[k - 1]], u[k])
+    return np.asarray(d.values)[states]
+
+
+@pytest.mark.parametrize("values, kernel", [
+    ([0.0, 0.1, 0.2], [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]]),
+    ([0.05, 0.2], [[0.0, 1.0], [1.0, 0.0]]),                 # period 2
+], ids=["three-state", "periodic"])
+def test_markov_stream_equals_the_per_step_walk(values, kernel):
+    d = MarkovChainDriver(values=values, kernel=kernel, seed=19)
+    long = d.stream(4096)
+    np.testing.assert_array_equal(long, _markov_stream_by_steps(d, 4096))
+    for n in (0, 1, 63, 1000):
+        np.testing.assert_array_equal(d.stream(n), long[: n + 1])
+    assert set(long) == set(values)
+
+
 def test_markov_stationary_vector_of_a_periodic_chain():
     # period 2: power iteration from the uniform vector cycles between
     # [1/3, 1/3, 1/3] and [1/6, 2/3, 1/6] and never reaches the answer

@@ -6,8 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from steinclt.harness import _BOUND_GH, _BOUND_U, _DECOMP_GH, _RESIDUAL_GH, _RESIDUAL_U
+from steinclt.quadrature import gauss_hermite_standard, gauss_legendre_01
 from steinclt.stein import (
     _CHUNK_VALUES,
+    _FIELDS,
     GaussFactor,
     LipschitzFunction,
     MollifierSmoother,
@@ -311,17 +314,45 @@ def test_grid_path_matches_point_path(dim):
         assert set(fast) == set(slow) == {"value", "gradient", "hessian"}
         for name, want in slow.items():
             assert fast[name].shape == want.shape
-            if h.name == "affine" and name == "hessian":
-                # every term's second partials vanish, so both paths write zeros
-                assert not fast[name].any() and not want.any()
-                continue
-            tol = 1e-13 * np.abs(want).max()
-            np.testing.assert_allclose(fast[name], want, rtol=0, atol=tol, err_msg=f"{h.name} {name}")
+            np.testing.assert_array_equal(fast[name], want, err_msg=f"{h.name} {name}")
         only = sol.evaluate(grid, ("hessian",))
         assert set(only) == {"hessian"}
         np.testing.assert_array_equal(only["hessian"], fast["hessian"])
-        res = stein_residual(sol, grid)
-        np.testing.assert_allclose(res, stein_residual(sol, grid.points()), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(stein_residual(sol, grid), stein_residual(sol, grid.points()))
+
+
+def _tensor_rule_fields(sol, w):
+    """Reference: A, grad A, D^2 A at points w from the full tensor rule,
+    E_z d^t h(u w + c z) = sum_i W_i d^t h(u w + c z_i) over all gh^d nodes,
+    with d^t h from the test function itself."""
+    d = sol.dimension
+    xi, zw = gauss_hermite_standard(sol.gh_order, d)
+    z = xi @ np.linalg.cholesky(sol.sigma).T
+    un, uw = gauss_legendre_01(sol.u_order)
+    c = np.sqrt(1.0 - un**2)
+    args = un[:, None, None, None] * w[None, :, None, :] + c[:, None, None, None] * z[None, None]
+    ev = sol.h.evaluate(args, _FIELDS)
+    phi = zw @ sol.h.value(z)
+    out = {}
+    for k, name in enumerate(_FIELDS):
+        psi = np.einsum("i,jbi...->jb...", zw, ev[name]) - (phi if k == 0 else 0.0)
+        out[name] = -np.einsum("j,jb...->b...", uw * un ** (k - 1), psi)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nested_contraction_matches_the_tensor_rule_sum(dim):
+    rng = np.random.default_rng(50 + dim)
+    w = 1.5 * rng.normal(size=(4, dim))
+    rules = [(_RESIDUAL_GH[dim], _RESIDUAL_U), (_BOUND_GH[dim], _BOUND_U[dim]), (_DECOMP_GH[dim], 8)]
+    family = builtin_test_functions(dim) + smooth_metric_family(dim) + [_mixed_separable()] * (dim == 3)
+    for gh, u in rules:
+        for h in family:
+            sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=gh, u_order=u)
+            got = sol.evaluate(w)
+            for name, want in _tensor_rule_fields(sol, w).items():
+                tol = 1e-13 * np.abs(want).max()
+                np.testing.assert_allclose(got[name], want, rtol=0, atol=tol, err_msg=f"{h.name} gh {gh} {name}")
 
 
 def test_closed_form_solutions_on_tensor_grid():
