@@ -31,7 +31,7 @@ from .dynamics import (
     ShiftedSlopeFamily,
     trajectory,
 )
-from .linalg import DegenerateCovariance
+from .linalg import MIN_EIGENVALUE, DegenerateCovariance
 from .quadrature import rule_certificate
 from .stein import (
     SteinSolution,
@@ -51,7 +51,6 @@ from .stats import (
     sigma_series,
     sliced_wasserstein,
     smooth_metric_distance,
-    sqrt_n_normalization,
     wasserstein1_1d,
     wasserstein_floor,
 )
@@ -446,12 +445,29 @@ def _sharded_sums(
     return out
 
 
-def _measure_distance(metric: str, w: np.ndarray, sigma: np.ndarray, seed: int):
+def _check_metric(metric: str, f: Observable) -> None:
+    """ConfigError, before any orbit step, when `metric` cannot read f."""
+    if metric == "wasserstein1" and f.dimension != 1:
+        raise ConfigError("wasserstein1 needs a scalar observable")
+
+
+def _distance_at(n: int, raw: np.ndarray, metric: str, seed: int, sigma=None, sqrt_n=False):
+    """Normalize the sums over N = n and measure W's distance to the normal.
+
+    Self-norming (the default) compares W with N(0, I).  With `sqrt_n`, W
+    is the centered sums over sqrt(n), compared with N(0, sigma), or with
+    N(0, covariance of the sums / n) when sigma is None.  A singular
+    covariance is re-raised naming n; `seed` draws the slice directions.
+    """
+    d = raw.shape[1]
+    try:
+        w, cov = normalize_sums(raw, np.eye(d) / math.sqrt(n) if sqrt_n else None)
+    except DegenerateCovariance as exc:
+        raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
+    if sigma is None:
+        sigma = cov / n if sqrt_n else np.eye(d)
     if metric == "wasserstein1":
-        if w.shape[1] != 1:
-            raise ConfigError("wasserstein1 needs a scalar observable")
-        scale = math.sqrt(float(sigma[0, 0]))
-        return wasserstein1_1d(w[:, 0] / scale)
+        return wasserstein1_1d(w[:, 0] / math.sqrt(float(sigma[0, 0])))
     if metric == "sliced-wasserstein":
         return sliced_wasserstein(w, sigma, seed=seed)
     return smooth_metric_distance(w, sigma)
@@ -487,6 +503,7 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     _check_horizon(cfg, grid[-1] - 1)
     chash = manifest.config_hash
     f = build_observable(cfg)
+    _check_metric(cfg["metric"], f)
     seq = build_system(cfg)
     manifest.seed(cfg["seed"], "driver")
     root = manifest.seed(cfg["seed"], "ensemble")
@@ -504,37 +521,27 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     rows = []
     for n, raw in zip(grid, sums):
         with manifest.stage(f"N{n}") as stage:
-            try:
-                w, _, summary = normalize_sums(raw, cfg["normalization"], n_terms=n)
-            except DegenerateCovariance as exc:
-                raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
-            target = np.eye(f.dimension) if cfg["normalization"] == "self-norming" else summary.matrix / n
-            rep = _measure_distance(
-                cfg["metric"], w, target, stage_seed(cfg["seed"], f"slice-N{n}")
+            rep = _distance_at(
+                n, raw, cfg["metric"], stage_seed(cfg["seed"], f"slice-N{n}"),
+                sqrt_n=cfg["normalization"] == "sqrt-n",
             )
             stage["floor_ratio"] = rep.value / floor
-        rows.append((n, rep, summary))
+        rows.append((n, rep))
 
-    smallest = min(rep.value for _, rep, _ in rows)
+    smallest = min(rep.value for _, rep in rows)
     # the floor is that of the W1 estimator; the smooth metric has none
     floor_ok = cfg["metric"] == "smooth-metric" or smallest >= 3.0 * floor
-    if not floor_ok:
-        warnings.warn(
-            "smallest measured distance sits within 3x the estimator floor; "
-            "increase the sample count",
-            stacklevel=2,
-        )
-    fit = fit_rate([(n, rep.value) for n, rep, _ in rows], cfg["fit_model"])
+    fit = fit_rate([(n, rep.value) for n, rep in rows], cfg["fit_model"])
 
     csv_path = manifest.write_rows(
         "rates.csv",
         ("config", "metric", "N", "S", "value", "stderr"),
-        [(chash, rep.metric, n, samples, rep.value, rep.stderr) for n, rep, _ in rows],
+        [(chash, rep.metric, n, samples, rep.value, rep.stderr) for n, rep in rows],
     )
     plot_path = manifest.write_rows(
         "plot_rates.txt",
         None,
-        [(math.log(n), math.log(rep.value)) for n, rep, _ in rows],
+        [(math.log(n), math.log(rep.value)) for n, rep in rows],
         sep=" ",
     )
     fit_path = manifest.write_rows(
@@ -591,9 +598,7 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
         stage["distinct_points"] = ledger.distinct_points
     tol = options.get("tolerance", 1e-9 + 4.0 * ledger.combined_stderr)
     passed = abs(ledger.residual) <= tol
-    csv_path = manifest.path("decomposition.csv")
-    ledger.to_csv(csv_path)
-    manifest.record_output(csv_path)
+    csv_path = manifest.write_rows("decomposition.csv", ("term", "value", "stderr"), ledger.rows())
     return DecomposeResult(ledger, tol, passed, csv_path, manifest.finish())
 
 
@@ -756,7 +761,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
         stage["point_steps"] = series.point_steps
     sigma = np.asarray(series.matrix)
     eigs = np.linalg.eigvalsh(sigma)
-    if float(eigs.min()) <= 1e-10:
+    if float(eigs.min()) <= MIN_EIGENVALUE:
         raise DegenerateCovariance(
             "series covariance is not positive definite: the variance-growth "
             "condition fails and no quenched limit is available"
@@ -772,8 +777,7 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
             sums = _sharded_sums(seq, f, grid, samples, root, stage)
             pairs = []
             for n, raw in zip(grid, sums):
-                w, _, _ = normalize_sums(raw, sqrt_n_normalization(n, f.dimension))
-                rep = _measure_distance(metric, w, sigma, root)
+                rep = _distance_at(n, raw, metric, root, sigma, sqrt_n=True)
                 pairs.append((n, rep.value))
                 rows.append((manifest.config_hash, r, n, samples, rep.value, rep.stderr))
             fits.append(fit_rate(pairs, cfg["fit_model"]))
@@ -802,6 +806,7 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
     grid = _rate_grid(cfg, "qds")
     t_mid = cfg.get("qds", {}).get("t_mid", 0.5)
     f = build_observable(cfg)
+    _check_metric(cfg["metric"], f)
     seq = build_system(cfg)
     samples = cfg["samples"]
     rows = []
@@ -817,14 +822,8 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
                 manifest.seed(cfg["seed"], f"qds-N{n}"), stage,
             )
             mid = (1.0 - frac) * s_mid + frac * s_next
-            lam_min = empirical_covariance(mid - mid.mean(axis=0)).lambda_min
-            try:
-                w, _, _ = normalize_sums(s_n, "self-norming")
-            except DegenerateCovariance as exc:
-                raise DegenerateCovariance(f"degenerate covariance at n={n}: {exc}") from exc
-            rep = _measure_distance(
-                cfg["metric"], w, np.eye(f.dimension), stage_seed(cfg["seed"], f"qds-slice-N{n}")
-            )
+            lam_min = float(np.linalg.eigvalsh(empirical_covariance(mid - mid.mean(axis=0)))[0])
+            rep = _distance_at(n, s_n, cfg["metric"], stage_seed(cfg["seed"], f"qds-slice-N{n}"))
         rows.append((n, lam_min, rep))
     by_n = {n: lam for n, lam, _ in rows}
     ratios = [(n, by_n[2 * n] / by_n[n]) for n in grid if 2 * n in by_n]

@@ -30,10 +30,10 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def symmetric_sqrt(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def symmetric_sqrt(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric square root via eigendecomposition.
 
-    Returns (b, b_inv, eigenvalues) with b = V diag(sqrt(lam)) V^T.  Raises
+    Returns (b, b_inv) with b = V diag(sqrt(lam)) V^T.  Raises
     DegenerateCovariance when the smallest eigenvalue does not clear
     `MIN_EIGENVALUE`.
     """
@@ -41,9 +41,10 @@ def symmetric_sqrt(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     vals, vecs = np.linalg.eigh(sym)
     if float(vals.min()) <= MIN_EIGENVALUE:
         raise DegenerateCovariance(
-            f"smallest eigenvalue {vals.min():.3e} <= {MIN_EIGENVALUE:.1e}"
+            f"covariance is singular: smallest eigenvalue {vals.min():.3e} "
+            f"<= {MIN_EIGENVALUE:.1e}; increase N or the sample count"
         )
     root = np.sqrt(vals)
     b = (vecs * root) @ vecs.T
     b_inv = (vecs / root) @ vecs.T
-    return b, b_inv, vals
+    return b, b_inv

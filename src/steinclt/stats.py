@@ -10,19 +10,15 @@ import numpy as np
 from scipy.special import ndtri
 
 from .dynamics import Observable, orbit
-from .linalg import MIN_EIGENVALUE, DegenerateCovariance, spectral_norm, symmetric_sqrt
+from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
 from .quadrature import gauss_hermite_standard
 from .stein import smooth_metric_family
 from .sunklodas import EnsembleMatrix
 
 __all__ = [
-    "NormalizationMatrix",
-    "CovarianceSummary",
     "DistanceReport",
     "RateFit",
     "SigmaSeriesReport",
-    "matrix_sqrt",
-    "sqrt_n_normalization",
     "empirical_covariance",
     "build_ensemble",
     "birkhoff_raw_sums",
@@ -39,54 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalizationMatrix:
-    """Symmetric positive definite normalization b with its inverse."""
-
-    b: np.ndarray
-    b_inv: np.ndarray
-    provenance: str
-    condition: float
-
-    def __post_init__(self):
-        if self.provenance not in ("self-norming", "sqrt-n", "custom"):
-            raise ValueError("provenance must be self-norming, sqrt-n, or custom")
-
-
-@dataclass(frozen=True)
-class CovarianceSummary:
-    matrix: np.ndarray
-    lambda_min: float
-    lambda_max: float
-    spectral: float
-
-
-def matrix_sqrt(sigma: np.ndarray) -> NormalizationMatrix:
-    """Self-norming b = Sigma^(1/2) by symmetric eigendecomposition."""
-    b, b_inv, eigs = symmetric_sqrt(sigma)
-    cond = float(math.sqrt(eigs.max() / eigs.min()))
-    return NormalizationMatrix(b, b_inv, "self-norming", cond)
-
-
-def sqrt_n_normalization(n: int, dim: int) -> NormalizationMatrix:
-    """b = sqrt(N) * identity, the fixed normalization for quenched runs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    root = math.sqrt(float(n))
-    return NormalizationMatrix(
-        root * np.eye(dim), np.eye(dim) / root, "sqrt-n", 1.0
-    )
-
-
-def empirical_covariance(data) -> CovarianceSummary:
-    """Covariance of an (S, d) array of centered vectors, with eigenvalue summary."""
+def empirical_covariance(data) -> np.ndarray:
+    """Symmetrized covariance of an (S, d) array of centered vectors."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected an (S, d) array of centered vectors")
     cov = arr.T @ arr / arr.shape[0]
-    cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
-    return CovarianceSummary(cov, float(eigs[0]), float(eigs[-1]), spectral_norm(cov))
+    return 0.5 * (cov + cov.T)
 
 
 def _orbit_values(seq, f: Observable, x0: np.ndarray, slots: int) -> np.ndarray:
@@ -111,9 +66,9 @@ def build_ensemble(
 
     Slot i holds f at the i-th orbit point (slot 0 is the initial point:
     `initial`, an array of shape (samples,), or a uniform draw).  Centering
-    subtracts the per-slot ensemble mean.  The normalization is self-norming
-    (b from the empirical covariance of the sums); another b is one
-    `EnsembleMatrix.with_normalization` call away.
+    subtracts the per-slot ensemble mean.  The normalization is self-norming:
+    b is `linalg.symmetric_sqrt` of the empirical covariance of the sums,
+    and another b is one `EnsembleMatrix.with_normalization` call away.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples to center the ensemble")
@@ -129,8 +84,8 @@ def build_ensemble(
             raise ValueError("initial points must have shape (samples,)")
     raw = _orbit_values(seq, f, x0, n_terms)
     centered = raw - raw.mean(axis=0, keepdims=True)
-    norm = matrix_sqrt(empirical_covariance(centered.sum(axis=1)).matrix)
-    return EnsembleMatrix.from_raw(raw, norm.b, f.bound)
+    b = symmetric_sqrt(empirical_covariance(centered.sum(axis=1)))[0]
+    return EnsembleMatrix.from_raw(raw, b, f.bound)
 
 
 def birkhoff_raw_sums(
@@ -164,29 +119,21 @@ def birkhoff_raw_sums(
 
 
 def normalize_sums(
-    raw_sums: np.ndarray,
-    normalization: NormalizationMatrix | str = "self-norming",
-    n_terms: int | None = None,
-) -> tuple[np.ndarray, NormalizationMatrix, CovarianceSummary]:
-    """Center raw sums, then apply b^{-1}; returns (W, b, covariance summary)."""
+    raw_sums: np.ndarray, b_inv: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Center raw sums, then apply b^{-1}; returns (W, covariance of the
+    centered sums).
+
+    With `b_inv` None the normalization is self-norming: b is the symmetric
+    square root of that covariance, and a singular covariance raises
+    DegenerateCovariance.  Pass np.eye(d) / sqrt(N) for sqrt(N) scaling.
+    """
     raw = np.asarray(raw_sums, dtype=float)
     centered = raw - raw.mean(axis=0, keepdims=True)
-    summary = empirical_covariance(centered)
-    if isinstance(normalization, NormalizationMatrix):
-        norm = normalization
-    elif normalization == "self-norming":
-        if summary.lambda_min <= MIN_EIGENVALUE:
-            raise DegenerateCovariance(
-                "covariance of the sums is singular; increase N or the sample count"
-            )
-        norm = matrix_sqrt(summary.matrix)
-    elif normalization == "sqrt-n":
-        if n_terms is None:
-            raise ValueError("sqrt-n normalization needs n_terms")
-        norm = sqrt_n_normalization(n_terms, raw.shape[1])
-    else:
-        raise ValueError("normalization must be self-norming, sqrt-n, or a matrix")
-    return centered @ norm.b_inv.T, norm, summary
+    cov = empirical_covariance(centered)
+    if b_inv is None:
+        b_inv = symmetric_sqrt(cov)[1]
+    return centered @ b_inv.T, cov
 
 
 @dataclass(frozen=True)

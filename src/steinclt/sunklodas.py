@@ -22,7 +22,6 @@ side, and the residual of the identity.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -211,14 +210,11 @@ class DecompositionLedger:
     def combined_stderr(self) -> float:
         return math.sqrt(self.lhs[1] ** 2 + sum(se**2 for _, se in self.terms.values()))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["term", "value", "stderr"])
-            for name, (val, se) in self.terms.items():
-                writer.writerow([name, repr(float(val)), repr(float(se))])
-            writer.writerow(["lhs", repr(float(self.lhs[0])), repr(float(self.lhs[1]))])
-            writer.writerow(["residual", repr(float(self.residual)), ""])
+    def rows(self) -> list[tuple]:
+        """(term, value, stderr) rows: E1..E7, lhs, then the residual with an
+        empty stderr."""
+        rows = [(name, *pair) for name, pair in self.terms.items()]
+        return rows + [("lhs", *self.lhs), ("residual", self.residual, "")]
 
 
 def _mean_and_stderr(contrib: np.ndarray, weights: np.ndarray | None) -> tuple[float, float]:

@@ -17,7 +17,8 @@ import pytest
 from steinclt import cli
 from steinclt.dynamics import LsvFamily, LsvMap, SequentialSequence, trajectory
 from steinclt.harness import run_qds, run_rates, run_stein_check
-from steinclt.stats import matrix_sqrt, scale_distance, wasserstein1_1d
+from steinclt.linalg import symmetric_sqrt
+from steinclt.stats import scale_distance, wasserstein1_1d
 from steinclt.stein import (
     MollifierSmoother,
     lipschitz_family_1d,
@@ -287,8 +288,8 @@ def test_a11_estimator_exactness():
         rng = np.random.default_rng(seed)
         basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         sigma = (basis * rng.uniform(0.5, 2.0, size=3)) @ basis.T
-        norm = matrix_sqrt(sigma)
-        assert np.abs(norm.b @ norm.b - sigma).max() <= 1e-10
+        b = symmetric_sqrt(sigma)[0]
+        assert np.abs(b @ b - sigma).max() <= 1e-10
     print("scale homogeneity, self-distance, and square-root round trip exact")
 
 

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -332,7 +335,7 @@ def test_run_rates_outputs_and_rerun_simulates(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = run_rates(cfg, tmp_path)
-    assert [n for n, _, _ in res.rows] == [128, 256, 512, 1024]
+    assert [n for n, _ in res.rows] == [128, 256, 512, 1024]
     assert res.floor == pytest.approx(0.8 / np.sqrt(2000))
     assert res.csv_path.exists() and res.plot_path.exists() and res.fit_path.exists()
     lines = res.csv_path.read_text().strip().splitlines()
@@ -450,8 +453,9 @@ def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
             assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out, name)
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, threads):
+@pytest.fixture
+def sums_calls(monkeypatch):
+    """The arguments of every `_sharded_sums` call the test goes on to make."""
     calls = []
     real = harness._sharded_sums
 
@@ -460,6 +464,11 @@ def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_sharded_sums", counting)
+    return calls
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, sums_calls, threads):
     cfg_path = tmp_path / "rates.json"
     cfg_path.write_text(json.dumps(_random_cfg()))
     rc = cli.main(
@@ -467,7 +476,41 @@ def test_rates_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch
     )
     assert rc == 2
     assert "--threads must be at least 1" in capsys.readouterr().err
-    assert calls == []
+    assert sums_calls == []
+
+
+@pytest.mark.parametrize("command, cfg", [("rates", _random_cfg()), ("qds", _qds_cfg())])
+def test_wasserstein1_on_a_vector_observable_fails_before_any_orbit_step(
+    tmp_path, capsys, sums_calls, command, cfg
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(cfg, observable="poly_pair")))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "wasserstein1 needs a scalar observable" in capsys.readouterr().err
+    assert sums_calls == []
+    assert not out.exists()
+
+
+def test_rates_near_the_floor_print_one_floor_line(tmp_path):
+    # the doubling map (alpha = 0 at every step) mixes fast, so the distances
+    # sit at the estimator floor
+    cfg = _random_cfg(
+        system=dict(_random_cfg()["system"], driver={"kind": "iid-uniform", "low": 0.0, "high": 0.0}),
+        n_grid=[256, 512, 1024, 2048],
+    )
+    cfg_path = tmp_path / "floor.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinclt.cli", "rates", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    floor_lines = [line for line in proc.stderr.splitlines() if "floor" in line]
+    assert floor_lines == ["warning: distances close to the estimator floor"]
 
 
 _SHORT_PARAMS = {"kind": "sequential", "family": "lsv", "beta_star": 0.3, "params": [0.1, 0.2, 0.3]}

@@ -15,22 +15,19 @@ from steinclt.dynamics import (
     SequentialSequence,
     trajectory,
 )
-from steinclt.linalg import DegenerateCovariance
+from steinclt.linalg import DegenerateCovariance, symmetric_sqrt
 from steinclt.stats import (
     DistanceReport,
-    NormalizationMatrix,
     build_ensemble,
     birkhoff_raw_sums,
     empirical_covariance,
     fit_rate,
-    matrix_sqrt,
     normal_quantile,
     normalize_sums,
     scale_distance,
     sigma_series,
     sliced_wasserstein,
     smooth_metric_distance,
-    sqrt_n_normalization,
     wasserstein1_1d,
     wasserstein_floor,
 )
@@ -40,36 +37,22 @@ def _doubling_seq(slots=200):
     return SequentialSequence(LsvFamily(), tuple(np.zeros(slots)), beta_star=0.25)
 
 
-def test_matrix_sqrt_round_trip():
+def test_symmetric_sqrt_round_trip():
     sigma = np.array([[2.0, 0.6], [0.6, 1.1]])
-    norm = matrix_sqrt(sigma)
-    assert norm.provenance == "self-norming"
-    np.testing.assert_allclose(norm.b @ norm.b, sigma, atol=1e-10)
-    np.testing.assert_allclose(norm.b @ norm.b_inv, np.eye(2), atol=1e-12)
-    assert norm.condition > 1.0
-    with pytest.raises(DegenerateCovariance):
-        matrix_sqrt(np.zeros((2, 2)))
-
-
-def test_sqrt_n_normalization():
-    norm = sqrt_n_normalization(16, 3)
-    np.testing.assert_allclose(norm.b, 4.0 * np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(norm.b_inv, np.eye(3) / 4.0, atol=1e-15)
-    assert norm.provenance == "sqrt-n" and norm.condition == 1.0
-    with pytest.raises(ValueError):
-        sqrt_n_normalization(0, 1)
-    with pytest.raises(ValueError):
-        NormalizationMatrix(np.eye(1), np.eye(1), "bogus", 1.0)
+    b, b_inv = symmetric_sqrt(sigma)
+    np.testing.assert_allclose(b @ b, sigma, atol=1e-10)
+    np.testing.assert_allclose(b @ b_inv, np.eye(2), atol=1e-12)
+    with pytest.raises(DegenerateCovariance, match="singular"):
+        symmetric_sqrt(np.zeros((2, 2)))
 
 
 def test_empirical_covariance():
     rng = np.random.default_rng(0)
     arr = rng.normal(size=(5000, 2))
     arr -= arr.mean(axis=0)
-    summary = empirical_covariance(arr)
-    np.testing.assert_allclose(summary.matrix, arr.T @ arr / 5000, atol=1e-12)
-    assert summary.lambda_min <= summary.lambda_max
-    assert summary.spectral == pytest.approx(summary.lambda_max, rel=1e-10)
+    cov = empirical_covariance(arr)
+    np.testing.assert_allclose(cov, arr.T @ arr / 5000, atol=1e-12)
+    np.testing.assert_array_equal(cov, cov.T)
     with pytest.raises(ValueError):
         empirical_covariance(np.zeros(5))
 
@@ -241,14 +224,13 @@ def test_build_ensemble_self_norming():
 def test_build_ensemble_options_and_validation():
     f = OBSERVABLES["identity"]()
     seq = _doubling_seq()
-    ens = build_ensemble(seq, f, 4, 500, seed=9).with_normalization(sqrt_n_normalization(4, 1).b)
+    ens = build_ensemble(seq, f, 4, 500, seed=9).with_normalization(2.0 * np.eye(1))
     np.testing.assert_allclose(ens.b, 2.0 * np.eye(1), atol=1e-15)
-    custom = NormalizationMatrix(np.eye(1), np.eye(1), "custom", 1.0)
-    ens2 = build_ensemble(seq, f, 4, 500, seed=9).with_normalization(custom.b)
+    ens2 = build_ensemble(seq, f, 4, 500, seed=9).with_normalization(np.eye(1))
     np.testing.assert_allclose(ens2.b, np.eye(1), atol=1e-15)
     # a constant start would make the self-normed covariance singular
     x0 = np.linspace(0.0, 1.0, 500)
-    fixed = build_ensemble(seq, f, 4, 500, seed=9, initial=x0).with_normalization(custom.b)
+    fixed = build_ensemble(seq, f, 4, 500, seed=9, initial=x0).with_normalization(np.eye(1))
     assert fixed.samples == 500
     np.testing.assert_array_equal(x0, np.linspace(0.0, 1.0, 500))
     np.testing.assert_allclose(fixed.values[:, 0, 0], x0 - x0.mean(), atol=1e-15)
@@ -269,8 +251,7 @@ def test_birkhoff_sums_match_ensemble():
     seq = _doubling_seq()
     x0 = np.random.default_rng(10).random(500)
     sums = birkhoff_raw_sums(seq, f, [6], x0, np.empty((1, 500, 1)))[0]
-    custom = NormalizationMatrix(np.eye(1), np.eye(1), "custom", 1.0)
-    ens = build_ensemble(seq, f, 6, 500, seed=10).with_normalization(custom.b)
+    ens = build_ensemble(seq, f, 6, 500, seed=10).with_normalization(np.eye(1))
     np.testing.assert_allclose(
         ens.values.sum(axis=1), sums - sums.mean(axis=0), atol=1e-12
     )
@@ -303,13 +284,13 @@ def test_ensemble_and_series_values_are_the_trajectory_values(name):
 def test_normalize_sums():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(2000, 2)) @ np.array([[1.5, 0.2], [0.0, 0.7]])
-    w, norm, summary = normalize_sums(raw)
+    centered = raw - raw.mean(axis=0, keepdims=True)
+    w, cov = normalize_sums(raw)
     np.testing.assert_allclose(w.T @ w / 2000, np.eye(2), atol=1e-10)
-    assert norm.provenance == "self-norming"
-    assert summary.lambda_min > 0
-    w2, norm2, _ = normalize_sums(raw, normalization="sqrt-n", n_terms=9)
-    np.testing.assert_allclose(norm2.b, 3.0 * np.eye(2), atol=1e-15)
-    with pytest.raises(ValueError):
-        normalize_sums(raw, normalization="sqrt-n")
+    assert cov.tobytes() == empirical_covariance(centered).tobytes()
+    # b^{-1} = I / 3 scales each entry by the float 1/3 (not a division by 3)
+    w3, cov3 = normalize_sums(raw, np.eye(2) / 3)
+    assert w3.tobytes() == (centered * (1 / 3)).tobytes()
+    assert cov3.tobytes() == cov.tobytes()
     with pytest.raises(DegenerateCovariance, match="singular"):
         normalize_sums(np.ones((500, 2)))

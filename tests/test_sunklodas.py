@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
+from steinclt.harness import RunManifest
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
 from steinclt.stein import (
@@ -343,14 +344,15 @@ def test_decompose_evaluates_each_distinct_punctured_sum_once(d):
 def test_ledger_csv_round_trip(tmp_path):
     ens = _doubling_ensemble(400, 4, seed=10)
     ledger = decompose(ens, _tanh_single())
-    path = tmp_path / "ledger.csv"
-    ledger.to_csv(path)
+    manifest = RunManifest("ledger", "decompose", tmp_path)
+    path = manifest.write_rows("decomposition.csv", ("term", "value", "stderr"), ledger.rows())
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "term,value,stderr"
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names == ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "lhs", "residual"]
-    got_resid = float(lines[-1].split(",")[1])
-    assert got_resid == ledger.residual
+    assert lines[-1] == f"residual,{ledger.residual!r},"
+    assert lines[-2] == f"lhs,{ledger.lhs[0]!r},{ledger.lhs[1]!r}"
 
 
 def test_decompose_error_paths():
