@@ -656,7 +656,8 @@ def run_stein_check(dim: int, seed: int = 0, sigma_count: int = 5, out_dir=None)
     Closed-form cases (affine, quadratic) must pass at 1e-10; the smooth
     bump-type functions at 1e-4 (quadrature-limited).  Every row evaluates
     its solution on tensor grids, so each contracts its factor tables by
-    outer products across axes.  With
+    outer products across axes, the first axis's fused with its
+    Gauss-Hermite sum in one einsum.  With
     `out_dir`, writes stein_check_d{dim}.csv and a manifest.json whose config
     hash covers the arguments; its `stages` give, for the residual and the
     bound sweep, the seconds, the number of rows and the certificate of the
@@ -823,7 +824,10 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
             )
             mid = (1.0 - frac) * s_mid + frac * s_next
             lam_min = float(np.linalg.eigvalsh(empirical_covariance(mid - mid.mean(axis=0)))[0])
-            rep = _distance_at(n, s_n, cfg["metric"], stage_seed(cfg["seed"], f"qds-slice-N{n}"))
+            rep = _distance_at(
+                n, s_n, cfg["metric"], stage_seed(cfg["seed"], f"qds-slice-N{n}"),
+                sqrt_n=cfg["normalization"] == "sqrt-n",
+            )
         rows.append((n, lam_min, rep))
     by_n = {n: lam for n, lam, _ in rows}
     ratios = [(n, by_n[2 * n] / by_n[n]) for n in grid if 2 * n in by_n]

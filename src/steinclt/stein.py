@@ -25,9 +25,10 @@ weights factor as w[i_0] ... w[i_{d-1}].  Per-axis factor tables T_a[j, g, i]
 at u_j x_a + sqrt(1-u_j^2) z_{i,a} thus span gh^(a+1) GH columns i (last, so
 sums run contiguous), at the input's coordinates g on axis a: the grid's
 axis, or the points' a-th column.  Each term is contracted one GH axis at a
-time from the last; only the multiply between axes depends on the input, an
-outer product on a grid and elementwise at points, so a grid equals its
-`points()` bit for bit (tests/test_stein.py).
+time from the last; the first axis's product and its GH sum are one einsum,
+so that axis's product array is never built.  Only the multiply between axes
+depends on the input, an outer product on a grid and elementwise at points,
+so a grid equals its `points()` bit for bit (tests/test_stein.py).
 """
 from __future__ import annotations
 
@@ -537,15 +538,25 @@ class SteinSolution:
         """psi[j, point] = scale sum_i W_i prod_a T_a[j, g_a, i] of one term,
         nested from the last axis in: sum acc's trailing GH index against the
         1-D weights (per row, by einsum, for the reason `_fill` gives), times
-        the next table, repeat.  On a grid the product is outer across
-        coordinates, at a point set elementwise; nothing else differs."""
+        the next table, repeat down to axis 1.  Axis 0 takes its product and
+        its GH sum in one three-operand einsum, T_0 times acc times the
+        weights summed over i, which skips a (u, points, gh) product array
+        whose short GH axis is innermost.  On a grid the product is outer
+        across coordinates (acc passed as a contiguous (j, i, m) transpose,
+        same bits), at a point set elementwise; nothing else differs."""
         w = self._gh_weights
         j = tables[0].shape[0]
         acc = tables[-1]
-        for t in reversed(tables[:-1]):
+        if len(tables) == 1:
+            return scale * np.einsum("jmi,i->jm", acc, w)
+        for t in tables[-2:0:-1]:
             acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w).reshape(j, -1, t.shape[-1])
             acc = (t[:, :, None, :] * acc[:, None]).reshape(j, -1, t.shape[-1]) if outer else t * acc
-        return scale * np.einsum("jmi,i->jm", acc, w)
+        acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w).reshape(j, -1, w.size)
+        if outer:
+            acc = np.ascontiguousarray(acc.transpose(0, 2, 1))
+            return scale * np.einsum("jgi,jim,i->jgm", tables[0], acc, w).reshape(j, -1)
+        return scale * np.einsum("jmi,jmi,i->jm", tables[0], acc, w)
 
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]

@@ -662,6 +662,24 @@ def test_run_qds_lambda_min_is_the_interpolated_partial_sum(tmp_path, t_mid):
         assert lam_min == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_sqrt_n_qds_reads_its_normalization(tmp_path, monkeypatch):
+    sums = []
+    real = harness._sharded_sums
+    monkeypatch.setattr(harness, "_sharded_sums", lambda *a, **k: sums.append(real(*a, **k)) or sums[-1])
+    cfg = validate_config(_qds_cfg(
+        observable="poly_pair", metric="sliced-wasserstein", normalization="sqrt-n",
+        samples=500, n_grid=[32, 64, 128, 256],
+    ))
+    res = run_qds(cfg, tmp_path)
+    with open(res.csv_path, newline="") as fh:
+        values = [float(r["value"]) for r in csv.DictReader(fh)]
+    assert len(sums) == len(values) == 4
+    for n, (_, _, s_n), value in zip(cfg["n_grid"], sums, values):
+        seed = stage_seed(cfg["seed"], f"qds-slice-N{n}")
+        assert value == harness._distance_at(n, s_n, "sliced-wasserstein", seed, sqrt_n=True).value
+        assert value != harness._distance_at(n, s_n, "sliced-wasserstein", seed).value
+
+
 def test_run_quenched_small(tmp_path):
     cfg = _random_cfg(samples=1500)
     cfg["n_grid"] = [64, 128, 256, 512]

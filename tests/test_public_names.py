@@ -1,7 +1,7 @@
 """Every exported name resolves, no src module imports a name it never
-reads, importing the CLI leaves scipy.sparse unloaded, and the benchmark
-tracer still finds the names it patches and counts the points of every
-orbit step."""
+reads, the Stein table contraction makes no BLAS call, importing the CLI
+leaves scipy.sparse unloaded, and the benchmark tracer still finds the names
+it patches and counts the points of every orbit step."""
 
 import ast
 import importlib
@@ -66,6 +66,49 @@ def test_no_src_module_imports_a_name_it_never_reads():
     assert unused == {}
     assert _unused_imports("from scipy.special import ndtr, ndtri\nx = ndtri(0.5)\n") == [
         "ndtr (line 1)"
+    ]
+
+
+_BLAS_NAMES = {"matmul", "dot", "tensordot", "inner"}
+
+
+def _blas_uses(source: str, cls: str, methods) -> list[str]:
+    """`@`, BLAS-backed names and einsum `optimize=` in the given methods of cls."""
+    tree = ast.parse(source)
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    found = []
+    for func in (n for n in body if isinstance(n, ast.FunctionDef) and n.name in methods):
+        for node in ast.walk(func):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{func.name}: @ (line {node.lineno})")
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in _BLAS_NAMES:
+                found.append(f"{func.name}: {name} (line {node.lineno})")
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+                and any(k.arg == "optimize" for k in node.keywords)
+            ):
+                found.append(f"{func.name}: einsum optimize= (line {node.lineno})")
+    return sorted(found)
+
+
+def test_stein_evaluate_makes_no_blas_call():
+    # a BLAS product rounds some columns differently, so a Hessian that is
+    # equal at every point (a quadratic's) would not be, and the ledger
+    # terms that vanish for such a function would not read 0.0
+    source = (ROOT / "src" / "steinclt" / "stein.py").read_text()
+    assert _blas_uses(source, "SteinSolution", {"_fill", "_contract"}) == []
+    probe = (
+        "class S:\n"
+        "    def _fill(self, a, b):\n        a @= b\n        return np.dot(a, b)\n"
+        "    def _contract(self, a, b):\n        return inner(a, np.einsum('i,i', a, b, optimize=True))\n"
+        "    def other(self, a, b):\n        return a @ b\n"
+    )
+    assert _blas_uses(probe, "S", {"_fill", "_contract"}) == [
+        "_contract: einsum optimize= (line 6)",
+        "_contract: inner (line 6)",
+        "_fill: @ (line 3)",
+        "_fill: dot (line 4)",
     ]
 
 

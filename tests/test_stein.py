@@ -321,6 +321,25 @@ def test_grid_path_matches_point_path(dim):
         np.testing.assert_array_equal(stein_residual(sol, grid), stein_residual(sol, grid.points()))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bound_rule_grid_fields_are_exact(dim):
+    # the d=3 bound rule, where the first axis's product and GH sum are one einsum
+    gh, u = _BOUND_GH[3], _BOUND_U[3]
+    grid = _uneven_grid(dim)
+    sigma = _random_sigma(np.random.default_rng(60 + dim), dim)
+    for h in builtin_test_functions(dim):
+        sol = SteinSolution(h, sigma, gh_order=gh, u_order=u)
+        fast = sol.evaluate(grid)
+        slow = sol.evaluate(grid.points())
+        for name, want in slow.items():
+            np.testing.assert_array_equal(fast[name], want, err_msg=f"{h.name} {name}")
+        hessian = fast["hessian"]
+        if h.name == "quadratic":
+            np.testing.assert_array_equal(hessian, np.broadcast_to(hessian[0], hessian.shape))
+        if h.name == "affine":
+            np.testing.assert_array_equal(hessian, 0.0)
+
+
 def _tensor_rule_fields(sol, w):
     """Reference: A, grad A, D^2 A at points w from the full tensor rule,
     E_z d^t h(u w + c z) = sum_i W_i d^t h(u w + c z_i) over all gh^d nodes,
