@@ -655,9 +655,11 @@ def run_stein_check(dim: int, seed: int = 0, sigma_count: int = 5, out_dir=None)
 
     Closed-form cases (affine, quadratic) must pass at 1e-10; the smooth
     bump-type functions at 1e-4 (quadrature-limited).  Every row evaluates
-    its solution on tensor grids, so each contracts its factor tables by
-    outer products across axes, the first axis's fused with its
-    Gauss-Hermite sum in one einsum.  With
+    its solution on tensor grids: the last axis's factor tables are built a
+    block of u-nodes at a time and summed over their Gauss-Hermite index as
+    they are built, so the residual rule's (14^3 columns at d = 3) are never
+    held whole, and the rest are contracted by outer products across axes,
+    the first axis's fused with its Gauss-Hermite sum in one einsum.  With
     `out_dir`, writes stein_check_d{dim}.csv and a manifest.json whose config
     hash covers the arguments; its `stages` give, for the residual and the
     bound sweep, the seconds, the number of rows and the certificate of the

@@ -24,8 +24,12 @@ lower Cholesky factor, so z_{i,a} depends on (i_0 ... i_a) only, and the
 weights factor as w[i_0] ... w[i_{d-1}].  Per-axis factor tables T_a[j, g, i]
 at u_j x_a + sqrt(1-u_j^2) z_{i,a} thus span gh^(a+1) GH columns i (last, so
 sums run contiguous), at the input's coordinates g on axis a: the grid's
-axis, or the points' a-th column.  Each term is contracted one GH axis at a
-time from the last; the first axis's product and its GH sum are one einsum,
+axis, or the points' a-th column.  The last axis's tables, gh^d columns
+wide, are never held whole: they are built a block of u-nodes at a time and
+each block is summed over its own GH index as soon as it is built, once per
+(factor, derivative order), so at points one constant (`_CHUNK_VALUES`)
+bounds the memory of a call.  Each term is then contracted one GH axis at a
+time from there; the first axis's product and its GH sum are one einsum,
 so that axis's product array is never built.  Only the multiply between axes
 depends on the input, an outer product on a grid and elementwise at points,
 so a grid equals its `points()` bit for bit (tests/test_stein.py).
@@ -249,13 +253,26 @@ class SeparableTestFunction:
 
     def _tables(self, cols, depth: int) -> dict:
         """Tables up to g^(depth) keyed by (axis, factor); cols[a] holds the
-        arguments of axis a."""
+        arguments of axis a, for the first len(cols) axes."""
         tabs = {}
         for term in self.terms:
-            for a, f in enumerate(term.factors):
+            for a, (f, x) in enumerate(zip(term.factors, cols)):
                 if (a, f) not in tabs:
-                    tabs[a, f] = f.tables(cols[a], depth)
+                    tabs[a, f] = f.tables(x, depth)
         return tabs
+
+    def _orders_read(self, axis: int, orders) -> dict:
+        """The derivative orders of each factor on `axis` that some term
+        reads in the partials of the given orders, vanishing terms skipped
+        as `_sum_terms` skips them."""
+        read = {}
+        for k in orders:
+            for idx in index_tuples(self.dimension, k):
+                counts = _counts(self.dimension, idx)
+                for term in self.terms:
+                    if not term.vanishes(counts):
+                        read.setdefault(term.factors[axis], set()).add(counts[axis])
+        return read
 
     def _sum_terms(self, tabs, idx: tuple[int, ...], block, zero):
         """Sum over the terms whose partial d^idx does not vanish of
@@ -444,10 +461,13 @@ class TensorGrid:
         return self + np.negative(shift)
 
 
-# Values of the last axis's factor table (u-nodes x points x gh^d GH columns),
-# the largest, in one chunk of the point input to `SteinSolution.evaluate`.
-# It bounds a call's memory: each (axis, factor) holds up to three tables.
-_CHUNK_VALUES = 1_000_000
+# Values of the last axis's factor table (u-nodes x points x gh^d GH columns)
+# that `SteinSolution._fill` builds at once, a block of u-nodes at a time.  A
+# point input is cut into chunks of _CHUNK_VALUES // gh^d points, so one
+# u-node's block fits; a grid is not cut, only its u-nodes are.  What a call
+# keeps is summed over the last GH index, so at points no array it builds
+# holds much more than max(1, u-nodes / gh) * _CHUNK_VALUES values.
+_CHUNK_VALUES = 32_768
 
 
 class SteinSolution:
@@ -491,7 +511,7 @@ class SteinSolution:
         w = np.asarray(w, dtype=float)
         pts = w.reshape(-1, w.shape[-1])
         out = self._empty(pts.shape[0], need)
-        chunk = max(1, _CHUNK_VALUES // (self._unodes.size * self._znodes.shape[0]))
+        chunk = max(1, _CHUNK_VALUES // self._znodes.shape[0])
         for lo in range(0, pts.shape[0], chunk):
             rows = slice(lo, lo + chunk)
             self._fill(pts[rows].T, False, {k: v[rows] for k, v in out.items()})
@@ -516,14 +536,35 @@ class SteinSolution:
         quadratic's Hessian) must give equal values, or the ledger terms that
         vanish for such a function do not read 0.0.  Nor by `.sum(axis=0)`,
         which sums a one-point psi pairwise: each point gets the same bits in
-        whatever batch or chunk it sits."""
+        whatever batch or chunk it sits.
+
+        The last axis's tables, the largest, are never built whole: they are
+        built a block of u-nodes at a time (`_CHUNK_VALUES` values) and each
+        block is summed over its trailing GH index i_{d-1} against the 1-D
+        weights at once, the einsum `_contract` would run per term, into
+        S[j, g gh^(d-1) + i'] for each (factor, derivative order) that some
+        term reads; `_contract` starts from S."""
         d = self.dimension
         un, uw = self._unodes, self._uweights
+        w = self._gh_weights
         u = un[:, None, None]
         c = np.sqrt(1.0 - un**2)[:, None, None]
-        args = [u * x[:, None] + c * self._znodes[:: self.gh_order ** (d - 1 - a), a] for a, x in enumerate(cols)]
-        tabs = self.h._tables(args, max((_FIELDS.index(name) for name in out), default=0))
+        orders = [_FIELDS.index(name) for name in out]
+        args = [u * x[:, None] + c * self._znodes[:: self.gh_order ** (d - 1 - a), a] for a, x in enumerate(cols[:-1])]
+        tabs = self.h._tables(args, max(orders, default=0))
         del args  # free them before the contractions allocate
+        x, z = cols[-1], self._znodes[:, -1]
+        width = x.size * z.size // w.size          # S's columns
+        step = max(1, _CHUNK_VALUES // max(1, x.size * z.size))
+        for f, ks in self.h._orders_read(d - 1, orders).items():
+            sums = {k: np.empty((un.size, width)) for k in ks}
+            for lo in range(0, un.size, step):
+                rows = slice(lo, lo + step)
+                block = f.tables(u[rows] * x[:, None] + c[rows] * z, max(ks))
+                for k in ks:
+                    t = block[k]
+                    np.einsum("jmi,i->jm", t.reshape(len(t), width, w.size), w, out=sums[k][rows])
+            tabs[d - 1, f] = sums
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
         for name, field in out.items():
             k = _FIELDS.index(name)
@@ -536,9 +577,10 @@ class SteinSolution:
 
     def _contract(self, scale: float, tables, outer: bool) -> np.ndarray:
         """psi[j, point] = scale sum_i W_i prod_a T_a[j, g_a, i] of one term,
-        nested from the last axis in: sum acc's trailing GH index against the
-        1-D weights (per row, by einsum, for the reason `_fill` gives), times
-        the next table, repeat down to axis 1.  Axis 0 takes its product and
+        nested from the last axis in, whose table comes already summed over
+        its GH index (`_fill`): times the next table, sum the trailing GH
+        index against the 1-D weights (per row, by einsum, for the reason
+        `_fill` gives), repeat down to axis 1.  Axis 0 takes its product and
         its GH sum in one three-operand einsum, T_0 times acc times the
         weights summed over i, which skips a (u, points, gh) product array
         whose short GH axis is innermost.  On a grid the product is outer
@@ -548,11 +590,12 @@ class SteinSolution:
         j = tables[0].shape[0]
         acc = tables[-1]
         if len(tables) == 1:
-            return scale * np.einsum("jmi,i->jm", acc, w)
+            return scale * acc
         for t in tables[-2:0:-1]:
-            acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w).reshape(j, -1, t.shape[-1])
+            acc = acc.reshape(j, -1, t.shape[-1])
             acc = (t[:, :, None, :] * acc[:, None]).reshape(j, -1, t.shape[-1]) if outer else t * acc
-        acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w).reshape(j, -1, w.size)
+            acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w)
+        acc = acc.reshape(j, -1, w.size)
         if outer:
             acc = np.ascontiguousarray(acc.transpose(0, 2, 1))
             return scale * np.einsum("jgi,jim,i->jgm", tables[0], acc, w).reshape(j, -1)

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from steinclt import stein
 from steinclt.harness import _BOUND_GH, _BOUND_U, _DECOMP_GH, _RESIDUAL_GH, _RESIDUAL_U
 from steinclt.quadrature import gauss_hermite_standard, gauss_legendre_01
 from steinclt.stein import (
@@ -298,7 +299,7 @@ def test_grid_path_matches_point_path(dim):
     if dim == 3:
         # its points() span several chunks of the point input (gh 6, u 7)
         seams = TensorGrid([np.linspace(-3.0, 3.0, 16), np.linspace(-2.5, 2.0, 12), np.linspace(-2.0, 2.5, 10)])
-        assert seams.shape[0] > 2 * (_CHUNK_VALUES // (7 * 6**3))
+        assert seams.shape[0] > 2 * (_CHUNK_VALUES // 6**3)
         cases += [(seams, h) for h in builtins + extra]
     # one-coordinate axes (G=1): a lone d=1 point, which takes no outer
     # product, and d=3 grids with G=1 first and last, then in the middle
@@ -319,6 +320,51 @@ def test_grid_path_matches_point_path(dim):
         assert set(only) == {"hessian"}
         np.testing.assert_array_equal(only["hessian"], fast["hessian"])
         np.testing.assert_array_equal(stein_residual(sol, grid), stein_residual(sol, grid.points()))
+
+
+def _fields_under(monkeypatch, values, sol, w):
+    monkeypatch.setattr(stein, "_CHUNK_VALUES", values)
+    return sol.evaluate(w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_u_node_blocks_and_point_chunks_leave_every_bit(dim, monkeypatch):
+    # one u-node per block and one point per chunk, against one block and one
+    # chunk for the whole input, on a grid and at its points()
+    rng = np.random.default_rng(70 + dim)
+    grid = _uneven_grid(dim)
+    family = builtin_test_functions(dim) + smooth_metric_family(dim) + [_mixed_separable()] * (dim == 3)
+    for h in family:
+        sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=6, u_order=7)
+        whole = _fields_under(monkeypatch, 10**9, sol, grid)
+        for values in (1, 10**9):
+            for w in (grid, grid.points()):
+                got = _fields_under(monkeypatch, values, sol, w)
+                for name, want in whole.items():
+                    np.testing.assert_array_equal(got[name], want, err_msg=f"{h.name} {name} {values}")
+    # a point input that spans the default chunk seams, against one chunk
+    chunk = _CHUNK_VALUES // 6**dim
+    points = 1.5 * rng.normal(size=(2 * chunk + 1, dim))
+    for h in builtin_test_functions(dim)[1:3]:
+        sol = SteinSolution(h, _random_sigma(rng, dim), gh_order=6, u_order=7)
+        seams = sol.evaluate(points)
+        whole = _fields_under(monkeypatch, 10**9, sol, points)
+        for name, want in whole.items():
+            np.testing.assert_array_equal(seams[name], want, err_msg=f"{h.name} {name}")
+
+
+@pytest.mark.parametrize("values", [1, stein._CHUNK_VALUES])
+def test_empty_inputs_give_empty_fields(values, monkeypatch):
+    monkeypatch.setattr(stein, "_CHUNK_VALUES", values)
+    for dim in (1, 2, 3):
+        sol = SteinSolution(builtin_test_functions(dim)[2], np.eye(dim), gh_order=4, u_order=3)
+        full = [np.array([0.1, -0.2])] * (dim - 1)
+        inputs = [np.zeros((0, dim)), TensorGrid([[]] + full), TensorGrid(full + [[]])]
+        for w in inputs:
+            got = sol.evaluate(w)
+            assert {name: f.shape for name, f in got.items()} == {
+                name: (0,) + (dim,) * k for k, name in enumerate(_FIELDS)
+            }
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from steinclt import stein
 from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.harness import RunManifest
 from steinclt.linalg import DegenerateCovariance
@@ -160,6 +161,26 @@ def test_stein_solution_of_a_polynomial_leaves_e3_to_e7_exactly_zero(d):
         assert abs(ledger.residual) < 1e-12, h.name
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ledger_is_byte_identical_in_one_u_node_blocks(d, monkeypatch):
+    # sixteen points per chunk and one u-node per block, against the default
+    gh = 6
+    rng = np.random.default_rng(60 + d)
+    vals = rng.standard_normal((60, 5, d))
+    ens = EnsembleMatrix.from_raw(vals, np.eye(d), float(np.abs(vals).max()))
+    sols = [SteinSolution(h, ens.w_covariance(), gh_order=gh, u_order=8) for h in builtin_test_functions(d)[:3]]
+    default = [decompose(ens, sol).rows() for sol in sols]
+    monkeypatch.setattr(stein, "_CHUNK_VALUES", 16 * gh**d)
+    for sol, want in zip(sols, default):
+        ledger = decompose(ens, sol)
+        assert repr(ledger.rows()) == repr(want), sol.h.name
+        if sol.h.name == "quadratic":
+            for name in ("E3", "E4", "E5", "E6", "E7"):
+                assert ledger.terms[name] == (0.0, 0.0), name
+    affine = sols[0].evaluate(ens.y_values().sum(axis=1), ("hessian",))["hessian"]
+    np.testing.assert_array_equal(affine, 0.0)
+
+
 def test_identity_exact_on_weighted_spaces():
     rng = np.random.default_rng(5)
     h = _tanh_single()
@@ -280,7 +301,7 @@ def test_point_path_gives_each_point_its_bits_in_any_batch(d, gh):
     # both calls span chunk boundaries and end on a one-row chunk
     sol = SteinSolution(builtin_test_functions(d)[2], np.eye(d) + 0.3 - 0.3 * np.eye(d),
                         gh_order=gh, u_order=8)
-    chunk = _CHUNK_VALUES // (8 * gh**d)
+    chunk = _CHUNK_VALUES // gh**d
     rng = np.random.default_rng(30 + d)
     distinct = rng.normal(size=(chunk + 1, d))
     inv = np.concatenate([rng.permutation(chunk + 1), rng.integers(0, chunk + 1, chunk)])
