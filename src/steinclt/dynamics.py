@@ -231,9 +231,6 @@ class PiecewiseLinearMap(IntervalMap):
 class MapFamily:
     """Parameter -> map constructor used by the composition regimes."""
 
-    param_low: float = 0.0
-    param_high: float = 1.0
-
     def make(self, param: float) -> IntervalMap:
         raise NotImplementedError
 

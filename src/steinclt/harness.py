@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -58,7 +57,6 @@ from .sunklodas import DecompositionLedger, decompose
 
 __all__ = [
     "ConfigError",
-    "CONFIG_SCHEMA",
     "validate_config",
     "load_config",
     "config_hash",
@@ -81,151 +79,119 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["version", "system", "observable", "samples", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": 1},
+_ABOVE_0 = math.ulp(0.0)  # the least float above 0: ">= _ABOVE_0" is "> 0"
+_MAX = math.nextafter(math.inf, 0.0)  # the largest float
+_NUMBER = (-_MAX, _MAX)
+
+# The config, object by object.  "keys" maps each key an object may hold to
+# its test: a set of allowed values (of their type: neither 1.0 nor true is
+# 1), an int (an integer at least that; no float or bool), a (low, high)
+# range of numbers, str, [test, least] (a list of at least `least` items
+# that pass `test`) or a nested object.  "required" lists the keys an object
+# must hold; "kinds" maps each allowed "kind" to the key groups it adds
+# ("low high" is one group), of which the object must hold one whole.
+_CONFIG = {
+    "required": ("version", "system", "observable", "samples", "seed"),
+    "keys": {
+        "version": {1},
         "system": {
-            "type": "object",
-            "required": ["kind", "family", "beta_star"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["sequential", "quasistatic", "random"]},
-                "family": {"enum": ["lsv", "shifted-slope"]},
-                "beta_star": {"type": "number", "minimum": 0, "maximum": 1},
-                "params": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            "required": ("kind", "family", "beta_star"),
+            "kinds": {"sequential": ("params", "driver"), "quasistatic": ("curve",),
+                      "random": ("driver",)},
+            "keys": {
+                "family": {"lsv", "shifted-slope"},
+                "beta_star": (0, 1),
+                "params": [_NUMBER, 1],
                 "driver": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["iid-uniform", "markov"]},
-                        "low": {"type": "number"},
-                        "high": {"type": "number"},
-                        "values": {"type": "array", "items": {"type": "number"}},
-                        "kernel": {
-                            "type": "array",
-                            "items": {"type": "array", "items": {"type": "number"}},
-                        },
-                    },
+                    "required": ("kind",),
+                    "kinds": {"iid-uniform": ("low high",), "markov": ("values kernel",)},
+                    "keys": {"low": _NUMBER, "high": _NUMBER, "values": [_NUMBER, 0],
+                             "kernel": [[_NUMBER, 0], 0]},
                 },
                 "curve": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["constant", "linear"]},
-                        "value": {"type": "number"},
-                        "start": {"type": "number"},
-                        "end": {"type": "number"},
-                    },
+                    "required": ("kind",),
+                    "kinds": {"constant": ("value",), "linear": ("start end",)},
+                    "keys": {"value": _NUMBER, "start": _NUMBER, "end": _NUMBER},
                 },
             },
         },
-        "observable": {"enum": sorted(OBSERVABLES)},
-        "n_grid": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 2},
-            "minItems": 1,
-        },
-        "samples": {"type": "integer", "minimum": 100},
-        "metric": {"enum": ["wasserstein1", "sliced-wasserstein", "smooth-metric"]},
-        "normalization": {"enum": ["self-norming", "sqrt-n"]},
-        "fit_model": {"enum": ["pure-power", "power-times-log"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "qds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_mid": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            },
-        },
-        "decompose": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_terms": {"type": "integer", "minimum": 1},
-                "test_function": {"type": "string"},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "quenched": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "replicas": {"type": "integer", "minimum": 1},
-                "k_max": {"type": "integer", "minimum": 1},
-                "series_samples": {"type": "integer", "minimum": 100},
-                "series_runs": {"type": "integer", "minimum": 1},
-            },
-        },
+        "observable": set(OBSERVABLES),
+        "n_grid": [2, 1],
+        "samples": 100,
+        "metric": {"wasserstein1", "sliced-wasserstein", "smooth-metric"},
+        "normalization": {"self-norming", "sqrt-n"},
+        "fit_model": {"pure-power", "power-times-log"},
+        "seed": 0,
+        "qds": {"keys": {"t_mid": (_ABOVE_0, 1)}},
+        "decompose": {"keys": {"n_terms": 1, "test_function": str, "tolerance": (_ABOVE_0, _MAX)}},
+        "quenched": {"keys": {"replicas": 1, "k_max": 1, "series_samples": 100, "series_runs": 1}},
     },
 }
 
-# Built once: `jsonschema.validate` checks the schema itself on every call.
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
-_DEFAULTS = {
-    "metric": "wasserstein1",
-    "normalization": "self-norming",
-    "fit_model": "pure-power",
-}
+_DEFAULTS = {"metric": "wasserstein1", "normalization": "self-norming", "fit_model": "pure-power"}
 
 
-def _check_schema(cfg: dict) -> None:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config rejected by schema: {error.message}") from error
+def _check(value, test, path: str = "config") -> None:
+    """Raise ConfigError, naming the key path, unless value passes test."""
+    if isinstance(test, dict):
+        if type(value) is not dict:
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        kinds = test.get("kinds")
+        keys = dict(test["keys"], kind=set(kinds)) if kinds else test["keys"]
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"{path}.{key} is not a known key")
+        for key in test.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{path}.{key} is missing")
+        for key, item in value.items():
+            _check(item, keys[key], f"{path}.{key}")
+        groups = kinds[value["kind"]] if kinds else ()
+        if groups and not any(all(key in value for key in group.split()) for group in groups):
+            needs = " or ".join(group.replace(" ", " and ") for group in groups)
+            raise ConfigError(f"{path} of kind {value['kind']!r} needs {needs}")
+    elif isinstance(test, list):
+        if type(value) is not list or len(value) < test[1]:
+            raise ConfigError(f"{path} must be a list of at least {test[1]} items, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, test[0], f"{path}[{i}]")
+    elif isinstance(test, set):
+        if not any(type(value) is type(a) and value == a for a in test):
+            raise ConfigError(f"{path} must be one of {sorted(test)}, got {value!r}")
+    elif type(test) is int:
+        if type(value) is not int or value < test:
+            raise ConfigError(f"{path} must be an integer >= {test}, got {value!r}")
+    elif isinstance(test, tuple):
+        if type(value) not in (int, float) or not test[0] <= value <= test[1]:
+            raise ConfigError(f"{path} must be a number in [{test[0]:g}, {test[1]:g}], got {value!r}")
+    elif type(value) is not test:
+        raise ConfigError(f"{path} must be a {test.__name__}, got {value!r}")
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema-check a config document, check what the schema cannot express
-    and fill defaults (returns a copy)."""
-    _check_schema(cfg)
-    out = json.loads(json.dumps(cfg))
-    for key, val in _DEFAULTS.items():
-        out.setdefault(key, val)
+    """Check a config document against `_CONFIG` and return a copy with the
+    defaults filled in.  Raises ConfigError naming the key path of the first
+    fault; warns when an LSV system's beta_star leaves the rate bound empty."""
+    _check(cfg, _CONFIG)
+    out = {**_DEFAULTS, **json.loads(json.dumps(cfg))}
     system = out["system"]
-    kind = system["kind"]
-    if kind == "sequential" and "params" not in system and "driver" not in system:
-        raise ConfigError("sequential systems need explicit params or a driver")
-    if kind == "quasistatic" and "curve" not in system:
-        raise ConfigError("quasistatic systems need a curve")
-    if kind == "random" and "driver" not in system:
-        raise ConfigError("random systems need a driver")
-    driver = system.get("driver")
-    if driver is not None:
-        if driver["kind"] == "iid-uniform" and not ("low" in driver and "high" in driver):
-            raise ConfigError("iid-uniform driver needs low and high")
-        if driver["kind"] == "markov" and not ("values" in driver and "kernel" in driver):
-            raise ConfigError("markov driver needs values and kernel")
-    curve = system.get("curve")
-    if curve is not None:
-        if curve["kind"] == "constant" and "value" not in curve:
-            raise ConfigError("constant curve needs a value")
-        if curve["kind"] == "linear" and not ("start" in curve and "end" in curve):
-            raise ConfigError("linear curve needs start and end")
     if system["family"] == "lsv" and system["beta_star"] >= BETA_STAR_WARN:
-        warnings.warn(
-            "beta_star >= 2/5: the intermittent rate bound carries no information",
-            stacklevel=2,
-        )
+        warnings.warn("beta_star >= 2/5: the intermittent rate bound carries no information",
+                      stacklevel=2)
     return out
 
 
 def load_config(path) -> dict:
-    """Read and schema-check a config document and return it as written:
-    each runner's `validate_config` fills the defaults and makes the other
-    checks, and `quenched` rejects keys given."""
+    """Read a JSON config document and return it as written: a ConfigError
+    only if it cannot be read or is not a JSON object.  Each runner's
+    `validate_config` checks the rest, and `quenched` rejects keys given."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check_schema(raw)
+    if type(raw) is not dict:
+        raise ConfigError(f"config {path} is not a JSON object")
     return raw
 
 
@@ -406,6 +372,12 @@ def _rate_grid(cfg: dict, command: str) -> list[int]:
     return grid
 
 
+def _row(seq, n: int) -> SequentialSequence:
+    """Row n of seq's triangular array: its orbit of n - 1 steps to S_n
+    applies alpha_{n,1..n-1}, as every N's own pass must."""
+    return SequentialSequence(seq.family, tuple(seq.parameters(n)), seq.beta_star)
+
+
 _SHARDS = 16
 
 
@@ -490,7 +462,8 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
 
     When every N's parameter row is a prefix of max N's (a random or
     sequential system, or a constant curve), one orbit pass to max N gives
-    every N; otherwise each N takes its own pass from the same shard starts.
+    every N; otherwise each N takes its own pass over its own row (`_row`,
+    as `qds` does) from the same shard starts.
     The outputs do not depend on `threads` (see `_sharded_sums`); a count
     below 1 is a ConfigError.  Raises DegenerateCovariance naming the
     offending N when self-norming fails; emits rates.csv, plot_rates.txt,
@@ -515,7 +488,8 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
         if all(np.array_equal(seq.parameters(n - 1), last[:n]) for n in grid):
             sums = _sharded_sums(seq, f, grid, samples, root, stage, threads)
         else:
-            sums = [_sharded_sums(seq, f, [n], samples, root, stage, threads)[0] for n in grid]
+            sums = [_sharded_sums(_row(seq, n), f, [n], samples, root, stage, threads)[0]
+                    for n in grid]
     stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
 
     rows = []
@@ -817,11 +791,9 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
         with manifest.stage(f"N{n}") as stage:
             k_mid = int(math.floor(n * t_mid))
             frac = n * t_mid - k_mid
-            # t_mid = 1 gives k_mid = n and frac = 0, so mid is S_n; the
-            # n - 1 steps to S_n apply row n of the triangular array
-            row = SequentialSequence(seq.family, tuple(seq.parameters(n)), seq.beta_star)
+            # t_mid = 1 gives k_mid = n and frac = 0, so mid is S_n
             s_mid, s_next, s_n = _sharded_sums(
-                row, f, [k_mid, min(k_mid + 1, n), n], samples,
+                _row(seq, n), f, [k_mid, min(k_mid + 1, n), n], samples,
                 manifest.seed(cfg["seed"], f"qds-N{n}"), stage,
             )
             mid = (1.0 - frac) * s_mid + frac * s_next

@@ -113,10 +113,12 @@ def test_stein_evaluate_makes_no_blas_call():
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    # only Ulam assembly needs scipy.sparse; manifests still name scipy's version
+    # only Ulam assembly needs scipy.sparse; manifests still name scipy's
+    # version; the config check is hand-written, so nothing imports jsonschema
     code = (
         "import json, sys; from steinclt import cli, harness; "
-        "print(json.dumps(['scipy.sparse' in sys.modules, harness._versions()]))"
+        "print(json.dumps(['scipy.sparse' in sys.modules, 'jsonschema' in sys.modules, "
+        "harness._versions()]))"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -124,8 +126,9 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    sparse_loaded, versions = json.loads(proc.stdout)
+    sparse_loaded, jsonschema_loaded, versions = json.loads(proc.stdout)
     assert not sparse_loaded
+    assert jsonschema_loaded is False
     assert versions["scipy"] == scipy.__version__
 
 
