@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     LsvFamily,
-    LsvMap,
     Observable,
     OBSERVABLES,
-    PiecewiseLinearMap,
     QuasistaticSequence,
     RandomSequence,
     SequentialSequence,
@@ -46,10 +44,8 @@ from .transfer import build_ulam, cone_check, invariant_density
 __all__ = [
     "__version__",
     "LsvFamily",
-    "LsvMap",
     "Observable",
     "OBSERVABLES",
-    "PiecewiseLinearMap",
     "QuasistaticSequence",
     "RandomSequence",
     "SequentialSequence",

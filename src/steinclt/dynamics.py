@@ -27,10 +27,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Branch",
-    "IntervalMap",
-    "LsvMap",
-    "PiecewiseLinearMap",
     "LsvFamily",
     "ShiftedSlopeFamily",
     "IidUniformDriver",
@@ -50,10 +46,6 @@ def _as_unit_interval(x):
     if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0):
         raise ValueError("point outside [0, 1]")
     return arr
-
-
-def _like_input(x, out):
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def _lsv(x: np.ndarray, alpha, out: np.ndarray) -> np.ndarray:
@@ -89,34 +81,6 @@ def _mod1_scaled(x: np.ndarray, slope, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One monotone increasing piece of an interval map.
-
-    The piece maps [lo, hi) onto [image_lo, image_hi) (the rightmost piece is
-    taken closed).
-    """
-
-    lo: float
-    hi: float
-    image_lo: float
-    image_hi: float
-    invert: Callable[[np.ndarray], np.ndarray]
-
-
-class IntervalMap:
-    """A piecewise monotone self-map of [0, 1]."""
-
-    def apply(self, x):
-        raise NotImplementedError
-
-    def branches(self) -> list[Branch]:
-        raise NotImplementedError
-
-    def __call__(self, x):
-        return self.apply(x)
-
-
 def _lsv_left_inverse(y: np.ndarray, alpha: float) -> np.ndarray:
     """Solve x (1 + (2x)^alpha) = y on [0, 1/2] by bisection plus Newton."""
     y = np.asarray(y, dtype=float)
@@ -141,118 +105,39 @@ def _lsv_left_inverse(y: np.ndarray, alpha: float) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class LsvMap(IntervalMap):
-    """Intermittent map with a neutral fixed point at 0.
-
-    Left branch x (1 + (2x)^alpha) on [0, 1/2), right branch 2x - 1 on
-    [1/2, 1].  alpha = 0 degenerates to the doubling map.  The midpoint
-    belongs to the right branch.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0) or not math.isfinite(self.alpha):
-            raise ValueError("alpha must lie in [0, 1]")
-
-    def apply(self, x):
-        arr = _as_unit_interval(x)
-        return _like_input(x, _lsv(arr, self.alpha, np.empty_like(arr)))
-
-    def branches(self) -> list[Branch]:
-        a = self.alpha
-        return [
-            Branch(0.0, 0.5, 0.0, 1.0, lambda y, a=a: _lsv_left_inverse(y, a)),
-            Branch(0.5, 1.0, 0.0, 1.0, lambda y: (np.asarray(y, dtype=float) + 1.0) / 2.0),
-        ]
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearMap(IntervalMap):
-    """mod-1 linear map with one slope per declared branch.
-
-    slopes[i] acts on [breakpoints[i-1], breakpoints[i]) via x -> slope * x
-    mod 1, with the breakpoint list augmented by 0 and 1.  Every slope must
-    exceed 1 (expansion).  Images lie in [0, 1) (see `_mod1_scaled`).
-    """
-
-    slopes: tuple[float, ...]
-    breakpoints: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        slopes = tuple(float(s) for s in self.slopes)
-        breaks = tuple(float(b) for b in self.breakpoints)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "breakpoints", breaks)
-        if not slopes:
-            raise ValueError("need at least one slope")
-        if any(s <= 1.0 for s in slopes):
-            raise ValueError("all slopes must exceed 1")
-        if len(breaks) != len(slopes) - 1:
-            raise ValueError("need exactly len(slopes) - 1 breakpoints")
-        edges = (0.0,) + breaks + (1.0,)
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("breakpoints must be strictly increasing inside (0, 1)")
-
-    def _edges(self) -> tuple[float, ...]:
-        return (0.0,) + self.breakpoints + (1.0,)
-
-    def apply(self, x):
-        arr = _as_unit_interval(x)
-        edges = np.asarray(self._edges())
-        idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(self.slopes) - 1)
-        slopes = np.asarray(self.slopes)[idx]
-        return _like_input(x, _mod1_scaled(arr, slopes, np.empty_like(arr)))
-
-    def branches(self) -> list[Branch]:
-        pieces: list[Branch] = []
-        edges = self._edges()
-        for slope, a, b in zip(self.slopes, edges, edges[1:]):
-            k0 = math.floor(slope * a)
-            k1 = math.ceil(slope * b) - 1
-            for k in range(k0, k1 + 1):
-                lo = max(a, k / slope)
-                hi = min(b, (k + 1) / slope)
-                if hi <= lo:
-                    continue
-                pieces.append(
-                    Branch(
-                        lo,
-                        hi,
-                        slope * lo - k,
-                        slope * hi - k,
-                        lambda y, s=slope, k=k: (np.asarray(y, dtype=float) + k) / s,
-                    )
-                )
-        return pieces
-
-
 class MapFamily:
-    """Parameter -> map constructor used by the composition regimes."""
-
-    def make(self, param: float) -> IntervalMap:
-        raise NotImplementedError
+    """A parametrised family of maps of [0, 1]; the only type that
+    represents a map.  One checked step of the map with parameter p at x is
+    `trajectory(SequentialSequence(family, (p, p)), x, 1)[1]`."""
 
     def apply_param(self, param: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The map with parameter `param` at x, written into out and returned.
 
         x is not checked against [0, 1] and out may be x itself: this is
-        `orbit`'s in-place step, which passes `out` positionally.  It gives
-        the bits of `make(param).apply(x)`, the checked copy.
+        `orbit`'s in-place step, which passes `out` positionally.
         """
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class LsvFamily(MapFamily):
-    """Intermittency-exponent family; the parameter is alpha."""
-
-    def make(self, param: float) -> LsvMap:
-        return LsvMap(float(param))
+    """Intermittent maps with a neutral fixed point at 0; the parameter is
+    alpha.  Left branch x (1 + (2x)^alpha) on [0, 1/2), right branch 2x - 1
+    on [1/2, 1]; alpha = 0 is the doubling map."""
 
     def apply_param(self, param: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return _lsv(x, param, out)
+
+    def branches(self, alpha: float) -> list[tuple]:
+        """The two monotone pieces (lo, hi, invert) of the map: each maps
+        [lo, hi) increasingly onto [0, 1), and invert is its inverse."""
+        alpha = float(alpha)
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        return [
+            (0.0, 0.5, lambda y: _lsv_left_inverse(y, alpha)),
+            (0.5, 1.0, lambda y: (y + 1.0) / 2.0),
+        ]
 
 
 @dataclass(frozen=True)
@@ -260,9 +145,6 @@ class ShiftedSlopeFamily(MapFamily):
     """Uniformly expanding family x -> (base + omega) x mod 1."""
 
     base: float = 2.0
-
-    def make(self, param: float) -> PiecewiseLinearMap:
-        return PiecewiseLinearMap(slopes=(self.base + float(param),))
 
     def apply_param(self, param: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         return _mod1_scaled(x, self.base + param, out)

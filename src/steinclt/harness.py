@@ -43,6 +43,7 @@ from .stats import (
     RateFit,
     birkhoff_raw_sums,
     build_ensemble,
+    check_ensemble_size,
     check_rate_grid,
     empirical_covariance,
     fit_rate,
@@ -53,7 +54,7 @@ from .stats import (
     wasserstein1_1d,
     wasserstein_floor,
 )
-from .sunklodas import DecompositionLedger, decompose
+from .sunklodas import DecompositionLedger, check_ledger_size, decompose
 
 __all__ = [
     "ConfigError",
@@ -230,19 +231,26 @@ def _build_curve(node: dict):
 
 
 def build_system(cfg: dict, driver_seed: int | None = None):
-    """Instantiate the map sequence described by the config's system block."""
+    """Instantiate the map sequence described by the config's system block.
+
+    A value the constructors reject (parameters outside [0, beta_star], a
+    driver range with low > high, a kernel that is not stochastic or does
+    not match its values) is a ConfigError naming config.system.
+    """
     system = cfg["system"]
     family = _build_family(system["family"])
     beta = float(system["beta_star"])
     kind = system["kind"]
-    if kind == "quasistatic":
-        return QuasistaticSequence(family, _build_curve(system["curve"]), beta)
-    if kind == "sequential" and "params" in system:
-        steps = [float(p) for p in system["params"]]
-        return SequentialSequence(family, tuple([steps[0]] + steps), beta)
-    seed = driver_seed if driver_seed is not None else stage_seed(cfg["seed"], "driver")
-    driver = _build_driver(system["driver"], seed)
-    return RandomSequence(family, driver, beta)
+    try:
+        if kind == "quasistatic":
+            return QuasistaticSequence(family, _build_curve(system["curve"]), beta)
+        if kind == "sequential" and "params" in system:
+            steps = [float(p) for p in system["params"]]
+            return SequentialSequence(family, tuple([steps[0]] + steps), beta)
+        seed = driver_seed if driver_seed is not None else stage_seed(cfg["seed"], "driver")
+        return RandomSequence(family, _build_driver(system["driver"], seed), beta)
+    except ValueError as exc:
+        raise ConfigError(f"config.system: {exc}") from exc
 
 
 def _versions() -> dict:
@@ -553,9 +561,14 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
         )
     h = candidates[h_name]
     _check_horizon(cfg, n_terms - 1)
+    samples = cfg["samples"]
+    try:
+        check_ensemble_size(samples, n_terms, f.dimension)
+        check_ledger_size(samples, n_terms, f.dimension)
+    except ValueError as exc:
+        raise ConfigError(f"samples and decompose.n_terms: {exc}") from exc
     seq = build_system(cfg)
     seed = manifest.seed(cfg["seed"], "decompose-ensemble")
-    samples = cfg["samples"]
     with manifest.stage("ensemble") as stage:
         ens = build_ensemble(seq, f, n_terms, samples, seed)
         stage["point_steps"] = samples * (n_terms - 1)

@@ -13,13 +13,14 @@ from .dynamics import Observable, orbit
 from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
 from .quadrature import gauss_hermite_standard
 from .stein import smooth_metric_family
-from .sunklodas import EnsembleMatrix
+from .sunklodas import MEMORY_BUDGET, EnsembleMatrix
 
 __all__ = [
     "DistanceReport",
     "RateFit",
     "SigmaSeriesReport",
     "empirical_covariance",
+    "check_ensemble_size",
     "build_ensemble",
     "birkhoff_raw_sums",
     "normalize_sums",
@@ -53,6 +54,12 @@ def _orbit_values(seq, f: Observable, x0: np.ndarray, slots: int) -> np.ndarray:
     return vals
 
 
+def check_ensemble_size(samples: int, n_terms: int, dim: int, memory_budget: int = MEMORY_BUDGET):
+    """ValueError when `build_ensemble`'s S * N * d values exceed memory_budget."""
+    if samples * n_terms * dim > memory_budget:
+        raise ValueError("ensemble would exceed the memory budget; stream the sums instead")
+
+
 def build_ensemble(
     seq,
     f: Observable,
@@ -60,7 +67,7 @@ def build_ensemble(
     samples: int,
     seed: int,
     initial: np.ndarray | None = None,
-    memory_budget: int = 200_000_000,
+    memory_budget: int = MEMORY_BUDGET,
 ) -> EnsembleMatrix:
     """S independent orbits, observable values per time slot, centered.
 
@@ -74,8 +81,7 @@ def build_ensemble(
         raise ValueError("need at least 100 samples to center the ensemble")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if samples * n_terms * f.dimension > memory_budget:
-        raise ValueError("ensemble would exceed the memory budget; stream the sums instead")
+    check_ensemble_size(samples, n_terms, f.dimension, memory_budget)
     if initial is None:
         x0 = np.random.default_rng(seed).random(samples)
     else:

@@ -34,8 +34,11 @@ __all__ = [
     "punctured_sums",
     "delta_matrix",
     "DecompositionLedger",
+    "check_ledger_size",
     "decompose",
 ]
+
+MEMORY_BUDGET = 200_000_000  # float64 values one ensemble or one ledger stack may hold
 
 
 @dataclass
@@ -226,11 +229,18 @@ def _mean_and_stderr(contrib: np.ndarray, weights: np.ndarray | None) -> tuple[f
     return float(contrib.mean()), se
 
 
+def check_ledger_size(samples: int, n_terms: int, dim: int, memory_budget: int = MEMORY_BUDGET):
+    """ValueError when `decompose`'s S * N * (N + 1) * d^2 Hessian values
+    exceed memory_budget."""
+    if samples * n_terms * (n_terms + 1) * dim * dim > memory_budget:
+        raise ValueError("N^2 * S * d^2 exceeds the memory budget; reduce S or N")
+
+
 def decompose(
     ens: EnsembleMatrix,
     solution,
     sigma: np.ndarray | None = None,
-    memory_budget: int = 200_000_000,
+    memory_budget: int = MEMORY_BUDGET,
 ) -> DecompositionLedger:
     """Estimate E1..E7 and the direct LHS for the given C^2 function.
 
@@ -264,8 +274,7 @@ def decompose(
                 "rebuild the solution from this ensemble"
             )
 
-    if s_count * big_n * (big_n + 1) * d * d > memory_budget:
-        raise ValueError("N^2 * S * d^2 exceeds the memory budget; reduce S or N")
+    check_ledger_size(s_count, big_n, d, memory_budget)
 
     # W^{n,m} for m = -1..N-1 at storage index m+1, and the rings Y^{n,m}
     # for m = 0..N-1, copied contiguous: einsum sums a strided view in

@@ -1,10 +1,10 @@
 """Ulam discretization of transfer operators and density diagnostics.
 
 The Ulam matrix on a uniform grid of G cells is P[i][j] = m(cell_i n
-T^{-1} cell_j) / m(cell_i), assembled exactly from the monotone branch
-structure of the map (analytic or root-solved branch inverses).  Densities
-are carried as per-cell values of a step function; the mass vector is
-values / G.
+T^{-1} cell_j) / m(cell_i), assembled exactly from the monotone branches
+that the map's family gives (`LsvFamily.branches`: analytic or root-solved
+branch inverses).  Densities are carried as per-cell values of a step
+function; the mass vector is values / G.
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .dynamics import IntervalMap
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -90,13 +88,14 @@ class DensityVector:
         return cls(masses.size, masses * masses.size)
 
 
-def build_ulam(imap: IntervalMap, grid: int) -> UlamOperator:
-    """Assemble the Ulam matrix from the map's monotone branches.
+def build_ulam(family, param: float, grid: int) -> UlamOperator:
+    """Assemble the Ulam matrix of the map with parameter `param` from its
+    monotone pieces, `family.branches(param)`.
 
-    For each branch, the preimages of the cell edges partition the branch
-    domain; sweeping the merged partition against the uniform grid gives the
-    exact cell-to-cell mass split (each elementary interval lies in a single
-    source cell and maps into a single target cell).
+    Each piece maps its domain onto [0, 1), so the preimages of the cell
+    edges partition it; sweeping the merged partition against the uniform
+    grid gives the exact cell-to-cell mass split (each elementary interval
+    lies in a single source cell and maps into a single target cell).
     """
     import scipy.sparse as sp  # only Ulam assembly needs it
 
@@ -106,23 +105,18 @@ def build_ulam(imap: IntervalMap, grid: int) -> UlamOperator:
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for branch in imap.branches():
-        j0 = int(np.searchsorted(edges, branch.image_lo, side="right") - 1)
-        j1 = int(np.searchsorted(edges, branch.image_hi, side="left"))
-        ys = np.clip(edges[j0 : j1 + 1], branch.image_lo, branch.image_hi)
-        xs = np.asarray(branch.invert(ys), dtype=float)
-        xs[0], xs[-1] = branch.lo, branch.hi
-        xs = np.maximum.accumulate(np.clip(xs, branch.lo, branch.hi))
-        interior = edges[(edges > branch.lo) & (edges < branch.hi)]
+    for lo, hi, invert in family.branches(param):
+        xs = np.asarray(invert(edges), dtype=float)
+        xs[0], xs[-1] = lo, hi
+        xs = np.maximum.accumulate(np.clip(xs, lo, hi))
+        interior = edges[(edges > lo) & (edges < hi)]
         cuts = np.union1d(xs, interior)
         widths = np.diff(cuts)
         keep = widths > 0
         mids = 0.5 * (cuts[:-1] + cuts[1:])[keep]
         widths = widths[keep]
-        i_idx = np.minimum((mids * grid).astype(int), grid - 1)
-        j_idx = j0 + np.clip(np.searchsorted(xs, mids, side="right") - 1, 0, len(xs) - 2)
-        rows.append(i_idx)
-        cols.append(j_idx)
+        rows.append(np.minimum((mids * grid).astype(int), grid - 1))
+        cols.append(np.clip(np.searchsorted(xs, mids, side="right") - 1, 0, grid - 1))
         vals.append(widths * grid)          # mass / cell width
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -140,8 +134,11 @@ def invariant_density(
     """Fixed point of the adjoint action by power iteration.
 
     Iterates the cell-mass vector until the successive L1 difference drops
-    below `tol`; raises ConvergenceError with the residual otherwise.
+    below `tol`; raises ConvergenceError with the residual otherwise, and
+    ValueError when max_iter < 1.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     pt = op.matrix.T.tocsr()
     v = np.full(op.grid, 1.0 / op.grid)
     for _ in range(max_iter):

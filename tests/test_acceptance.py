@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from steinclt import cli
-from steinclt.dynamics import LsvFamily, LsvMap, SequentialSequence, trajectory
+from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.harness import run_qds, run_rates, run_stein_check
 from steinclt.linalg import symmetric_sqrt
 from steinclt.stats import scale_distance, wasserstein1_1d
@@ -182,11 +182,11 @@ def test_a05_doubling_autocovariance_matches_geometric_law():
 
 
 def test_a06_invariant_density_ground_truth():
-    flat = invariant_density(build_ulam(LsvMap(0.0), 512))
+    flat = invariant_density(build_ulam(LsvFamily(), 0.0, 512))
     dev = float(np.abs(flat.values - 1.0).max())
     assert dev <= 1e-10
 
-    dens = invariant_density(build_ulam(LsvMap(0.25), 512))
+    dens = invariant_density(build_ulam(LsvFamily(), 0.25, 512))
     report = cone_check(dens, 0.25)
     print(
         f"uniform deviation {dev:.2e}; cone margins "

@@ -10,10 +10,8 @@ from steinclt.dynamics import (
     OBSERVABLES,
     IidUniformDriver,
     LsvFamily,
-    LsvMap,
     MarkovChainDriver,
     Observable,
-    PiecewiseLinearMap,
     QuasistaticSequence,
     RandomSequence,
     SequentialSequence,
@@ -22,26 +20,35 @@ from steinclt.dynamics import (
     trajectory,
 )
 from steinclt.stats import birkhoff_raw_sums
+from steinclt.transfer import build_ulam
+
+
+def _step(fam, param, x, beta_star=1.0):
+    """One checked step of the map with parameter `param` at x."""
+    return trajectory(SequentialSequence(fam, (param, param), beta_star), x, 1)[1]
 
 
 def test_lsv_hand_values():
     # frozen against x * (1 + (2x)^a) on the left branch, 2x - 1 on the right
-    assert LsvMap(0.25)(0.2) == pytest.approx(0.35905414575341016, abs=1e-15)
-    assert LsvMap(1.0)(0.25) == pytest.approx(0.375, abs=1e-15)
-    assert LsvMap(0.1)(0.49) == pytest.approx(0.9790110666343691, abs=1e-15)
-    assert LsvMap(0.0)(0.3) == pytest.approx(0.6, abs=1e-15)
-    assert LsvMap(0.2)(0.75) == pytest.approx(0.5, abs=1e-15)
+    fam = LsvFamily()
+    assert _step(fam, 0.25, 0.2) == pytest.approx(0.35905414575341016, abs=1e-15)
+    assert _step(fam, 1.0, 0.25) == pytest.approx(0.375, abs=1e-15)
+    assert _step(fam, 0.1, 0.49) == pytest.approx(0.9790110666343691, abs=1e-15)
+    assert _step(fam, 0.0, 0.3) == pytest.approx(0.6, abs=1e-15)
+    assert _step(fam, 0.2, 0.75) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_lsv_alpha_zero_is_doubling():
     x = np.linspace(0.0, 1.0, 257)
-    got = LsvMap(0.0)(x)
+    got = _step(LsvFamily(), 0.0, x)
     want = np.where(x < 0.5, 2.0 * x, 2.0 * x - 1.0)
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 def test_lsv_endpoints_and_scalar_type():
-    m = LsvMap(0.25)
+    def m(x):
+        return _step(LsvFamily(), 0.25, x)
+
     assert m(0.0) == 0.0
     assert m(1.0) == 1.0
     assert m(0.5) == 0.0
@@ -49,20 +56,21 @@ def test_lsv_endpoints_and_scalar_type():
 
 
 def test_lsv_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        LsvMap(-0.1)
-    with pytest.raises(ValueError):
-        LsvMap(1.1)
+    for alpha in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            build_ulam(LsvFamily(), alpha, 8)
+        with pytest.raises(ValueError, match="parameters must lie in"):
+            _step(LsvFamily(), alpha, 0.3)
 
 
 def test_shifted_slope_values_and_snap():
     fam = ShiftedSlopeFamily()
-    assert fam.make(1.0)(0.4) == pytest.approx(0.2, abs=1e-14)
-    assert fam.make(0.5)(0.9) == pytest.approx(0.25, abs=1e-14)
+    assert _step(fam, 1.0, 0.4) == pytest.approx(0.2, abs=1e-14)
+    assert _step(fam, 0.5, 0.9) == pytest.approx(0.25, abs=1e-14)
     # (2 + 0) * 0.5 = 1.0 must wrap to 0, not stay at the right endpoint
-    assert fam.make(0.0)(0.5) == 0.0
+    assert _step(fam, 0.0, 0.5) == 0.0
     x = np.linspace(0.0, 1.0, 101)
-    y = fam.make(0.7)(x)
+    y = _step(fam, 0.7, x)
     assert np.all((y >= 0.0) & (y < 1.0))
     # np.mod is exact for y >= 0, so no image rounds up to 1.0: check the
     # largest double below 1 and the points one ulp either side of 1/slope
@@ -71,15 +79,9 @@ def test_shifted_slope_values_and_snap():
         edge = 1.0 / slope
         pts = np.array([np.nextafter(1.0, 0.0), np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
         want = [float(Fraction(p) % 1) for p in slope * pts]
-        for y in (fam.apply_param(param, pts, np.empty_like(pts)), fam.make(param)(pts)):
+        for y in (fam.apply_param(param, pts, np.empty_like(pts)), _step(fam, param, pts, 2.5)):
             assert np.all((y >= 0.0) & (y < 1.0))
             np.testing.assert_array_equal(y, want)
-
-
-def test_lsv_family_matches_map():
-    fam = LsvFamily()
-    x = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_allclose(fam.apply_param(0.25, x, np.empty_like(x)), LsvMap(0.25)(x), atol=1e-15)
 
 
 def test_trajectory_doubling_orbit():
@@ -130,19 +132,28 @@ def _edge_points(slope):
     ids=["lsv", "shifted-slope"],
 )
 def test_in_place_step_is_bit_identical(fam, driver):
+    beta = driver.high
     params = driver.stream(500)
     x = np.random.default_rng(23).random(10_000)
     state = x.copy()
     for param in params[1:]:
         assert fam.apply_param(param, state, state) is state
-        want = fam.make(param).apply(x)
-        np.testing.assert_array_equal(state, want)
+        want = fam.apply_param(param, x, np.empty_like(x))
+        assert state.tobytes() == want.tobytes()
         x = want
     for param in (0.0, 0.25, 0.5, 1.0):
         pts = _edge_points(2.0 + param)
         got = fam.apply_param(param, pts, np.empty_like(pts))
-        np.testing.assert_array_equal(got, fam.make(param)(pts))
+        assert got.tobytes() == _step(fam, param, pts, beta).tobytes()
         assert np.all((got >= 0.0) & (got <= 1.0))
+    # the checked step checks the point against [0, 1] and the parameter
+    # against beta_star; the in-place step checks neither
+    with pytest.raises(ValueError, match="outside"):
+        _step(fam, 0.5, np.array([0.5, np.nextafter(1.0, 2.0)]), beta)
+    with pytest.raises(ValueError, match="outside"):
+        _step(fam, 0.5, np.nextafter(0.0, -1.0), beta)
+    with pytest.raises(ValueError, match="parameters must lie in"):
+        _step(fam, beta + 0.01, pts, beta)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.22, 0.25, 1.0])
@@ -369,12 +380,3 @@ def test_observable_shape_contract():
     assert out.shape == (5, 7, 2)
     with pytest.raises(ValueError):
         Observable(2, lambda x: x[..., None], 1.0, "short")(np.zeros(3))
-
-
-def test_piecewise_linear_map_round_trip():
-    fam = ShiftedSlopeFamily()
-    m = fam.make(0.5)
-    assert isinstance(m, PiecewiseLinearMap)
-    x = np.linspace(0.0, 1.0, 97)
-    np.testing.assert_allclose(m(x), fam.apply_param(0.5, x, np.empty_like(x)), atol=1e-15)
-

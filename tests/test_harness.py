@@ -770,7 +770,7 @@ def test_simulate_writes_orbits(tmp_path):
     assert len(lines) == 1 + 3 * 17
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_qds_cfg(samples=500, n_grid=[32, 64, 128, 256])))
     rc = cli.main(["qds", "--config", str(good), "--out", str(tmp_path / "q")])
@@ -820,6 +820,37 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert rc == 2, command
         assert f"system.params covers 3 steps, the run needs {needed}" in capsys.readouterr().err
         assert [p.name for p in out.rglob("*") if p.is_file()] == []
+
+    # values the sequence and driver constructors reject
+    system = _random_cfg()["system"]
+    markov = {"kind": "markov", "values": [0.1, 0.2]}
+    for fault in (
+        dict(system, driver={"kind": "iid-uniform", "low": 0.2, "high": 0.3}),
+        dict(system, driver={"kind": "iid-uniform", "low": 0.25, "high": 0.2}),
+        dict(system, driver=dict(markov, kernel=[[0.5, 0.4], [0.5, 0.5]])),
+        dict(system, driver=dict(markov, kernel=[[1.0]])),
+        dict(_SHORT_PARAMS, params=[0.1, 0.2, 0.31] + [0.1] * 64),
+        dict(_SHORT_PARAMS, params=[0.1, -0.2, 0.3] + [0.1] * 64),
+    ):
+        short.write_text(json.dumps(_random_cfg(system=fault)))
+        out = tmp_path / "system"
+        rc = cli.main(["simulate", "--config", str(short), "--out", str(out)])
+        assert rc == 2, fault
+        assert "config error: config.system: " in capsys.readouterr().err
+        assert not out.exists()
+
+    # decompose's ensemble and ledger sizes are checked before any orbit step
+    monkeypatch.setattr(harness, "build_ensemble", None)
+    for samples, observable, budget in ((1_000_000, "identity", "N^2 * S * d^2 exceeds"),
+                                        (10_000_000, "poly_pair", "ensemble would exceed")):
+        short.write_text(json.dumps(_random_cfg(
+            samples=samples, observable=observable, decompose={"n_terms": 20})))
+        out = tmp_path / "sizes"
+        rc = cli.main(["decompose", "--config", str(short), "--out", str(out)])
+        assert rc == 2, observable
+        assert f"config error: samples and decompose.n_terms: {budget}" in capsys.readouterr().err
+        assert not out.exists()
+    monkeypatch.undo()
 
     stray = tmp_path / "stray.json"
     stray.write_text(json.dumps(_random_cfg(out_dir="elsewhere")))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from steinclt.dynamics import LsvMap
+from steinclt.dynamics import LsvFamily
 from steinclt.transfer import (
     ConeReport,
     ConvergenceError,
@@ -17,7 +17,7 @@ from steinclt.transfer import (
 
 
 def test_ulam_doubling_grid4_exact():
-    op = build_ulam(LsvMap(0.0), 4)
+    op = build_ulam(LsvFamily(), 0.0, 4)
     want = np.array(
         [
             [0.5, 0.5, 0.0, 0.0],
@@ -31,7 +31,7 @@ def test_ulam_doubling_grid4_exact():
 
 def test_ulam_rows_stochastic_lsv():
     for alpha in (0.1, 0.25, 1.0):
-        op = build_ulam(LsvMap(alpha), 257)
+        op = build_ulam(LsvFamily(), alpha, 257)
         rowsum = np.asarray(op.matrix.sum(axis=1)).ravel()
         np.testing.assert_allclose(rowsum, 1.0, atol=1e-12)
 
@@ -42,7 +42,7 @@ def test_ulam_operator_rejects_bad_rows():
 
 
 def test_push_masses_conserves_mass():
-    op = build_ulam(LsvMap(0.25), 64)
+    op = build_ulam(LsvFamily(), 0.25, 64)
     rng = np.random.default_rng(0)
     masses = rng.random(64)
     masses /= masses.sum()
@@ -52,18 +52,22 @@ def test_push_masses_conserves_mass():
 
 
 def test_doubling_invariant_density_is_uniform():
-    dens = invariant_density(build_ulam(LsvMap(0.0), 512))
+    dens = invariant_density(build_ulam(LsvFamily(), 0.0, 512))
     np.testing.assert_allclose(dens.values, 1.0, atol=1e-10)
     assert dens.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_invariant_density_convergence_error():
+    op = build_ulam(LsvFamily(), 0.25, 128)
     with pytest.raises(ConvergenceError):
-        invariant_density(build_ulam(LsvMap(0.25), 128), max_iter=1)
+        invariant_density(op, max_iter=1)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            invariant_density(op, max_iter=max_iter)
 
 
 def test_cone_check_lsv_quarter():
-    dens = invariant_density(build_ulam(LsvMap(0.25), 512))
+    dens = invariant_density(build_ulam(LsvFamily(), 0.25, 512))
     report = cone_check(dens, 0.25)
     assert isinstance(report, ConeReport)
     assert report.tol == pytest.approx(1.0 / 512)
