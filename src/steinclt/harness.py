@@ -277,6 +277,9 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     stages: dict = field(default_factory=dict)
     started: float = field(default_factory=time.monotonic)
+    faults_at_start: int = field(
+        default_factory=lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    )
 
     def __post_init__(self):
         if self.out is not None:
@@ -324,14 +327,17 @@ class RunManifest:
         """Write manifest.json into the output directory and return its path.
 
         `peak_rss_mb` is the process's peak resident set so far (ru_maxrss,
-        KiB on Linux).
+        KiB on Linux); `minor_faults` counts the process's minor page faults
+        (ru_minflt) since the manifest was opened.
         """
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         doc = {
             "config_hash": self.config_hash,
             "command": self.command,
             "versions": self.versions,
             "wall_time_seconds": time.monotonic() - self.started,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": usage.ru_maxrss / 1024,
+            "minor_faults": usage.ru_minflt - self.faults_at_start,
             "stage_seeds": self.stage_seeds,
             "stages": self.stages,
             "outputs": self.outputs,

@@ -186,19 +186,25 @@ def wasserstein1_1d(sample, reference=None) -> DistanceReport:
     size, averages matched order-statistic gaps.
     """
     x = np.sort(np.asarray(sample, dtype=float).ravel())
+    if reference is None:
+        return _sorted_w1(x, _normal_scores(x.size), "std-normal")
+    y = np.sort(np.asarray(reference, dtype=float).ravel())
+    if y.size != x.size:
+        raise ValueError("two-sample mode requires equal sizes")
+    return _sorted_w1(x, y, "sample")
+
+
+def _normal_scores(m: int) -> np.ndarray:
+    """The standard normal quantiles at (i - 1/2)/M, i = 1..M."""
+    return normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+
+
+def _sorted_w1(x: np.ndarray, y: np.ndarray, ref_label: str) -> DistanceReport:
+    """W1 report of sorted x against sorted y of the same size."""
     m = x.size
     if m < 100:
         raise ValueError("need at least 100 samples")
-    if reference is None:
-        q = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
-        gaps = np.abs(x - q)
-        ref_label = "std-normal"
-    else:
-        y = np.sort(np.asarray(reference, dtype=float).ravel())
-        if y.size != m:
-            raise ValueError("two-sample mode requires equal sizes")
-        gaps = np.abs(x - y)
-        ref_label = "sample"
+    gaps = np.abs(x - y)
     value = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / math.sqrt(m))
     return DistanceReport("wasserstein1", value, stderr, m, {"reference": ref_label})
@@ -230,6 +236,7 @@ def sliced_wasserstein(
         )
     if directions < 32:
         raise ValueError("need at least 32 directions")
+    scores = _normal_scores(s_count)  # shared by every direction
     rng = np.random.default_rng(seed)
     values = np.empty(directions)
     errs = np.empty(directions)
@@ -239,7 +246,7 @@ def sliced_wasserstein(
         var = float(theta @ sigma @ theta)
         if var <= 0.0:
             raise DegenerateCovariance("projected variance is not positive")
-        rep = wasserstein1_1d(w @ theta / math.sqrt(var))
+        rep = _sorted_w1(np.sort(w @ theta / math.sqrt(var)), scores, "std-normal")
         values[j] = rep.value
         errs[j] = rep.stderr
     value = float(values.mean())

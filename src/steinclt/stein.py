@@ -466,7 +466,11 @@ class TensorGrid:
 # point input is cut into chunks of _CHUNK_VALUES // gh^d points, so one
 # u-node's block fits; a grid is not cut, only its u-nodes are.  What a call
 # keeps is summed over the last GH index, so at points no array it builds
-# holds much more than max(1, u-nodes / gh) * _CHUNK_VALUES values.
+# holds much more than max(1, u-nodes / gh) * _CHUNK_VALUES values.  These
+# arrays, and the grid path's largest (about 2.1 MB, the stein-check residual
+# tables), are freed and built again per term; they stay under the 4 MiB mmap
+# threshold that `cli.main` sets, so glibc reuses their memory instead of
+# faulting it in again.
 _CHUNK_VALUES = 32_768
 
 

@@ -1,6 +1,7 @@
 """Config validation, seeding, pipeline runners, CLI exit codes."""
 
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -325,6 +326,7 @@ def test_run_stein_check_writes_manifest(tmp_path):
     run_stein_check(1, seed=2, sigma_count=1, out_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "stein-check"
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     assert set(manifest["outputs"]) == {"stein_check_d1.csv"}
     got = hashlib.sha256((tmp_path / "stein_check_d1.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["stein_check_d1.csv"] == got
@@ -400,6 +402,7 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
         res = run_rates(cfg, tmp_path)
     manifest = json.loads(res.manifest_path.read_text())
     assert manifest["peak_rss_mb"] > 0.0
+    assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
     stages = manifest["stages"]
     assert set(stages) == {"sums", "N128", "N256", "N512", "N1024"}
     sums = stages["sums"]
@@ -545,6 +548,25 @@ def test_rates_near_the_floor_print_one_floor_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     floor_lines = [line for line in proc.stderr.splitlines() if "floor" in line]
     assert floor_lines == ["warning: distances close to the estimator floor"]
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt"
+)
+def test_stein_check_reuses_freed_memory(tmp_path):
+    # cli.main has glibc keep freed blocks under 4 MiB and 8 MiB of free heap
+    # top, so the solver's per-term temporaries are not faulted in afresh on
+    # every term: about 1.4k minor faults here, about 15k without that
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinclt.cli", "stein-check", "--dim", "3", "--sigmas", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["minor_faults"] < 5_000
 
 
 def test_each_pass_of_a_linear_curve_applies_row_n(tmp_path, sums_calls):

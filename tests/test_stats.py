@@ -129,6 +129,28 @@ def test_sliced_wasserstein_gaussian_small():
         sliced_wasserstein(w[:, 0])
 
 
+def test_sliced_wasserstein_equals_the_per_direction_w1_loop():
+    # the normal quantiles are computed once per call and shared by every
+    # direction; value and stderr keep the bits of one wasserstein1_1d call
+    # per direction
+    rng = np.random.default_rng(7)
+    sigma = np.array([[1.3, -0.5], [-0.5, 0.7]])
+    w = rng.normal(size=(3000, 2)) @ np.linalg.cholesky(sigma).T
+    rep = sliced_wasserstein(w, sigma=sigma, directions=40, seed=11)
+    dirs = np.random.default_rng(11)
+    values, errs = np.empty(40), np.empty(40)
+    for j in range(40):
+        theta = dirs.normal(size=2)
+        theta /= np.linalg.norm(theta)
+        one = wasserstein1_1d(w @ theta / math.sqrt(float(theta @ sigma @ theta)))
+        values[j], errs[j] = one.value, one.stderr
+    assert rep.value == float(values.mean())
+    assert rep.stderr == float(math.sqrt(values.var(ddof=1) / 40 + errs.mean() ** 2))
+    assert (rep.sample_size, rep.params) == (3000, {"directions": 40})
+    with pytest.raises(ValueError, match="at least 100 samples"):
+        sliced_wasserstein(w[:99], sigma=sigma, directions=32)
+
+
 def test_smooth_metric_distance_gaussian_small():
     rng = np.random.default_rng(6)
     sigma = np.array([[1.2, -0.3], [-0.3, 0.9]])
