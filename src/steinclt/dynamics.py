@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 __all__ = [
     "LsvFamily",
@@ -167,7 +168,7 @@ class IidUniformDriver:
             raise ValueError("need low <= high")
 
     def stream(self, n: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         return rng.uniform(self.low, self.high, n + 1)
 
     @property
@@ -210,7 +211,7 @@ class MarkovChainDriver:
     def stream(self, n: int) -> np.ndarray:
         """Values of states 0..n: state k inverts the cumulative kernel row of
         state k-1 at u[k], each row inverted at every u by one searchsorted."""
-        u = np.random.default_rng(self.seed).random(n + 1)
+        u = default_rng(self.seed).random(n + 1)
         after = [np.searchsorted(row, u).tolist() for row in np.cumsum(self._kernel_array(), axis=1)]
         state = int(np.searchsorted(np.cumsum(self.stationary()), u[0]))
         states = [state]

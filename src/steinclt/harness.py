@@ -254,10 +254,14 @@ def build_system(cfg: dict, driver_seed: int | None = None):
 
 
 def _versions() -> dict:
+    # scipy's version without importing scipy, read off its METADATA's
+    # header line: `metadata.version` would parse the whole file with
+    # email.parser, importing that parser inside the run
+    meta = importlib.metadata.distribution("scipy").read_text("METADATA")
     return {
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),
+        "scipy": next(line[9:] for line in meta.splitlines() if line.startswith("Version: ")),
         "python": platform.python_version(),
     }
 

@@ -2,12 +2,12 @@
 distances to normal, and rate fitting."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dynamics import Observable, orbit
 from .linalg import DegenerateCovariance, spectral_norm, symmetric_sqrt
@@ -155,13 +155,69 @@ class DistanceReport:
             raise ValueError("distances are nonnegative")
 
 
+# cephes `ndtri`, as scipy.special evaluates it: a rational function of
+# y - 1/2 on the central band, and of 1/x with x = sqrt(-2 log y) on the two
+# tails, split at exp(-2) and reflected through 1 - p above 1 - exp(-2)
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# libm's log, the one cephes calls: numpy's SIMD log differs in the last bit
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _horner(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """cephes `polevl` (or `p1evl` when monic: a leading 1 left out of coef)."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """cephes `ndtri` on an array of p in (0, 1), bit for bit."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    x = np.empty_like(y)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    c2 = c * c
+    x[mid] = (c + c * (c2 * _horner(c2, _P0) / _horner(c2, _Q0, monic=True))) * _S2PI
+    tail = ~mid
+    r = np.sqrt(-2.0 * _libm_log(y[tail]).astype(float))
+    z = 1.0 / r
+    x1 = np.where(
+        r < 8.0,
+        z * _horner(z, _P1) / _horner(z, _Q1, monic=True),
+        z * _horner(z, _P2) / _horner(z, _Q2, monic=True),
+    )
+    xt = r - _libm_log(r).astype(float) / r - x1
+    x[tail] = np.where(upper[tail], xt, -xt)
+    return x
+
+
 def normal_quantile(p) -> np.ndarray:
-    """Standard normal quantile: scipy's `ndtri` on (0, 1), a float for a
-    scalar p; p outside (0, 1) is a ValueError."""
+    """Standard normal quantile: cephes `ndtri` (scipy.special's, bit for
+    bit) on (0, 1), a float for a scalar p; p outside (0, 1) is a ValueError."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile argument must lie in (0, 1)")
-    x = ndtri(p)
+    x = _ndtri(p.ravel()).reshape(p.shape)
     return float(x) if p.ndim == 0 else x
 
 
@@ -194,9 +250,13 @@ def wasserstein1_1d(sample, reference=None) -> DistanceReport:
     return _sorted_w1(x, y, "sample")
 
 
+@functools.lru_cache(maxsize=4)
 def _normal_scores(m: int) -> np.ndarray:
-    """The standard normal quantiles at (i - 1/2)/M, i = 1..M."""
-    return normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+    """The standard normal quantiles at (i - 1/2)/M, i = 1..M, read-only and
+    computed once per M: a rate run reads the same M at every N."""
+    scores = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+    scores.flags.writeable = False
+    return scores
 
 
 def _sorted_w1(x: np.ndarray, y: np.ndarray, ref_label: str) -> DistanceReport:
@@ -381,7 +441,8 @@ def check_rate_grid(n_values: Sequence[int], model: str = "pure-power") -> None:
     ns = np.asarray(n_values, dtype=float)
     if ns.size < 4:
         raise ValueError("need at least 4 N values")
-    if np.unique(ns).size != ns.size or np.any(ns < 2):
+    # a set, not np.unique: np.unique imports numpy.ma at its first call
+    if len(set(ns.tolist())) != ns.size or np.any(ns < 2):
         raise ValueError("N values must be distinct integers >= 2")
     if ns.max() / ns.min() < 8.0 - 1e-9:
         raise ValueError("N grid must span at least three octaves")

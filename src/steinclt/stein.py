@@ -43,7 +43,6 @@ from itertools import combinations_with_replacement, islice, permutations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .linalg import check_symmetric
 from .quadrature import (
@@ -417,9 +416,16 @@ class LipschitzFunction:
         return self.func(np.asarray(w, dtype=float))
 
 
+def _erf_unit(w):
+    """sqrt(pi)/2 erf(w), slope 1 at 0.  scipy.special is imported here, at
+    the first call: nothing else in the package needs it."""
+    from scipy.special import erf
+
+    return math.sqrt(math.pi) / 2.0 * erf(w)
+
+
 def lipschitz_family_1d() -> list[LipschitzFunction]:
     """Ten smooth functions with Lipschitz constant exactly 1."""
-    sq = math.sqrt(math.pi) / 2.0
     return [
         LipschitzFunction("linear", lambda w: w, 1.0),
         LipschitzFunction("tanh", np.tanh, 1.0),
@@ -427,7 +433,7 @@ def lipschitz_family_1d() -> list[LipschitzFunction]:
         LipschitzFunction("tanh_double", lambda w: 0.5 * np.tanh(2.0 * w), 1.0),
         LipschitzFunction("sine", np.sin, 1.0),
         LipschitzFunction("sine_double", lambda w: 0.5 * np.sin(2.0 * w), 1.0),
-        LipschitzFunction("erf_unit", lambda w: sq * erf(w), 1.0),
+        LipschitzFunction("erf_unit", _erf_unit, 1.0),
         LipschitzFunction("logcosh", lambda w: np.logaddexp(w, -w) - math.log(2.0), 1.0),
         LipschitzFunction("logcosh_double", lambda w: 0.5 * (np.logaddexp(2 * w, -2 * w) - math.log(2.0)), 1.0),
         LipschitzFunction("soft_id", lambda w: w / np.sqrt(1.0 + w * w), 1.0),

@@ -1,7 +1,8 @@
 """Every exported name resolves, no src module imports a name it never
 reads, the Stein table contraction makes no BLAS call, importing the CLI
-leaves scipy.sparse unloaded, and the benchmark tracer still finds the names
-it patches and counts the points of every orbit step."""
+leaves scipy unloaded, a run imports no numpy, scipy or email module at call
+time, and the benchmark tracer still finds the names it patches and counts
+the points of every orbit step."""
 
 import ast
 import importlib
@@ -113,12 +114,16 @@ def test_stein_evaluate_makes_no_blas_call():
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    # only Ulam assembly needs scipy.sparse; manifests still name scipy's
-    # version; the config check is hand-written, so nothing imports jsonschema
+    # only Ulam assembly needs scipy.sparse and only the a10 family's erf_unit
+    # needs scipy.special, so importing the CLI imports no scipy at all;
+    # manifests still name scipy's version, read without importing it; the
+    # config check is hand-written, so nothing imports jsonschema
     code = (
         "import json, sys; from steinclt import cli, harness; "
-        "print(json.dumps(['scipy.sparse' in sys.modules, 'jsonschema' in sys.modules, "
-        "harness._versions()]))"
+        "names = ('scipy', 'scipy.special', 'scipy.sparse', 'jsonschema', "
+        "'numpy.f2py', 'numpy.testing'); "
+        "loaded = [n for n in names if n in sys.modules]; versions = harness._versions(); "
+        "print(json.dumps([loaded, [n for n in names if n in sys.modules], versions]))"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -126,10 +131,56 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    sparse_loaded, jsonschema_loaded, versions = json.loads(proc.stdout)
-    assert not sparse_loaded
-    assert jsonschema_loaded is False
+    at_import, after_versions, versions = json.loads(proc.stdout)
+    assert at_import == []
+    assert after_versions == []
     assert versions["scipy"] == scipy.__version__
+
+
+_SLOPE_SYSTEM = {
+    "kind": "random",
+    "family": "shifted-slope",
+    "beta_star": 1.0,
+    "driver": {"kind": "iid-uniform", "low": 0.0, "high": 1.0},
+}
+_RATES_CONFIG = {"version": 1, "system": _SLOPE_SYSTEM, "observable": "quartic",
+                 "n_grid": [8, 16, 32, 64], "samples": 150, "seed": 4}
+_DECOMPOSE_CONFIG = {"version": 1, "system": _SLOPE_SYSTEM, "observable": "poly_pair",
+                     "samples": 100, "seed": 4, "decompose": {"n_terms": 3}}
+
+_FIRST_LOADS = """
+import json, sys, warnings
+from steinclt import cli
+rates, decompose, out = sys.argv[1:]
+before = set(sys.modules)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    rcs = [
+        cli.main(["rates", "--config", rates, "--out", out + "/rates"]),
+        cli.main(["decompose", "--config", decompose, "--out", out + "/decompose"]),
+        cli.main(["stein-check", "--dim", "1", "--sigmas", "1", "--out", out + "/stein"]),
+    ]
+print(json.dumps({"rcs": rcs, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_runs_import_no_numpy_scipy_or_email_module(tmp_path):
+    """A module first imported inside `cli.main` is billed to the run, not to
+    start-up: numpy loads some submodules (numpy.ma, numpy.random) lazily,
+    and `importlib.metadata.version` imports the email parser."""
+    paths = []
+    for name, cfg in (("rates", _RATES_CONFIG), ("decompose", _DECOMPOSE_CONFIG)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_LOADS, *map(str, paths), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["rcs"] == [0, 0, 0]
+    assert [m for m in result["loaded"] if m.split(".")[0] in ("numpy", "scipy", "email")] == []
 
 
 _TRACED_RUNS = """
@@ -149,13 +200,6 @@ with warnings.catch_warnings():
 print(json.dumps({"rcs": rcs, "spans": [s.to_json() for s in tracer.spans]}))
 """
 
-_SLOPE_SYSTEM = {
-    "kind": "random",
-    "family": "shifted-slope",
-    "beta_star": 1.0,
-    "driver": {"kind": "iid-uniform", "low": 0.0, "high": 1.0},
-}
-
 
 def _traced_env() -> dict:
     env = dict(os.environ)
@@ -170,12 +214,8 @@ def traced_runs(tmp_path_factory) -> tuple[list, int]:
     """Spans of a rates, a decompose and a stein-check call under the tracer,
     and the id of the rates call's span."""
     tmp_path = tmp_path_factory.mktemp("traced")
-    rates = {"version": 1, "system": _SLOPE_SYSTEM, "observable": "quartic",
-             "n_grid": [8, 16, 32, 64], "samples": 150, "seed": 4}
-    decompose = {"version": 1, "system": _SLOPE_SYSTEM, "observable": "poly_pair",
-                 "samples": 100, "seed": 4, "decompose": {"n_terms": 3}}
     paths = []
-    for name, cfg in (("rates", rates), ("decompose", decompose)):
+    for name, cfg in (("rates", _RATES_CONFIG), ("decompose", _DECOMPOSE_CONFIG)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(cfg))
     proc = subprocess.run(

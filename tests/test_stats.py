@@ -22,6 +22,7 @@ from steinclt.stats import (
     birkhoff_raw_sums,
     empirical_covariance,
     fit_rate,
+    _normal_scores,
     normal_quantile,
     normalize_sums,
     scale_distance,
@@ -68,6 +69,41 @@ def test_normal_quantile_round_trip_and_values():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             normal_quantile(bad)
+
+
+def test_normal_quantile_is_scipy_ndtri_bit_for_bit():
+    # the port takes its tail logs from libm, as cephes does; numpy's SIMD
+    # log differs from libm's in the last bit on some of these points, and
+    # so would a libm other than the one scipy's cephes calls
+    grids = [(np.arange(1, m + 1) - 0.5) / m
+             for m in (*range(2, 1001), 100_000, 200_000, 1_000_003)]
+    tails = np.logspace(-300.0, math.log10(0.2), 20_000)
+    edge = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0), 0.13533528323661269189,
+                     1.0 - 0.13533528323661269189])
+    edges = np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), [0.5]])
+    upper = 1.0 - tails
+    p = np.concatenate([*grids, np.random.default_rng(7).random(1_000_000), tails,
+                        upper[upper < 1.0], edges])
+    assert np.all((p > 0.0) & (p < 1.0))
+    x = normal_quantile(p)
+    assert x.dtype == np.float64
+    mismatched = p[x != scipy.special.ndtri(p)]
+    assert mismatched.size == 0, mismatched[:10]
+    assert normal_quantile(0.5) == scipy.special.ndtri(0.5) == 0.0
+    for q in edges:
+        assert normal_quantile(q) == scipy.special.ndtri(q)
+    # any shape in, the same shape out
+    np.testing.assert_array_equal(normal_quantile(p[:12].reshape(3, 4)),
+                                  scipy.special.ndtri(p[:12].reshape(3, 4)))
+
+
+def test_normal_scores_are_computed_once_per_m_and_read_only():
+    scores = _normal_scores(500)
+    assert _normal_scores(500) is scores
+    assert not scores.flags.writeable
+    with pytest.raises(ValueError):
+        scores[0] = 0.0
+    np.testing.assert_array_equal(scores, scipy.special.ndtri((np.arange(1, 501) - 0.5) / 500))
 
 
 def test_wasserstein_floor():

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.special
 
 from steinclt import stein
 from steinclt.harness import _BOUND_GH, _BOUND_U, _DECOMP_GH, _RESIDUAL_GH, _RESIDUAL_U
@@ -481,6 +482,12 @@ def test_univariate_bound_check_family():
         report = univariate_bound_check(f, grid)
         assert report.passed(1e-6), f"{f.name}: worst margin {report.worst_margin:.3e}"
         assert report.name == f.name
+
+
+def test_erf_unit_is_scaled_scipy_erf():
+    w = np.linspace(-6.0, 6.0, 1201)
+    erf_unit = next(f for f in lipschitz_family_1d() if f.name == "erf_unit")
+    np.testing.assert_array_equal(erf_unit(w), math.sqrt(math.pi) / 2.0 * scipy.special.erf(w))
 
 
 def test_univariate_bound_check_rejects_steep_functions():
