@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.metadata
+import importlib.util
 import json
 import math
 import os
@@ -254,14 +254,14 @@ def build_system(cfg: dict, driver_seed: int | None = None):
 
 
 def _versions() -> dict:
-    # scipy's version without importing scipy, read off its METADATA's
-    # header line: `metadata.version` would parse the whole file with
-    # email.parser, importing that parser inside the run
-    meta = importlib.metadata.distribution("scipy").read_text("METADATA")
+    # scipy's version without importing scipy or importlib.metadata (whose
+    # import alone costs start-up), read off scipy's generated version.py
+    source = Path(importlib.util.find_spec("scipy").origin).with_name("version.py")
+    line = next(s for s in source.read_text().splitlines() if s.startswith("version = "))
     return {
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": next(line[9:] for line in meta.splitlines() if line.startswith("Version: ")),
+        "scipy": line.split("=", 1)[1].strip().strip("\"'"),
         "python": platform.python_version(),
     }
 
@@ -435,6 +435,30 @@ def _sharded_sums(
     return out
 
 
+def _pass_sums(seq, f: Observable, checkpoints, samples: int, root: int, manifest, name: str,
+               threads: int | None = None) -> dict:
+    """Map each N, in grid order, to its sums at its checkpoints, given one
+    non-decreasing checkpoint list per N that ends at N.  When every N's
+    row is a prefix of max N's (a random or sequential system, a constant
+    curve), one pass over the union of the checkpoints serves every N, with
+    the bits of N's own pass; otherwise each N takes its own pass over
+    `_row(seq, N)` from the same shard starts.  Timed as stage `name`."""
+    grid = [cps[-1] for cps in checkpoints]
+    last = seq.parameters(grid[-1] - 1)
+    if all(np.array_equal(seq.parameters(n - 1), last[:n]) for n in grid):
+        passes = [(seq, checkpoints)]
+    else:
+        passes = [(_row(seq, cps[-1]), [cps]) for cps in checkpoints]
+    sums = {}
+    with manifest.stage(name) as stage:
+        for row, wanted in passes:
+            union = sorted({k for cps in wanted for k in cps})
+            out = _sharded_sums(row, f, union, samples, root, stage, threads)
+            sums.update((cps[-1], [out[union.index(k)] for k in cps]) for cps in wanted)
+    stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
+    return sums
+
+
 def _check_metric(metric: str, f: Observable) -> None:
     """ConfigError, before any orbit step, when `metric` cannot read f."""
     if metric == "wasserstein1" and f.dimension != 1:
@@ -463,6 +487,23 @@ def _distance_at(n: int, raw: np.ndarray, metric: str, seed: int, sigma=None, sq
     return smooth_metric_distance(w, sigma)
 
 
+def _rate_rows(manifest, cfg: dict, sums: dict, metric: str, sqrt_n: bool, sigma=None,
+               prefix: str = "") -> tuple[list, RateFit]:
+    """The (n, distance) rows at each N's last `_pass_sums` sums, S_N, and
+    the rate fit over them.  Stage `<prefix>N<n>` times each N and records
+    its `floor_ratio` (the distance over the W1 floor for S samples); stage
+    seed `slice-N<n>` draws its slice directions."""
+    floor = wasserstein_floor(cfg["samples"])
+    rows = []
+    for n, at_n in sums.items():
+        with manifest.stage(f"{prefix}N{n}") as stage:
+            seed = stage_seed(cfg["seed"], f"slice-N{n}")
+            rep = _distance_at(n, at_n[-1], metric, seed, sigma, sqrt_n)
+            stage["floor_ratio"] = rep.value / floor
+        rows.append((n, rep))
+    return rows, fit_rate([(n, rep.value) for n, rep in rows], cfg["fit_model"])
+
+
 @dataclass(frozen=True)
 class RatesResult:
     fit: RateFit
@@ -476,16 +517,11 @@ class RatesResult:
 
 
 def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
-    """Distance-to-normal across the N grid, rate fit, CSV + plot data.
-
-    When every N's parameter row is a prefix of max N's (a random or
-    sequential system, or a constant curve), one orbit pass to max N gives
-    every N; otherwise each N takes its own pass over its own row (`_row`,
-    as `qds` does) from the same shard starts.
-    The outputs do not depend on `threads` (see `_sharded_sums`); a count
-    below 1 is a ConfigError.  Raises DegenerateCovariance naming the
-    offending N when self-norming fails; emits rates.csv, plot_rates.txt,
-    rate_fit.csv, and manifest.json.
+    """Distance-to-normal across the N grid (sums from `_pass_sums`), rate
+    fit, CSV + plot data.  The outputs do not depend on `threads` (see
+    `_sharded_sums`); a count below 1 is a ConfigError.  Raises
+    DegenerateCovariance naming the offending N when self-norming fails;
+    emits rates.csv, plot_rates.txt, rate_fit.csv, and manifest.json.
     """
     if threads is not None:
         _check_counts(threads=(threads, 1))
@@ -499,46 +535,22 @@ def run_rates(cfg: dict, out_dir, threads: int | None = None) -> RatesResult:
     manifest.seed(cfg["seed"], "driver")
     root = manifest.seed(cfg["seed"], "ensemble")
     samples = cfg["samples"]
+    sums = _pass_sums(seq, f, [[n] for n in grid], samples, root, manifest, "sums", threads)
+    rows, fit = _rate_rows(manifest, cfg, sums, cfg["metric"], cfg["normalization"] == "sqrt-n")
     floor = wasserstein_floor(samples)
-
-    with manifest.stage("sums") as stage:
-        last = seq.parameters(grid[-1] - 1)
-        if all(np.array_equal(seq.parameters(n - 1), last[:n]) for n in grid):
-            sums = _sharded_sums(seq, f, grid, samples, root, stage, threads)
-        else:
-            sums = [_sharded_sums(_row(seq, n), f, [n], samples, root, stage, threads)[0]
-                    for n in grid]
-    stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
-
-    rows = []
-    for n, raw in zip(grid, sums):
-        with manifest.stage(f"N{n}") as stage:
-            rep = _distance_at(
-                n, raw, cfg["metric"], stage_seed(cfg["seed"], f"slice-N{n}"),
-                sqrt_n=cfg["normalization"] == "sqrt-n",
-            )
-            stage["floor_ratio"] = rep.value / floor
-        rows.append((n, rep))
-
-    smallest = min(rep.value for _, rep in rows)
-    # the floor is that of the W1 estimator; the smooth metric has none
-    floor_ok = cfg["metric"] == "smooth-metric" or smallest >= 3.0 * floor
-    fit = fit_rate([(n, rep.value) for n, rep in rows], cfg["fit_model"])
-
+    # floor_ok compares with the W1 estimator's floor; the smooth metric has
+    # a floor of its own (0.2-0.4/sqrt(S) measured), which it does not yet read
+    floor_ok = cfg["metric"] == "smooth-metric" or min(rep.value for _, rep in rows) >= 3.0 * floor
     csv_path = manifest.write_rows(
         "rates.csv",
         ("config", "metric", "N", "S", "value", "stderr"),
         [(chash, rep.metric, n, samples, rep.value, rep.stderr) for n, rep in rows],
     )
     plot_path = manifest.write_rows(
-        "plot_rates.txt",
-        None,
-        [(math.log(n), math.log(rep.value)) for n, rep in rows],
-        sep=" ",
+        "plot_rates.txt", None, [(math.log(n), math.log(rep.value)) for n, rep in rows], sep=" "
     )
     fit_path = manifest.write_rows(
-        "rate_fit.csv",
-        ("config", "model", "exponent", "halfwidth", "r2"),
+        "rate_fit.csv", ("config", "model", "exponent", "halfwidth", "r2"),
         [(chash, fit.model, fit.exponent, fit.halfwidth, fit.r_squared)],
     )
     return RatesResult(
@@ -750,18 +762,11 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
         return build_system(cfg, driver_seed=seed)
 
     with manifest.stage("series") as stage:
-        series = sigma_series(
-            make_seq,
-            f,
-            k_max,
-            samples=series_samples,
-            runs=series_runs,
-            seed=stage_seed(base_seed, "sigma-series"),
-        )
+        series = sigma_series(make_seq, f, k_max, samples=series_samples, runs=series_runs,
+                              seed=stage_seed(base_seed, "sigma-series"))
         stage["point_steps"] = series.point_steps
     sigma = np.asarray(series.matrix)
-    eigs = np.linalg.eigvalsh(sigma)
-    if float(eigs.min()) <= MIN_EIGENVALUE:
+    if float(np.linalg.eigvalsh(sigma)[0]) <= MIN_EIGENVALUE:
         raise DegenerateCovariance(
             "series covariance is not positive definite: the variance-growth "
             "condition fails and no quenched limit is available"
@@ -771,22 +776,18 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     fits = []
     rows = []
     for r in range(replicas):
-        with manifest.stage(f"replica-{r}") as stage:
-            seq = make_seq(manifest.seed(base_seed, f"replica-{r}"))
-            root = manifest.seed(base_seed, f"replica-{r}-ensemble")
-            sums = _sharded_sums(seq, f, grid, samples, root, stage)
-            pairs = []
-            for n, raw in zip(grid, sums):
-                rep = _distance_at(n, raw, metric, root, sigma, sqrt_n=True)
-                pairs.append((n, rep.value))
-                rows.append((manifest.config_hash, r, n, samples, rep.value, rep.stderr))
-            fits.append(fit_rate(pairs, cfg["fit_model"]))
+        seq = make_seq(manifest.seed(base_seed, f"replica-{r}"))
+        root = manifest.seed(base_seed, f"replica-{r}-ensemble")
+        sums = _pass_sums(seq, f, [[n] for n in grid], samples, root, manifest, f"replica-{r}")
+        reps, fit = _rate_rows(
+            manifest, cfg, sums, metric, sqrt_n=True, sigma=sigma, prefix=f"replica-{r}-"
+        )
+        fits.append(fit)
+        rows += [(manifest.config_hash, r, n, samples, rep.value, rep.stderr) for n, rep in reps]
     csv_path = manifest.write_rows(
         "quenched.csv", ("config", "replica", "N", "S", "value", "stderr"), rows
     )
-    return QuenchedResult(
-        tuple(fits), sigma, series.tail_estimate, csv_path, manifest.finish()
-    )
+    return QuenchedResult(tuple(fits), sigma, series.tail_estimate, csv_path, manifest.finish())
 
 
 @dataclass(frozen=True)
@@ -809,26 +810,21 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
     _check_metric(cfg["metric"], f)
     seq = build_system(cfg)
     samples = cfg["samples"]
-    rows = []
-    for n in grid:
-        with manifest.stage(f"N{n}") as stage:
-            k_mid = int(math.floor(n * t_mid))
-            frac = n * t_mid - k_mid
-            # t_mid = 1 gives k_mid = n and frac = 0, so mid is S_n
-            s_mid, s_next, s_n = _sharded_sums(
-                _row(seq, n), f, [k_mid, min(k_mid + 1, n), n], samples,
-                manifest.seed(cfg["seed"], f"qds-N{n}"), stage,
-            )
-            mid = (1.0 - frac) * s_mid + frac * s_next
-            lam_min = float(np.linalg.eigvalsh(empirical_covariance(mid - mid.mean(axis=0)))[0])
-            rep = _distance_at(
-                n, s_n, cfg["metric"], stage_seed(cfg["seed"], f"qds-slice-N{n}"),
-                sqrt_n=cfg["normalization"] == "sqrt-n",
-            )
-        rows.append((n, lam_min, rep))
-    by_n = {n: lam for n, lam, _ in rows}
-    ratios = [(n, by_n[2 * n] / by_n[n]) for n in grid if 2 * n in by_n]
-    fit = fit_rate([(n, rep.value) for n, _, rep in rows], cfg["fit_model"])
+    # t_mid = 1 gives k_mid = n, so mid is S_n
+    k_mids = [int(math.floor(n * t_mid)) for n in grid]
+    sums = _pass_sums(
+        seq, f, [[k, min(k + 1, n), n] for k, n in zip(k_mids, grid)], samples,
+        manifest.seed(cfg["seed"], "ensemble"), manifest, "sums",
+    )
+    reps, fit = _rate_rows(manifest, cfg, sums, cfg["metric"], cfg["normalization"] == "sqrt-n")
+    lam = {}
+    for k_mid, n in zip(k_mids, grid):
+        s_mid, s_next, _ = sums[n]
+        frac = n * t_mid - k_mid
+        mid = (1.0 - frac) * s_mid + frac * s_next
+        lam[n] = float(np.linalg.eigvalsh(empirical_covariance(mid - mid.mean(axis=0)))[0])
+    rows = [(n, lam[n], rep) for n, rep in reps]
+    ratios = [(n, lam[2 * n] / lam[n]) for n in grid if 2 * n in lam]
     csv_path = manifest.write_rows(
         "qds.csv",
         ("config", "N", "S", "t_mid", "lambda_min", "value", "stderr"),

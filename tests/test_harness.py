@@ -421,22 +421,47 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
         assert stage["floor_ratio"] == pytest.approx(value / res.floor, rel=1e-15)
 
 
-# a constant curve's rows nest, so one pass to max N serves every N; a
-# linear curve's do not, so each N takes its own pass
+_CURVES = {
+    "constant": {"kind": "constant", "value": 0.2},
+    "linear": {"kind": "linear", "start": 0.05, "end": 0.25},
+}
+
+
+# a constant curve's rows nest, so one pass to max N serves every N (and
+# every qds mid-point); a linear curve's do not, so each N takes its own pass
 @pytest.mark.parametrize(
-    "curve, steps",
-    [({"kind": "constant", "value": 0.2}, 63),
-     ({"kind": "linear", "start": 0.05, "end": 0.25}, 7 + 15 + 31 + 63)],
-    ids=["constant", "linear"],
+    "command, curve, steps",
+    [(command, curve, steps) for command in ("rates", "qds")
+     for curve, steps in (("constant", 63), ("linear", 7 + 15 + 31 + 63))],
+    ids=["constant", "linear", "constant-qds", "linear-qds"],
 )
-def test_rates_pass_count_follows_row_nesting(tmp_path, curve, steps):
+def test_rates_pass_count_follows_row_nesting(tmp_path, command, curve, steps):
     cfg = _qds_cfg(samples=300, n_grid=[8, 16, 32, 64])
-    cfg["system"]["curve"] = curve
+    cfg["system"]["curve"] = _CURVES[curve]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = run_rates(cfg, tmp_path)
+        res = getattr(harness, f"run_{command}")(cfg, tmp_path)
     stages = json.loads(res.manifest_path.read_text())["stages"]
     assert stages["sums"]["point_steps"] == 300 * steps
+
+
+# qds and rates share one pass helper, one ensemble root, one per-N step and
+# its slice seeds, so their distances agree to the last digit printed
+@pytest.mark.parametrize("metric, observable", [("wasserstein1", "identity"),
+                                                ("sliced-wasserstein", "poly_pair")])
+@pytest.mark.parametrize("curve", ["constant", "linear"])
+def test_qds_distances_equal_rates_distances(tmp_path, curve, metric, observable):
+    cfg = _qds_cfg(samples=300, n_grid=[8, 16, 32, 64], metric=metric, observable=observable)
+    cfg["system"]["curve"] = _CURVES[curve]
+    columns = []
+    for command in ("rates", "qds"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = getattr(harness, f"run_{command}")(cfg, tmp_path / command)
+        with open(res.csv_path, newline="") as fh:
+            columns.append([(r["N"], r["value"], r["stderr"]) for r in csv.DictReader(fh)])
+    assert len(columns[0]) == 4
+    assert columns[0] == columns[1]
 
 
 def test_constant_curve_rates_equal_sequential_rates(tmp_path):
@@ -693,10 +718,16 @@ def test_run_qds_small(tmp_path):
     lines = res.csv_path.read_text().strip().splitlines()
     assert lines[0] == "config,N,S,t_mid,lambda_min,value,stderr"
     assert len(lines) == 5
-    stages = json.loads(res.manifest_path.read_text())["stages"]
-    assert {name: s["point_steps"] for name, s in stages.items()} == {
-        f"N{n}": 2000 * (n - 1) for n in (64, 128, 256, 512)
-    }
+    manifest = json.loads(res.manifest_path.read_text())
+    assert set(manifest["stage_seeds"]) == {"ensemble"}
+    stages = manifest["stages"]
+    assert set(stages) == {"sums", "N64", "N128", "N256", "N512"}
+    # the constant curve's rows nest: one pass to max N serves every N
+    assert stages["sums"]["point_steps"] == 2000 * 511
+    values = [float(line.split(",")[5]) for line in lines[1:]]
+    for n, value in zip((64, 128, 256, 512), values):
+        assert set(stages[f"N{n}"]) == {"seconds", "floor_ratio"}
+        assert stages[f"N{n}"]["floor_ratio"] == pytest.approx(value / harness.wasserstein_floor(2000), rel=1e-15)
     with pytest.raises(ConfigError):
         run_qds(_random_cfg(), tmp_path)
 
@@ -719,7 +750,7 @@ def test_run_qds_lambda_min_is_the_interpolated_partial_sum(tmp_path, t_mid):
     res = run_qds(cfg, tmp_path)
     seq, f = build_system(cfg), build_observable(cfg)
     for n, lam_min, _ in res.rows:
-        x0 = _shard_starts(stage_seed(cfg["seed"], f"qds-N{n}"), 500)
+        x0 = _shard_starts(stage_seed(cfg["seed"], "ensemble"), 500)
         # S_n(x, t) = sum_{k < floor(nt)} f(y_k) + (nt - floor(nt)) f(y_floor(nt))
         nt = n * t_mid
         m = min(int(np.floor(nt + 1e-12)), n)
@@ -734,8 +765,8 @@ def test_run_qds_lambda_min_is_the_interpolated_partial_sum(tmp_path, t_mid):
 
 def test_sqrt_n_qds_reads_its_normalization(tmp_path, monkeypatch):
     sums = []
-    real = harness._sharded_sums
-    monkeypatch.setattr(harness, "_sharded_sums", lambda *a, **k: sums.append(real(*a, **k)) or sums[-1])
+    real = harness._pass_sums
+    monkeypatch.setattr(harness, "_pass_sums", lambda *a, **k: sums.append(real(*a, **k)) or sums[-1])
     cfg = validate_config(_qds_cfg(
         observable="poly_pair", metric="sliced-wasserstein", normalization="sqrt-n",
         samples=500, n_grid=[32, 64, 128, 256],
@@ -743,9 +774,10 @@ def test_sqrt_n_qds_reads_its_normalization(tmp_path, monkeypatch):
     res = run_qds(cfg, tmp_path)
     with open(res.csv_path, newline="") as fh:
         values = [float(r["value"]) for r in csv.DictReader(fh)]
-    assert len(sums) == len(values) == 4
-    for n, (_, _, s_n), value in zip(cfg["n_grid"], sums, values):
-        seed = stage_seed(cfg["seed"], f"qds-slice-N{n}")
+    assert len(sums) == 1 and list(sums[0]) == cfg["n_grid"] and len(values) == 4
+    for n, value in zip(cfg["n_grid"], values):
+        s_n = sums[0][n][-1]
+        seed = stage_seed(cfg["seed"], f"slice-N{n}")
         assert value == harness._distance_at(n, s_n, "sliced-wasserstein", seed, sqrt_n=True).value
         assert value != harness._distance_at(n, s_n, "sliced-wasserstein", seed).value
 
@@ -762,8 +794,13 @@ def test_run_quenched_small(tmp_path):
     lines = res.csv_path.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 4
     stages = json.loads(res.manifest_path.read_text())["stages"]
-    assert set(stages) == {"series", "replica-0", "replica-1"}
+    grid = (64, 128, 256, 512)
+    assert set(stages) == {"series", "replica-0", "replica-1"} | {
+        f"replica-{r}-N{n}" for r in (0, 1) for n in grid
+    }
     assert stages["replica-1"]["point_steps"] == 1500 * (512 - 1)
+    for r in (0, 1):
+        assert set(stages[f"replica-{r}-N64"]) == {"seconds", "floor_ratio"}
     # sigma_series runs 64 burn-in and 16 window steps past which it reads k_max lags
     assert stages["series"]["point_steps"] == 2 * 512 * (64 + 16 + 8)
     with pytest.raises(ConfigError):

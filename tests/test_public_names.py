@@ -116,12 +116,13 @@ def test_stein_evaluate_makes_no_blas_call():
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     # only Ulam assembly needs scipy.sparse and only the a10 family's erf_unit
     # needs scipy.special, so importing the CLI imports no scipy at all;
-    # manifests still name scipy's version, read without importing it; the
-    # config check is hand-written, so nothing imports jsonschema
+    # manifests still name scipy's version, read without importing it or
+    # importlib.metadata (about 26 ms of start-up); the config check is
+    # hand-written, so nothing imports jsonschema
     code = (
         "import json, sys; from steinclt import cli, harness; "
         "names = ('scipy', 'scipy.special', 'scipy.sparse', 'jsonschema', "
-        "'numpy.f2py', 'numpy.testing'); "
+        "'numpy.f2py', 'numpy.testing', 'importlib.metadata'); "
         "loaded = [n for n in names if n in sys.modules]; versions = harness._versions(); "
         "print(json.dumps([loaded, [n for n in names if n in sys.modules], versions]))"
     )
