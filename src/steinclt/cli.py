@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
+    _glibc,
     load_config,
     run_decompose,
     run_qds,
@@ -90,12 +91,9 @@ def _keep_freed_memory() -> None:
     128 KiB default trim threshold would then give the freed heap top back
     after every large free.  A no-op where the C library has no `mallopt`;
     results do not depend on it."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # not glibc, e.g. macOS
+    mallopt = _glibc("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is None:
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 4 << 20)
     mallopt(_M_TRIM_THRESHOLD, 8 << 20)
 

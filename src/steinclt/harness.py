@@ -1,6 +1,7 @@
 """Experiment configuration, orchestration, and report emission."""
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -303,14 +304,17 @@ class RunManifest:
 
     @contextmanager
     def stage(self, name: str):
-        """Add the block's wall seconds to stages[name]["seconds"]; yields
-        the stage's record so the block can add its own counters."""
+        """Add the block's wall seconds to stages[name]["seconds"] and set
+        its "peak_rss_mb" to the process's peak resident set when the block
+        ends; yields the stage's record so the block can add its own
+        counters."""
         record = self.stages.setdefault(name, {"seconds": 0.0})
         t0 = time.perf_counter()
         try:
             yield record
         finally:
             record["seconds"] += time.perf_counter() - t0
+            record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     def write_rows(self, name: str, header, rows, sep: str = ",") -> Path:
         """Write `header` (None for none) and `rows` as `sep`-joined `str` fields."""
@@ -399,6 +403,15 @@ def _row(seq, n: int) -> SequentialSequence:
 _SHARDS = 16
 
 
+def _glibc(name: str, *argtypes):
+    """The C library's int-returning function `name`, taking `argtypes`;
+    None where the C library has none (not glibc, e.g. macOS)."""
+    fn = getattr(ctypes.CDLL(None), name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    return fn
+
+
 def _sharded_sums(
     seq, f: Observable, checkpoints, samples: int, root: int, stage: dict,
     threads: int | None = None,
@@ -430,6 +443,11 @@ def _sharded_sums(
 
     with ThreadPoolExecutor(width) as pool:
         list(pool.map(group, range(width)))
+    # what the workers freed stays in their glibc arenas, beside the arrays
+    # the per-N steps allocate next: give it back (a no-op without glibc)
+    trim = _glibc("malloc_trim", ctypes.c_size_t)
+    if trim is not None:
+        trim(0)
     steps = stage.get("point_steps", 0) + samples * max(checkpoints[-1] - 1, 0)
     stage.update(point_steps=steps, threads=width, shards=_SHARDS)
     return out

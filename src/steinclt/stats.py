@@ -151,8 +151,8 @@ class DistanceReport:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("distances are nonnegative")
+        if not self.value >= 0.0:  # NaN fails this too
+            raise ValueError(f"distances are nonnegative numbers, got {self.value}")
 
 
 # cephes `ndtri`, as scipy.special evaluates it: a rational function of
@@ -179,6 +179,9 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 # libm's log, the one cephes calls: numpy's SIMD log differs in the last bit
 _libm_log = np.frompyfunc(math.log, 1, 1)
+# `_ndtri`'s temporaries, its logs held as Python floats among them, come to
+# about 6 times its input; blocks of this many values bound them near 1 MB
+_NDTRI_BLOCK = 8192
 
 
 def _horner(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
@@ -213,12 +216,16 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
 
 def normal_quantile(p) -> np.ndarray:
     """Standard normal quantile: cephes `ndtri` (scipy.special's, bit for
-    bit) on (0, 1), a float for a scalar p; p outside (0, 1) is a ValueError."""
+    bit) on (0, 1), a float for a scalar p; p outside (0, 1), or NaN, is a
+    ValueError."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("quantile argument must lie in (0, 1)")
-    x = _ndtri(p.ravel()).reshape(p.shape)
-    return float(x) if p.ndim == 0 else x
+    flat = p.ravel()
+    x = np.empty_like(flat)
+    for lo in range(0, flat.size, _NDTRI_BLOCK):
+        x[lo:lo + _NDTRI_BLOCK] = _ndtri(flat[lo:lo + _NDTRI_BLOCK])
+    return float(x[0]) if p.ndim == 0 else x.reshape(p.shape)
 
 
 def wasserstein_floor(m: int) -> float:
@@ -241,10 +248,12 @@ def wasserstein1_1d(sample, reference=None) -> DistanceReport:
     with the quantiles at (i - 1/2)/M; against another sample of the same
     size, averages matched order-statistic gaps.
     """
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    x = np.array(sample, dtype=float, order="C").ravel()  # one copy, sorted in place
+    x.sort()
     if reference is None:
         return _sorted_w1(x, _normal_scores(x.size), "std-normal")
-    y = np.sort(np.asarray(reference, dtype=float).ravel())
+    y = np.array(reference, dtype=float, order="C").ravel()
+    y.sort()
     if y.size != x.size:
         raise ValueError("two-sample mode requires equal sizes")
     return _sorted_w1(x, y, "sample")
@@ -253,8 +262,13 @@ def wasserstein1_1d(sample, reference=None) -> DistanceReport:
 @functools.lru_cache(maxsize=4)
 def _normal_scores(m: int) -> np.ndarray:
     """The standard normal quantiles at (i - 1/2)/M, i = 1..M, read-only and
-    computed once per M: a rate run reads the same M at every N."""
-    scores = normal_quantile((np.arange(1, m + 1) - 0.5) / m)
+    computed once per M: a rate run reads the same M at every N.  The p grid
+    is built one block at a time, so no M-sized temporary sits beside the
+    scores."""
+    scores = np.empty(m)
+    for lo in range(0, m, _NDTRI_BLOCK):
+        i = np.arange(lo + 1, min(lo + _NDTRI_BLOCK, m) + 1)
+        scores[lo:lo + i.size] = _ndtri((i - 0.5) / m)
     scores.flags.writeable = False
     return scores
 
@@ -264,7 +278,8 @@ def _sorted_w1(x: np.ndarray, y: np.ndarray, ref_label: str) -> DistanceReport:
     m = x.size
     if m < 100:
         raise ValueError("need at least 100 samples")
-    gaps = np.abs(x - y)
+    gaps = x - y
+    np.abs(gaps, out=gaps)
     value = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / math.sqrt(m))
     return DistanceReport("wasserstein1", value, stderr, m, {"reference": ref_label})

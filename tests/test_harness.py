@@ -345,7 +345,7 @@ def test_run_stein_check_manifest_stages(tmp_path):
     for name, (gh, u) in {"residual": (48, 32), "bound": (32, 32)}.items():
         stage = stages[name]
         # six built-in test functions per sigma, every row on the per-axis path
-        assert set(stage) == {"seconds", "rows", "quadrature"}
+        assert set(stage) == {"seconds", "peak_rss_mb", "rows", "quadrature"}
         assert stage["rows"] == 12
         cert = stage["quadrature"]
         assert (cert["gh_order"], cert["u_order"]) == (gh, u)
@@ -406,17 +406,23 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
     stages = manifest["stages"]
     assert set(stages) == {"sums", "N128", "N256", "N512", "N1024"}
     sums = stages["sums"]
-    assert set(sums) == {"seconds", "point_steps", "point_steps_per_s", "threads", "shards"}
+    assert set(sums) == {
+        "seconds", "peak_rss_mb", "point_steps", "point_steps_per_s", "threads", "shards"
+    }
     # one pass to max N serves every N of the grid
     assert sums["point_steps"] == 2000 * (1024 - 1)
     assert sums["point_steps_per_s"] == sums["point_steps"] / sums["seconds"] > 0.0
     assert sums["threads"] == min(16, len(os.sched_getaffinity(0)))
     assert sums["shards"] == 16
+    # each stage's peak is the process's peak when it ended, so the stage
+    # that set the run's peak shows, and none exceeds it
+    for stage in stages.values():
+        assert 0.0 < stage["peak_rss_mb"] <= manifest["peak_rss_mb"]
     with open(res.csv_path) as fh:
         values = {int(row["N"]): float(row["value"]) for row in csv.DictReader(fh)}
     for n, value in values.items():
         stage = stages[f"N{n}"]
-        assert set(stage) == {"seconds", "floor_ratio"}
+        assert set(stage) == {"seconds", "peak_rss_mb", "floor_ratio"}
         assert stage["seconds"] > 0.0
         assert stage["floor_ratio"] == pytest.approx(value / res.floor, rel=1e-15)
 
@@ -726,7 +732,7 @@ def test_run_qds_small(tmp_path):
     assert stages["sums"]["point_steps"] == 2000 * 511
     values = [float(line.split(",")[5]) for line in lines[1:]]
     for n, value in zip((64, 128, 256, 512), values):
-        assert set(stages[f"N{n}"]) == {"seconds", "floor_ratio"}
+        assert set(stages[f"N{n}"]) == {"seconds", "peak_rss_mb", "floor_ratio"}
         assert stages[f"N{n}"]["floor_ratio"] == pytest.approx(value / harness.wasserstein_floor(2000), rel=1e-15)
     with pytest.raises(ConfigError):
         run_qds(_random_cfg(), tmp_path)
@@ -800,7 +806,7 @@ def test_run_quenched_small(tmp_path):
     }
     assert stages["replica-1"]["point_steps"] == 1500 * (512 - 1)
     for r in (0, 1):
-        assert set(stages[f"replica-{r}-N64"]) == {"seconds", "floor_ratio"}
+        assert set(stages[f"replica-{r}-N64"]) == {"seconds", "peak_rss_mb", "floor_ratio"}
     # sigma_series runs 64 burn-in and 16 window steps past which it reads k_max lags
     assert stages["series"]["point_steps"] == 2 * 512 * (64 + 16 + 8)
     with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Normalizations, normal quantiles, distances, variance series, rate fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ def test_normal_quantile_round_trip_and_values():
     assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
     np.testing.assert_allclose(normal_quantile(1.0 - p[:5]), -x[:5], atol=1e-12)
     assert isinstance(normal_quantile(0.3), float)
-    for bad in (0.0, 1.0, -0.2):
+    # NaN compares false with both ends of (0, 1), so it needs its own check
+    for bad in (0.0, 1.0, -0.2, float("nan"), [0.5, float("nan")]):
         with pytest.raises(ValueError):
             normal_quantile(bad)
 
@@ -106,6 +108,24 @@ def test_normal_scores_are_computed_once_per_m_and_read_only():
     np.testing.assert_array_equal(scores, scipy.special.ndtri((np.arange(1, 501) - 0.5) / 500))
 
 
+@pytest.mark.parametrize("m", [8191, 8192, 8193, 3 * 8192 + 1])
+def test_normal_scores_are_scipy_ndtri_bit_for_bit_at_block_edges(m):
+    # the scores are built one 8,192-value block at a time
+    want = scipy.special.ndtri((np.arange(1, m + 1) - 0.5) / m)
+    assert np.array_equal(_normal_scores(m).view(np.int64), want.view(np.int64))
+
+
+def test_normal_scores_hold_no_temporary_the_size_of_the_scores():
+    _normal_scores.cache_clear()
+    tracemalloc.start()
+    try:
+        scores = _normal_scores(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * scores.nbytes
+
+
 def test_wasserstein_floor():
     assert wasserstein_floor(400) == pytest.approx(0.8 / 20.0, rel=1e-12)
     assert wasserstein_floor(10_000) == pytest.approx(0.008, rel=1e-12)
@@ -140,6 +160,10 @@ def test_wasserstein1_validation():
         wasserstein1_1d(np.zeros(50))
     with pytest.raises(ValueError):
         wasserstein1_1d(np.zeros(200), np.zeros(300))
+    with pytest.raises(ValueError, match="nonnegative numbers"):
+        wasserstein1_1d(np.r_[np.random.default_rng(4).normal(size=200), np.nan])
+    with pytest.raises(ValueError, match="nonnegative numbers"):
+        DistanceReport("wasserstein1", float("nan"), 0.0, 100)
 
 
 def test_sliced_reduces_to_univariate():
