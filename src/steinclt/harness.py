@@ -42,6 +42,7 @@ from .stein import (
 )
 from .stats import (
     RateFit,
+    _normal_scores,
     birkhoff_raw_sums,
     build_ensemble,
     check_ensemble_size,
@@ -415,8 +416,10 @@ def _glibc(name: str, *argtypes):
 def _sharded_sums(
     seq, f: Observable, checkpoints, samples: int, root: int, stage: dict,
     threads: int | None = None,
-) -> np.ndarray:
-    """(len(checkpoints), samples, d) sums of `_SHARDS` fixed sample blocks.
+) -> list[np.ndarray]:
+    """One (samples, d) array of sums per checkpoint, each its own
+    allocation (so one can be freed alone), over `_SHARDS` fixed sample
+    blocks.
 
     Block i starts from uniform draws of the i-th child of SeedSequence(root)
     and owns its column slice.  The blocks split into one contiguous group
@@ -435,11 +438,11 @@ def _sharded_sums(
         for child, lo, hi in zip(children, edges[:-1], edges[1:])
     ])
     cuts = edges[np.linspace(0, _SHARDS, width + 1).astype(int)]
-    out = np.empty((len(checkpoints), samples, f.dimension))
+    out = [np.empty((samples, f.dimension)) for _ in checkpoints]
 
     def group(g: int) -> None:
         lo, hi = cuts[g], cuts[g + 1]
-        birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], out[:, lo:hi])
+        birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], [row[lo:hi] for row in out])
 
     with ThreadPoolExecutor(width) as pool:
         list(pool.map(group, range(width)))
@@ -460,7 +463,8 @@ def _pass_sums(seq, f: Observable, checkpoints, samples: int, root: int, manifes
     row is a prefix of max N's (a random or sequential system, a constant
     curve), one pass over the union of the checkpoints serves every N, with
     the bits of N's own pass; otherwise each N takes its own pass over
-    `_row(seq, N)` from the same shard starts.  Timed as stage `name`."""
+    `_row(seq, N)` from the same shard starts.  Timed as stage `name`,
+    which records the size of the sums as `sums_mb`."""
     grid = [cps[-1] for cps in checkpoints]
     last = seq.parameters(grid[-1] - 1)
     if all(np.array_equal(seq.parameters(n - 1), last[:n]) for n in grid):
@@ -472,6 +476,7 @@ def _pass_sums(seq, f: Observable, checkpoints, samples: int, root: int, manifes
         for row, wanted in passes:
             union = sorted({k for cps in wanted for k in cps})
             out = _sharded_sums(row, f, union, samples, root, stage, threads)
+            stage["sums_mb"] = stage.get("sums_mb", 0.0) + sum(a.nbytes for a in out) / 2**20
             sums.update((cps[-1], [out[union.index(k)] for k in cps]) for cps in wanted)
     stage["point_steps_per_s"] = stage["point_steps"] / stage["seconds"]
     return sums
@@ -490,16 +495,25 @@ def _distance_at(n: int, raw: np.ndarray, metric: str, seed: int, sigma=None, sq
     is the centered sums over sqrt(n), compared with N(0, sigma), or with
     N(0, covariance of the sums / n) when sigma is None.  A singular
     covariance is re-raised naming n; `seed` draws the slice directions.
+    Once normalized, `raw` is dropped: a caller that hands over its last
+    reference frees S_N before the W1 step copies W.
     """
     d = raw.shape[1]
+    if metric != "smooth-metric":
+        # the normal scores (cached per S) are built before W exists, so
+        # their block temporaries never sit beside W
+        _normal_scores(raw.shape[0])
     try:
         w, cov = normalize_sums(raw, np.eye(d) / math.sqrt(n) if sqrt_n else None)
     except DegenerateCovariance as exc:
         raise DegenerateCovariance(f"degenerate covariance at N={n}: {exc}") from exc
+    del raw
     if sigma is None:
         sigma = cov / n if sqrt_n else np.eye(d)
     if metric == "wasserstein1":
-        return wasserstein1_1d(w[:, 0] / math.sqrt(float(sigma[0, 0])))
+        column = w[:, 0]  # W is this call's own: scale it in place
+        column /= math.sqrt(float(sigma[0, 0]))
+        return wasserstein1_1d(column)
     if metric == "sliced-wasserstein":
         return sliced_wasserstein(w, sigma, seed=seed)
     return smooth_metric_distance(w, sigma)
@@ -510,13 +524,14 @@ def _rate_rows(manifest, cfg: dict, sums: dict, metric: str, sqrt_n: bool, sigma
     """The (n, distance) rows at each N's last `_pass_sums` sums, S_N, and
     the rate fit over them.  Stage `<prefix>N<n>` times each N and records
     its `floor_ratio` (the distance over the W1 floor for S samples); stage
-    seed `slice-N<n>` draws its slice directions."""
+    seed `slice-N<n>` draws its slice directions.  Empties `sums`, popping
+    each N as it measures it, so S_N can be freed once normalized."""
     floor = wasserstein_floor(cfg["samples"])
     rows = []
-    for n, at_n in sums.items():
+    for n in list(sums):
         with manifest.stage(f"{prefix}N{n}") as stage:
             seed = stage_seed(cfg["seed"], f"slice-N{n}")
-            rep = _distance_at(n, at_n[-1], metric, seed, sigma, sqrt_n)
+            rep = _distance_at(n, sums.pop(n)[-1], metric, seed, sigma, sqrt_n)
             stage["floor_ratio"] = rep.value / floor
         rows.append((n, rep))
     return rows, fit_rate([(n, rep.value) for n, rep in rows], cfg["fit_model"])
@@ -834,7 +849,9 @@ def run_qds(cfg: dict, out_dir) -> QdsResult:
         seq, f, [[k, min(k + 1, n), n] for k, n in zip(k_mids, grid)], samples,
         manifest.seed(cfg["seed"], "ensemble"), manifest, "sums",
     )
-    reps, fit = _rate_rows(manifest, cfg, sums, cfg["metric"], cfg["normalization"] == "sqrt-n")
+    reps, fit = _rate_rows(
+        manifest, cfg, dict(sums), cfg["metric"], cfg["normalization"] == "sqrt-n"
+    )
     lam = {}
     for k_mid, n in zip(k_mids, grid):
         s_mid, s_next, _ = sums[n]

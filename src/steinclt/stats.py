@@ -99,10 +99,13 @@ def birkhoff_raw_sums(
     f: Observable,
     checkpoints: Sequence[int],
     x0: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Fill out[j] with the uncentered sum of f over the first checkpoints[j]
-    slots (slot 0 is x0) of one orbit pass; returns out.
+    out: Sequence[np.ndarray],
+) -> Sequence[np.ndarray]:
+    """Fill out[j], a (samples, d) array (out may be one (checkpoints,
+    samples, d) array), with the uncentered sum of f over the first
+    checkpoints[j] slots (slot 0 is x0) of one orbit pass; returns out.
+    The sums build up in out[-1], which each earlier checkpoint copies when
+    the pass reaches it.
 
     The pass takes max(checkpoints) - 1 steps, so it reads that parameter
     row.  Checkpoints are non-decreasing, 0 and repeats allowed.  When the
@@ -112,34 +115,47 @@ def birkhoff_raw_sums(
     if not cps or cps[0] < 0 or any(b < a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be a non-empty non-decreasing sequence >= 0")
     last = cps[-1]
-    acc = np.zeros(out.shape[1:])
+    acc = out[-1]
+    acc[...] = 0.0
     j = 0
     for k, x in enumerate(orbit(seq, x0, max(last - 1, 0))):
-        while j < len(cps) and cps[j] == k:
-            out[j] = acc
+        while j < len(cps) - 1 and cps[j] == k:
+            out[j][...] = acc
             j += 1
         if k < last:
             acc += f(x)
-    out[j:] = acc
+    for row in out[j:-1]:
+        row[...] = acc
     return out
+
+
+_ROW_BLOCK = 8192
 
 
 def normalize_sums(
     raw_sums: np.ndarray, b_inv: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Center raw sums, then apply b^{-1}; returns (W, covariance of the
-    centered sums).
+    centered sums).  W is the one S x d array this allocates; raw_sums is
+    only read.
 
     With `b_inv` None the normalization is self-norming: b is the symmetric
     square root of that covariance, and a singular covariance raises
     DegenerateCovariance.  Pass np.eye(d) / sqrt(N) for sqrt(N) scaling.
     """
     raw = np.asarray(raw_sums, dtype=float)
-    centered = raw - raw.mean(axis=0, keepdims=True)
-    cov = empirical_covariance(centered)
+    w = raw - raw.mean(axis=0, keepdims=True)
+    cov = empirical_covariance(w)
     if b_inv is None:
         b_inv = symmetric_sqrt(cov)[1]
-    return centered @ b_inv.T, cov
+    # b^{-1} row block by row block, with the bits of `w @ b_inv.T`; no
+    # block has one row, a product numpy hands to gemv, which rounds unlike gemm
+    s_count, lo = w.shape[0], 0
+    while lo < s_count:
+        hi = lo + _ROW_BLOCK if s_count - lo - _ROW_BLOCK >= 2 else s_count
+        w[lo:hi] = w[lo:hi] @ b_inv.T
+        lo = hi
+    return w, cov
 
 
 @dataclass(frozen=True)
@@ -248,15 +264,14 @@ def wasserstein1_1d(sample, reference=None) -> DistanceReport:
     with the quantiles at (i - 1/2)/M; against another sample of the same
     size, averages matched order-statistic gaps.
     """
-    x = np.array(sample, dtype=float, order="C").ravel()  # one copy, sorted in place
-    x.sort()
+    x = np.array(sample, dtype=float, order="C").ravel()
     if reference is None:
-        return _sorted_w1(x, _normal_scores(x.size), "std-normal")
+        return _owned_w1(x)
     y = np.array(reference, dtype=float, order="C").ravel()
     y.sort()
     if y.size != x.size:
         raise ValueError("two-sample mode requires equal sizes")
-    return _sorted_w1(x, y, "sample")
+    return _owned_w1(x, y)
 
 
 @functools.lru_cache(maxsize=4)
@@ -273,15 +288,23 @@ def _normal_scores(m: int) -> np.ndarray:
     return scores
 
 
-def _sorted_w1(x: np.ndarray, y: np.ndarray, ref_label: str) -> DistanceReport:
-    """W1 report of sorted x against sorted y of the same size."""
+def _owned_w1(x: np.ndarray, y: np.ndarray | None = None) -> DistanceReport:
+    """W1 report of the 1-D sample x against sorted y of the same size (the
+    standard normal scores when None).  x is the caller's to give up: it is
+    sorted in place and overwritten by the gaps, then by their squared
+    deviations."""
     m = x.size
     if m < 100:
         raise ValueError("need at least 100 samples")
-    gaps = x - y
-    np.abs(gaps, out=gaps)
-    value = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / math.sqrt(m))
+    x.sort()
+    x -= _normal_scores(m) if y is None else y
+    np.abs(x, out=x)
+    value = float(x.mean())
+    # the gaps' std(ddof=1) in numpy's own steps, in place of its temporary
+    x -= value
+    np.square(x, out=x)
+    stderr = math.sqrt(float(x.sum()) / (m - 1)) / math.sqrt(m)
+    ref_label = "std-normal" if y is None else "sample"
     return DistanceReport("wasserstein1", value, stderr, m, {"reference": ref_label})
 
 
@@ -304,24 +327,25 @@ def sliced_wasserstein(
         sigma = np.eye(d)
     sigma = np.asarray(sigma, dtype=float)
     if d == 1:
-        scale = math.sqrt(float(sigma[0, 0]))
-        base = wasserstein1_1d(w[:, 0] / scale)
+        base = _owned_w1(w[:, 0] / math.sqrt(float(sigma[0, 0])))
         return DistanceReport(
             "sliced-wasserstein", base.value, base.stderr, s_count, {"directions": 1}
         )
     if directions < 32:
         raise ValueError("need at least 32 directions")
-    scores = _normal_scores(s_count)  # shared by every direction
     rng = np.random.default_rng(seed)
     values = np.empty(directions)
     errs = np.empty(directions)
+    projected = np.empty(s_count)  # one buffer, refilled for each direction
     for j in range(directions):
         theta = rng.normal(size=d)
         theta /= np.linalg.norm(theta)
         var = float(theta @ sigma @ theta)
         if var <= 0.0:
             raise DegenerateCovariance("projected variance is not positive")
-        rep = _sorted_w1(np.sort(w @ theta / math.sqrt(var)), scores, "std-normal")
+        np.matmul(w, theta, out=projected)
+        projected /= math.sqrt(var)
+        rep = _owned_w1(projected)
         values[j] = rep.value
         errs[j] = rep.stderr
     value = float(values.mean())
@@ -356,7 +380,7 @@ def smooth_metric_distance(w: np.ndarray, sigma: np.ndarray | None = None) -> Di
         vals = np.asarray(h.value(w), dtype=float)
         gauss = float(weights @ np.asarray(h.value(z), dtype=float))
         gap = abs(float(vals.mean()) - gauss)
-        if gap > best[0]:
+        if gap > best[0] or math.isnan(gap):  # a NaN gap is the maximum
             best = (gap, h.name, float(vals.std(ddof=1) / math.sqrt(s_count)))
     return DistanceReport(
         "smooth-metric", best[0], best[2], s_count,

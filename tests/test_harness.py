@@ -4,9 +4,11 @@ import csv
 import ctypes
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from steinclt.harness import (
     _axis_grid,
     _sharded_sums,
 )
-from steinclt.stats import birkhoff_raw_sums
+from steinclt.stats import _normal_scores, birkhoff_raw_sums, normalize_sums, wasserstein1_1d
 from steinclt.stein import TensorGrid
 
 
@@ -407,8 +409,11 @@ def test_rates_manifest_records_one_stage_per_n(tmp_path):
     assert set(stages) == {"sums", "N128", "N256", "N512", "N1024"}
     sums = stages["sums"]
     assert set(sums) == {
-        "seconds", "peak_rss_mb", "point_steps", "point_steps_per_s", "threads", "shards"
+        "seconds", "peak_rss_mb", "point_steps", "point_steps_per_s", "threads", "shards",
+        "sums_mb",
     }
+    # the sums held through the run: 4 checkpoints x 2000 samples x d = 1 x 8 B
+    assert sums["sums_mb"] == 4 * 2000 * 8 / 2**20
     # one pass to max N serves every N of the grid
     assert sums["point_steps"] == 2000 * (1024 - 1)
     assert sums["point_steps_per_s"] == sums["point_steps"] / sums["seconds"] > 0.0
@@ -497,7 +502,7 @@ def test_sharded_sums_equal_one_pass_per_shard(threads):
     edges = np.linspace(0, 1000, 17).astype(int)
     for lo, hi in zip(edges[:-1], edges[1:]):
         alone = birkhoff_raw_sums(seq, f, checkpoints, x0[lo:hi], np.empty((5, hi - lo, 2)))
-        np.testing.assert_array_equal(got[:, lo:hi], alone)
+        np.testing.assert_array_equal(np.stack(got)[:, lo:hi], alone)
 
 
 def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
@@ -730,6 +735,8 @@ def test_run_qds_small(tmp_path):
     assert set(stages) == {"sums", "N64", "N128", "N256", "N512"}
     # the constant curve's rows nest: one pass to max N serves every N
     assert stages["sums"]["point_steps"] == 2000 * 511
+    # 9 distinct checkpoints: N/2, N/2 + 1 and N for each N, N/2 of one N being another N
+    assert stages["sums"]["sums_mb"] == 9 * 2000 * 8 / 2**20
     values = [float(line.split(",")[5]) for line in lines[1:]]
     for n, value in zip((64, 128, 256, 512), values):
         assert set(stages[f"N{n}"]) == {"seconds", "peak_rss_mb", "floor_ratio"}
@@ -788,6 +795,55 @@ def test_sqrt_n_qds_reads_its_normalization(tmp_path, monkeypatch):
         assert value != harness._distance_at(n, s_n, "sliced-wasserstein", seed).value
 
 
+def test_w1_distance_holds_w_and_one_copy():
+    # W is the step's own: scaled in place, then copied once by
+    # wasserstein1_1d, whose gaps and std take no array of their own
+    samples = 100_000
+    raw = np.random.default_rng(21).normal(size=(samples, 1)) * 3.0 + 1.0
+    _normal_scores(samples)
+    tracemalloc.start()
+    try:
+        harness._distance_at(256, raw, "wasserstein1", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * samples * 8
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a call holds its arguments until it returns")
+def test_rate_rows_free_each_n_sums_once_normalized():
+    # the dict is the sums' only holder: popped and handed over, S_N is gone
+    # before the W1 step copies W, so the step adds W and its copy, less S_N
+    samples = 100_000
+    rng = np.random.default_rng(23)
+    cfg = {"samples": samples, "seed": 1, "fit_model": "pure-power"}
+    manifest = harness.RunManifest("sums", "rates")
+    _normal_scores(samples)
+    tracemalloc.start()
+    try:
+        sums = {n: [rng.normal(size=(samples, 1))] for n in (128, 256, 512, 1024)}
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rows, _ = harness._rate_rows(manifest, cfg, sums, "wasserstein1", False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums == {} and [n for n, _ in rows] == [128, 256, 512, 1024]
+    assert peak - start <= 1.3 * samples * 8
+
+
+@pytest.mark.parametrize("sqrt_n", [False, True])
+def test_w1_distance_is_wasserstein1_1d_of_the_scaled_column(sqrt_n):
+    raw = np.random.default_rng(22).gamma(2.0, size=(5000, 1)) * 4.0
+    before = raw.copy()
+    got = harness._distance_at(64, raw, "wasserstein1", 0, sqrt_n=sqrt_n)
+    w, cov = normalize_sums(raw, np.eye(1) / 8.0 if sqrt_n else None)
+    sigma = cov / 64 if sqrt_n else np.eye(1)
+    want = wasserstein1_1d(w[:, 0] / math.sqrt(float(sigma[0, 0])))
+    assert (got.value, got.stderr, got.params) == (want.value, want.stderr, want.params)
+    assert raw.tobytes() == before.tobytes()
+
+
 def test_run_quenched_small(tmp_path):
     cfg = _random_cfg(samples=1500)
     cfg["n_grid"] = [64, 128, 256, 512]
@@ -805,6 +861,7 @@ def test_run_quenched_small(tmp_path):
         f"replica-{r}-N{n}" for r in (0, 1) for n in grid
     }
     assert stages["replica-1"]["point_steps"] == 1500 * (512 - 1)
+    assert stages["replica-1"]["sums_mb"] == 4 * 1500 * 8 / 2**20
     for r in (0, 1):
         assert set(stages[f"replica-{r}-N64"]) == {"seconds", "peak_rss_mb", "floor_ratio"}
     # sigma_series runs 64 burn-in and 16 window steps past which it reads k_max lags

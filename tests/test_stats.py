@@ -24,6 +24,7 @@ from steinclt.stats import (
     empirical_covariance,
     fit_rate,
     _normal_scores,
+    _owned_w1,
     normal_quantile,
     normalize_sums,
     scale_distance,
@@ -166,6 +167,20 @@ def test_wasserstein1_validation():
         DistanceReport("wasserstein1", float("nan"), 0.0, 100)
 
 
+@pytest.mark.parametrize("m", [100, 101, 127, 129, 1000, 8193, 100_003])
+def test_w1_stderr_is_numpy_std_bit_for_bit(m):
+    # the owned path squares the gaps' deviations in place of std's temporary
+    rng = np.random.default_rng(m)
+    x = rng.standard_t(3, size=m)
+    gaps = np.abs(np.sort(x) - _normal_scores(m))
+    rep = _owned_w1(x.copy())
+    assert rep.value == float(gaps.mean())
+    assert rep.stderr == float(gaps.std(ddof=1) / math.sqrt(m))
+    y = np.sort(rng.normal(size=m))
+    gaps = np.abs(np.sort(x) - y)
+    assert _owned_w1(x.copy(), y).stderr == float(gaps.std(ddof=1) / math.sqrt(m))
+
+
 def test_sliced_reduces_to_univariate():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(5000, 1)) * 2.0
@@ -223,6 +238,14 @@ def test_smooth_metric_distance_gaussian_small():
     assert rep.params["argmax"]
     with pytest.raises(ValueError):
         smooth_metric_distance(rng.normal(size=(500, 4)))
+
+
+def test_smooth_metric_distance_names_a_nan():
+    # a NaN gap is the family's maximum, not a gap that never compares greater
+    w = np.random.default_rng(8).normal(size=(100_000, 2))
+    w[17, 1] = np.nan
+    with pytest.raises(ValueError, match="got nan"):
+        smooth_metric_distance(w)
 
 
 def test_scale_distance_homogeneity():
@@ -339,6 +362,23 @@ def test_birkhoff_sums_match_ensemble():
     )
 
 
+def test_birkhoff_pass_accumulates_in_the_last_checkpoint():
+    # at S = 100,000 the pass's traced peak is 3.2 S-sized arrays with an
+    # accumulator beside `out`, 2.2 without (the orbit state and f's value)
+    f = OBSERVABLES["identity"]()
+    seq = _doubling_seq()
+    x0 = np.random.default_rng(12).random(100_000)
+    for checkpoints in ([16], [4, 8, 16]):
+        out = np.empty((len(checkpoints), 100_000, 1))
+        tracemalloc.start()
+        try:
+            birkhoff_raw_sums(seq, f, checkpoints, x0, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.7 * x0.nbytes
+
+
 def _trajectory_values(seq, f, x0, slots):
     return np.stack([f(x) for x in trajectory(seq, x0, slots - 1)], axis=1)
 
@@ -376,3 +416,18 @@ def test_normalize_sums():
     assert cov3.tobytes() == cov.tobytes()
     with pytest.raises(DegenerateCovariance, match="singular"):
         normalize_sums(np.ones((500, 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("samples", [500, 8193, 3 * 8192 + 1, 100_000])
+def test_normalize_sums_in_row_blocks_keeps_the_bits(d, samples):
+    # b^{-1} is applied one row block at a time, in place of one S x d product
+    rng = np.random.default_rng(d * samples)
+    raw = rng.normal(size=(samples, d)) @ rng.normal(size=(d, d)) + 5.0
+    before = raw.copy()
+    centered = raw - raw.mean(axis=0, keepdims=True)
+    for b_inv in (None, np.eye(d) / math.sqrt(64)):
+        w, cov = normalize_sums(raw, b_inv)
+        want = symmetric_sqrt(cov)[1] if b_inv is None else b_inv
+        assert w.tobytes() == (centered @ want.T).tobytes()
+        assert raw.tobytes() == before.tobytes()
