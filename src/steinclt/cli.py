@@ -3,11 +3,19 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import os
 import sys
 import warnings
 from pathlib import Path
 
-from .harness import (
+# One BLAS thread unless the caller chose a count: every CLI product is
+# small, an idle OpenBLAS worker busy-waits and bills CPU to the run, and the
+# last bits of a BLAS dot (`stats.empirical_covariance`) depend on the thread
+# count.  OpenBLAS reads the variable once, when numpy first loads, which is
+# the import below: `import steinclt` itself loads no numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .harness import (  # noqa: E402
     ConfigError,
     _glibc,
     load_config,
@@ -18,7 +26,7 @@ from .harness import (
     run_stein_check,
     simulate,
 )
-from .linalg import DegenerateCovariance
+from .linalg import DegenerateCovariance  # noqa: E402
 
 
 def _add_common(parser: argparse.ArgumentParser, need_config: bool = True) -> None:

@@ -276,15 +276,19 @@ class SeparableTestFunction:
     def _sum_terms(self, tabs, idx: tuple[int, ...], block, zero):
         """Sum over the terms whose partial d^idx does not vanish of
         block(scale, [per-axis derivative tables]); `zero` if every one
-        vanishes.  The first block is taken as is, so one term costs no extra
-        operation."""
+        vanishes.  The first block is taken as is and later ones are added
+        into it, so one term costs no extra operation; `block` returns a fresh
+        array."""
         counts = _counts(self.dimension, idx)
         total = None
         for term in self.terms:
             if term.vanishes(counts):
                 continue
             part = block(term.scale, [tabs[a, f][c] for a, (f, c) in enumerate(zip(term.factors, counts))])
-            total = part if total is None else total + part
+            if total is None:
+                total = part
+            else:
+                total += part
         return zero if total is None else total
 
     def _tensor(self, tabs, shape, order: int) -> np.ndarray:
@@ -583,7 +587,9 @@ class SteinSolution:
                 psi = self.h._sum_terms(tabs, idx, functools.partial(self._contract, outer=outer), zero)
                 if k == 0:
                     psi = psi - self.phi_h
-                _fill_partial(field, idx, -functools.reduce(np.add, u_weights[k][:, None] * psi))
+                if psi is not zero:             # a fresh array, weighted in place
+                    psi *= u_weights[k][:, None]
+                _fill_partial(field, idx, -functools.reduce(np.add, psi))
 
     def _contract(self, scale: float, tables, outer: bool) -> np.ndarray:
         """psi[j, point] = scale sum_i W_i prod_a T_a[j, g_a, i] of one term,
@@ -608,8 +614,11 @@ class SteinSolution:
         acc = acc.reshape(j, -1, w.size)
         if outer:
             acc = np.ascontiguousarray(acc.transpose(0, 2, 1))
-            return scale * np.einsum("jgi,jim,i->jgm", tables[0], acc, w).reshape(j, -1)
-        return scale * np.einsum("jmi,jmi,i->jm", tables[0], acc, w)
+            psi = np.einsum("jgi,jim,i->jgm", tables[0], acc, w).reshape(j, -1)
+        else:
+            psi = np.einsum("jmi,jmi,i->jm", tables[0], acc, w)
+        psi *= scale
+        return psi
 
     def value(self, w):
         return self.evaluate(w, ("value",))["value"]

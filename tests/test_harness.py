@@ -586,6 +586,29 @@ def test_rates_near_the_floor_print_one_floor_line(tmp_path):
     assert floor_lines == ["warning: distances close to the estimator floor"]
 
 
+def test_cli_rates_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # the CLI runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set; left
+    # to OpenBLAS, S = 30,000 takes the covariance dot onto every core and
+    # its last bits, and so rates.csv, follow the host's core count
+    cfg_path = tmp_path / "rates.json"
+    cfg_path.write_text(json.dumps(_random_cfg(n_grid=[16, 32, 64, 128], samples=30_000)))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    digests = []
+    for blas in (None, "1"):
+        out = tmp_path / f"out-{blas}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinclt.cli", "rates", "--config", str(cfg_path),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=env if blas is None else dict(env, OPENBLAS_NUM_THREADS=blas),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256((out / "rates.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.skipif(
     not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt"
 )

@@ -1,6 +1,6 @@
 """Every exported name resolves, no src module imports a name it never
 reads, the Stein table contraction makes no BLAS call, importing the CLI
-leaves scipy unloaded, a run imports no numpy, scipy or email module at call
+leaves scipy unloaded and starts no BLAS worker, a run imports no numpy, scipy or email module at call
 time, and the benchmark tracer still finds the names it patches and counts
 the points of every orbit step."""
 
@@ -136,6 +136,42 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     assert at_import == []
     assert after_versions == []
     assert versions["scipy"] == scipy.__version__
+
+
+_FRESH_CLI = """
+import json, os, sys
+import steinclt.cli
+task = "/proc/self/task"
+print(json.dumps({
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+    "transfer": "steinclt.transfer" in sys.modules,
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_a_fresh_cli_import_starts_no_blas_worker(preset):
+    """`import steinclt` resolves its names lazily, so the CLI sets
+    OPENBLAS_NUM_THREADS before numpy loads: no idle BLAS worker spins
+    beside a run, and `transfer`, which no subcommand uses, stays unloaded.
+    A count the caller set is kept."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["transfer"] is False
+    assert result["blas"] == (preset or "1")
+    if preset is None:
+        if result["threads"] is None:
+            pytest.skip("no /proc/self/task to count the threads")
+        assert result["threads"] == 1
 
 
 _SLOPE_SYSTEM = {

@@ -21,6 +21,7 @@ from steinclt.stein import (
 )
 from steinclt.sunklodas import (
     EnsembleMatrix,
+    _distinct_rows,
     decompose,
     delta_matrix,
     punctured_sums,
@@ -322,12 +323,27 @@ class _Counting:
         return self.sol.evaluate(points, need)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_decompose_evaluates_each_distinct_punctured_sum_once(d):
+def _dedupe_ensemble(d: int, zeros: bool, big_n: int) -> EnsembleMatrix:
     rng = np.random.default_rng(40 + d)
+    if not zeros:
+        return EnsembleMatrix.from_raw(rng.uniform(-1.0, 1.0, size=(50, big_n, d)), np.eye(d), 1.0)
+    # entries in {-0.5, 0, 0.5} and their negatives: the mean is exactly 0,
+    # three samples are all zeros, and exact punctured sums repeat across
+    # samples.  No row holds -0.0 (numpy sums from +0.0, and an exact zero
+    # difference is +0.0); `test_distinct_rows_keep_signed_zeros_apart`
+    # covers that case.
+    half = 0.5 * rng.integers(-1, 2, size=(25, big_n, d))
+    half[:3] = 0.0
+    return EnsembleMatrix(np.concatenate([half, -half]), np.eye(d), 1.0)
+
+
+@pytest.mark.parametrize(
+    "d, zeros", [(1, False), (2, False), (1, True), (2, True)],
+    ids=["1", "2", "1-exact-zeros", "2-exact-zeros"],
+)
+def test_decompose_evaluates_each_distinct_punctured_sum_once(d, zeros):
     big_n = 6
-    vals = rng.uniform(-1.0, 1.0, size=(50, big_n, d))
-    ens = EnsembleMatrix.from_raw(vals, np.eye(d), 1.0)
+    ens = _dedupe_ensemble(d, zeros, big_n)
     sol = SteinSolution(_tanh_pair() if d == 2 else _tanh_single(), ens.w_covariance(),
                         gh_order=8, u_order=8)
     slots = np.stack([
@@ -341,25 +357,48 @@ def test_decompose_evaluates_each_distinct_punctured_sum_once(d):
     assert len(seen) == len(rows) == ledger.distinct_points
     assert seen == {row.tobytes() for row in slots}
     assert ledger.distinct_points < len(slots)
+    # the same rows as a field-by-field sort of the bit patterns finds
+    by_fields = np.unique(slots.view(np.int64), axis=0).view(float)
+    assert ledger.distinct_points == len(by_fields)
+    if zeros:
+        assert np.count_nonzero(~slots.any(axis=1)) > ens.samples
 
-    # every slot evaluated in one call, served row by row, gives the same ledger
+    # every slot evaluated in one call, served row by row, gives the same
+    # ledger, and so do the field-by-field distinct rows served by lookup
     fields = sol.evaluate(slots, ("gradient", "hessian"))
     first = {}
     for i, row in enumerate(slots):
         j = first.setdefault(row.tobytes(), i)
         for field in fields.values():
             assert np.array_equal(field[i], field[j])
+    at_fields = sol.evaluate(by_fields, ("gradient", "hessian"))
+    field_row = {row.tobytes(): i for i, row in enumerate(by_fields)}
 
-    class EverySlot:
+    class Served:
         sigma = sol.sigma
 
-        def evaluate(self, points, need):
-            idx = [first[row.tobytes()] for row in points]
-            return {name: fields[name][idx] for name in need}
+        def __init__(self, table, index):
+            self.table, self.index = table, index
 
-    from_slots = decompose(ens, EverySlot())
-    assert from_slots.terms == ledger.terms
-    assert from_slots.lhs == ledger.lhs
+        def evaluate(self, points, need):
+            idx = [self.index[row.tobytes()] for row in points]
+            return {name: self.table[name][idx] for name in need}
+
+    for served in (Served(fields, first), Served(at_fields, field_row)):
+        other = decompose(ens, served)
+        assert other.terms == ledger.terms
+        assert other.lhs == ledger.lhs
+        assert other.distinct_points == ledger.distinct_points
+
+
+def test_distinct_rows_keep_signed_zeros_apart():
+    rows = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, 2.0], [-0.0, -0.0], [0.0, 0.0]])
+    distinct, inv = _distinct_rows(rows)
+    assert distinct.shape == (4, 2)
+    assert distinct[inv].tobytes() == rows.tobytes()
+    by_fields = np.unique(rows.view(np.int64), axis=0).view(float)
+    assert {r.tobytes() for r in distinct} == {r.tobytes() for r in by_fields}
+    assert len(np.unique(rows, axis=0)) == 2      # a value compare merges them
 
 
 def test_ledger_csv_round_trip(tmp_path):
