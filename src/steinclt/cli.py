@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 1
     raise AssertionError("unreachable")
 
 

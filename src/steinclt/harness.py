@@ -56,7 +56,7 @@ from .stats import (
     wasserstein1_1d,
     wasserstein_floor,
 )
-from .sunklodas import DecompositionLedger, check_ledger_size, decompose
+from .sunklodas import MEMORY_BUDGET, DecompositionLedger, check_block_size, decompose
 
 __all__ = [
     "ConfigError",
@@ -255,6 +255,28 @@ def build_system(cfg: dict, driver_seed: int | None = None):
         raise ConfigError(f"config.system: {exc}") from exc
 
 
+def _numerics() -> dict:
+    """What sets an output's last bits besides the code and the config, as
+    this run saw it: numpy's active SIMD dispatch targets (its `pow`, `exp`
+    and `log` loops round differently above the baseline, and
+    NPY_DISABLE_CPU_FEATURES turns targets off), the BLAS numpy links, and
+    the BLAS thread count.  numpy before 2.0 keeps the dispatch tables in
+    `np.core`, and before 1.25 has no build CONFIG; what a numpy lacks is
+    recorded as null."""
+    core = getattr(np, "_core", None) or getattr(np, "core", None)
+    umath = getattr(core, "_multiarray_umath", None)
+    targets = getattr(umath, "__cpu_dispatch__", None)
+    features = getattr(umath, "__cpu_features__", None)
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
+    return {
+        "dispatch": None if targets is None or features is None
+        else [t for t in targets if features.get(t)],
+        "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas": f"{blas.get('name')} {blas.get('version')}" if blas else None,
+    }
+
+
 def _versions() -> dict:
     # scipy's version without importing scipy or importlib.metadata (whose
     # import alone costs start-up), read off scipy's generated version.py
@@ -337,7 +359,7 @@ class RunManifest:
 
         `peak_rss_mb` is the process's peak resident set so far (ru_maxrss,
         KiB on Linux); `minor_faults` counts the process's minor page faults
-        (ru_minflt) since the manifest was opened.
+        (ru_minflt) since the manifest was opened; `numerics` is `_numerics()`.
         """
         usage = resource.getrusage(resource.RUSAGE_SELF)
         doc = {
@@ -347,6 +369,7 @@ class RunManifest:
             "wall_time_seconds": time.monotonic() - self.started,
             "peak_rss_mb": usage.ru_maxrss / 1024,
             "minor_faults": usage.ru_minflt - self.faults_at_start,
+            "numerics": _numerics(),
             "stage_seeds": self.stage_seeds,
             "stages": self.stages,
             "outputs": self.outputs,
@@ -402,6 +425,29 @@ def _row(seq, n: int) -> SequentialSequence:
 
 
 _SHARDS = 16
+# S x d arrays a per-N step holds beside the sums: W and, for W1, its sorted
+# copy and the normal scores, or the smooth metric's family values
+_STEP_ARRAYS = 6
+
+
+def _check_sums_size(checkpoints: int, samples: int, dim: int) -> None:
+    """ConfigError, before any orbit step, when sums at `checkpoints`
+    checkpoints (S x d values each) and a per-N step's arrays would hold more
+    than MEMORY_BUDGET float64 values."""
+    values = (checkpoints + _STEP_ARRAYS) * samples * dim
+    if values > MEMORY_BUDGET:
+        raise ConfigError(
+            f"samples and n_grid: the sums would hold {values} float64 values, over the "
+            f"budget of {MEMORY_BUDGET}; reduce samples or the grid"
+        )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may use: its affinity mask where the OS has one
+    (Linux), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _glibc(name: str, *argtypes):
@@ -430,7 +476,7 @@ def _sharded_sums(
     thread count, cannot change a bit of the result.  Adds the pass's
     point-steps, threads and shards to `stage`.
     """
-    width = min(_SHARDS, threads or len(os.sched_getaffinity(0)))
+    width = min(_SHARDS, threads or _usable_cpus())
     children = np.random.SeedSequence(root).spawn(_SHARDS)
     edges = np.linspace(0, samples, _SHARDS + 1).astype(int)
     x0 = np.concatenate([
@@ -463,7 +509,8 @@ def _pass_sums(seq, f: Observable, checkpoints, samples: int, root: int, manifes
     row is a prefix of max N's (a random or sequential system, a constant
     curve), one pass over the union of the checkpoints serves every N, with
     the bits of N's own pass; otherwise each N takes its own pass over
-    `_row(seq, N)` from the same shard starts.  Timed as stage `name`,
+    `_row(seq, N)` from the same shard starts.  The sums every pass holds
+    are sized (`_check_sums_size`) before the first.  Timed as stage `name`,
     which records the size of the sums as `sums_mb`."""
     grid = [cps[-1] for cps in checkpoints]
     last = seq.parameters(grid[-1] - 1)
@@ -471,6 +518,8 @@ def _pass_sums(seq, f: Observable, checkpoints, samples: int, root: int, manifes
         passes = [(seq, checkpoints)]
     else:
         passes = [(_row(seq, cps[-1]), [cps]) for cps in checkpoints]
+    _check_sums_size(sum(len({k for cps in wanted for k in cps}) for _, wanted in passes),
+                     samples, f.dimension)
     sums = {}
     with manifest.stage(name) as stage:
         for row, wanted in passes:
@@ -619,9 +668,12 @@ def run_decompose(cfg: dict, out_dir, h_name: str | None = None) -> DecomposeRes
     samples = cfg["samples"]
     try:
         check_ensemble_size(samples, n_terms, f.dimension)
-        check_ledger_size(samples, n_terms, f.dimension)
     except ValueError as exc:
         raise ConfigError(f"samples and decompose.n_terms: {exc}") from exc
+    try:
+        check_block_size(n_terms)
+    except ValueError as exc:
+        raise ConfigError(f"decompose.n_terms: {exc}") from exc
     seq = build_system(cfg)
     seed = manifest.seed(cfg["seed"], "decompose-ensemble")
     with manifest.stage("ensemble") as stage:
@@ -790,6 +842,9 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
     series_runs = options.get("series_runs", 8)
     f = build_observable(cfg)
     base_seed = cfg["seed"]
+    samples = cfg["samples"]
+    # each replica's pass holds the sums at every N; the series steps orbits first
+    _check_sums_size(len(grid), samples, f.dimension)
 
     def make_seq(seed: int):
         return build_system(cfg, driver_seed=seed)
@@ -804,7 +859,6 @@ def run_quenched(cfg: dict, out_dir, replicas: int | None = None) -> QuenchedRes
             "series covariance is not positive definite: the variance-growth "
             "condition fails and no quenched limit is available"
         )
-    samples = cfg["samples"]
     metric = "wasserstein1" if f.dimension == 1 else "smooth-metric"
     fits = []
     rows = []

@@ -88,10 +88,10 @@ def build_ensemble(
         x0 = np.asarray(initial, dtype=float)
         if x0.shape != (samples,):
             raise ValueError("initial points must have shape (samples,)")
-    raw = _orbit_values(seq, f, x0, n_terms)
-    centered = raw - raw.mean(axis=0, keepdims=True)
-    b = symmetric_sqrt(empirical_covariance(centered.sum(axis=1)))[0]
-    return EnsembleMatrix.from_raw(raw, b, f.bound)
+    values = _orbit_values(seq, f, x0, n_terms)
+    values -= values.mean(axis=0, keepdims=True)  # centred in place, `from_raw`'s bits
+    b = symmetric_sqrt(empirical_covariance(values.sum(axis=1)))[0]
+    return EnsembleMatrix(values, b, f.bound)
 
 
 def birkhoff_raw_sums(

@@ -25,14 +25,16 @@ weights factor as w[i_0] ... w[i_{d-1}].  Per-axis factor tables T_a[j, g, i]
 at u_j x_a + sqrt(1-u_j^2) z_{i,a} thus span gh^(a+1) GH columns i (last, so
 sums run contiguous), at the input's coordinates g on axis a: the grid's
 axis, or the points' a-th column.  The last axis's tables, gh^d columns
-wide, are never held whole: they are built a block of u-nodes at a time and
-each block is summed over its own GH index as soon as it is built, once per
-(factor, derivative order), so at points one constant (`_CHUNK_VALUES`)
-bounds the memory of a call.  Each term is then contracted one GH axis at a
-time from there; the first axis's product and its GH sum are one einsum,
-so that axis's product array is never built.  Only the multiply between axes
-depends on the input, an outer product on a grid and elementwise at points,
-so a grid equals its `points()` bit for bit (tests/test_stein.py).
+wide, are never held whole: they are built a block of u-nodes at a time,
+and each derivative table of a block is summed over its own GH index as soon
+as its factor yields it (the factors compute in place), once per (factor,
+derivative order).  The other axes' tables are built after that, so at
+points one constant (`_CHUNK_VALUES`) bounds the memory of a call.  Each
+term is then contracted one GH axis at a time from there; the first axis's
+product and its GH sum are one einsum, so that axis's product array is
+never built.  Only the multiply between axes depends on the input, an
+outer product on a grid and elementwise at points, so a grid equals its
+`points()` bit for bit (tests/test_stein.py).
 """
 from __future__ import annotations
 
@@ -103,7 +105,10 @@ def _fill_partial(out: np.ndarray, idx: tuple[int, ...], block: np.ndarray) -> N
 
 class Factor1D:
     """One coordinate factor g of a product term; `sups` holds the sups of |g|
-    and of its first three derivatives, None where one is unbounded."""
+    and of its first three derivatives, None where one is unbounded.
+    `_derivatives` computes in place: its argument is an array (not 0-d),
+    and each table it yields is an array of its own that it never writes
+    again."""
 
     sups: tuple[float | None, float | None, float | None, float | None]
 
@@ -122,12 +127,17 @@ class TanhFactor(Factor1D):
     b: float = 0.0
 
     def _derivatives(self, u):
-        g = np.tanh(self.a * u + self.b)
-        yield g
-        s = 1.0 - g * g
         a = self.a
+        g = a * u
+        g += self.b
+        np.tanh(g, out=g)
+        yield g
+        s = g * g
+        np.subtract(1.0, s, out=s)
         yield a * s
-        yield -2.0 * a * a * g * s
+        g2 = -2.0 * a * a * g
+        g2 *= s
+        yield g2
 
     @property
     def sups(self):
@@ -142,11 +152,21 @@ class GaussFactor(Factor1D):
 
     def _derivatives(self, u):
         s = self.scale
-        v = (u - self.center) / s
-        g = np.exp(-0.5 * v * v)
+        v = u - self.center
+        v /= s
+        g = -0.5 * v
+        g *= v
+        np.exp(g, out=g)
         yield g
-        yield -v / s * g
-        yield (v * v - 1.0) / (s * s) * g
+        g1 = np.negative(v)
+        g1 /= s
+        g1 *= g
+        yield g1
+        v *= v                          # v is not yielded: g'' takes its buffer
+        v -= 1.0
+        v /= s * s
+        v *= g
+        yield v
 
     @property
     def sups(self):
@@ -160,11 +180,14 @@ class SinFactor(Factor1D):
     b: float = 0.0
 
     def _derivatives(self, u):
-        t = self.a * u + self.b
+        a = self.a
+        t = a * u
+        t += self.b
         g = np.sin(t)
         yield g
-        a = self.a
-        yield a * np.cos(t)
+        np.cos(t, out=t)                # t is not yielded: g' takes its buffer
+        t *= a
+        yield t
         yield -a * a * g
 
     @property
@@ -310,9 +333,13 @@ class SeparableTestFunction:
     def evaluate(self, w: np.ndarray, need: Sequence[str]) -> dict[str, np.ndarray]:
         """Requested subset of value/gradient/hessian in one call."""
         w = np.asarray(w, dtype=float)
+        pts = w.reshape(-1, self.dimension)  # the factors compute in place: no 0-d columns
         orders = {name: k for k, name in enumerate(_FIELDS) if name in need}
-        tabs = self._tables([w[..., a] for a in range(self.dimension)], max(orders.values(), default=0))
-        return {name: self._tensor(tabs, w.shape[:-1], k) for name, k in orders.items()}
+        tabs = self._tables(pts.T, max(orders.values(), default=0))
+        return {
+            name: self._tensor(tabs, pts.shape[:1], k).reshape(w.shape[:-1] + (self.dimension,) * k)
+            for name, k in orders.items()
+        }
 
     def partial_sup(self, idx: tuple[int, ...]) -> float | None:
         counts = _counts(self.dimension, idx)
@@ -472,12 +499,15 @@ class TensorGrid:
 
 
 # Values of the last axis's factor table (u-nodes x points x gh^d GH columns)
-# that `SteinSolution._fill` builds at once, a block of u-nodes at a time.  A
-# point input is cut into chunks of _CHUNK_VALUES // gh^d points, so one
-# u-node's block fits; a grid is not cut, only its u-nodes are.  What a call
-# keeps is summed over the last GH index, so at points no array it builds
-# holds much more than max(1, u-nodes / gh) * _CHUNK_VALUES values.  These
-# arrays, and the grid path's largest (about 2.1 MB, the stein-check residual
+# that `SteinSolution._fill` builds at once, a block of u-nodes at a time, one
+# derivative table after another.  A point input is cut into chunks of
+# _CHUNK_VALUES // gh^d points, so one u-node's block fits; a grid is not
+# cut, only its u-nodes are.  What a call keeps is summed over the last GH
+# index, so at points no array it builds holds much more than
+# max(1, u-nodes / gh) * _CHUNK_VALUES values, and a call's traced peak is a
+# few such arrays: 8.6 chunks of _CHUNK_VALUES values at decompose-d2's
+# points (d = 2, gh 8, u 8; tests/test_sunklodas.py).  These arrays, and the
+# grid path's largest (about 2.1 MB, the stein-check residual
 # tables), are freed and built again per term; they stay under the 4 MiB mmap
 # threshold that `cli.main` sets, so glibc reuses their memory instead of
 # faulting it in again.
@@ -553,32 +583,39 @@ class SteinSolution:
         whatever batch or chunk it sits.
 
         The last axis's tables, the largest, are never built whole: they are
-        built a block of u-nodes at a time (`_CHUNK_VALUES` values) and each
-        block is summed over its trailing GH index i_{d-1} against the 1-D
-        weights at once, the einsum `_contract` would run per term, into
-        S[j, g gh^(d-1) + i'] for each (factor, derivative order) that some
-        term reads; `_contract` starts from S."""
+        built a block of u-nodes at a time (`_CHUNK_VALUES` values), and each
+        derivative table of a block is summed over its trailing GH index
+        i_{d-1} against the 1-D weights as soon as the factor yields it, the
+        einsum `_contract` would run per term, into S[j, g gh^(d-1) + i'] for
+        each (factor, derivative order) that some term reads; `_contract`
+        starts from S.  The other axes' tables, held whole, are built after
+        the last axis's blocks, never beside them."""
         d = self.dimension
         un, uw = self._unodes, self._uweights
         w = self._gh_weights
         u = un[:, None, None]
         c = np.sqrt(1.0 - un**2)[:, None, None]
         orders = [_FIELDS.index(name) for name in out]
-        args = [u * x[:, None] + c * self._znodes[:: self.gh_order ** (d - 1 - a), a] for a, x in enumerate(cols[:-1])]
-        tabs = self.h._tables(args, max(orders, default=0))
-        del args  # free them before the contractions allocate
         x, z = cols[-1], self._znodes[:, -1]
         width = x.size * z.size // w.size          # S's columns
         step = max(1, _CHUNK_VALUES // max(1, x.size * z.size))
+        last = {}
         for f, ks in self.h._orders_read(d - 1, orders).items():
             sums = {k: np.empty((un.size, width)) for k in ks}
             for lo in range(0, un.size, step):
                 rows = slice(lo, lo + step)
-                block = f.tables(u[rows] * x[:, None] + c[rows] * z, max(ks))
-                for k in ks:
-                    t = block[k]
-                    np.einsum("jmi,i->jm", t.reshape(len(t), width, w.size), w, out=sums[k][rows])
-            tabs[d - 1, f] = sums
+                tables = f._derivatives(u[rows] * x[:, None] + c[rows] * z)
+                for k in range(max(ks) + 1):
+                    t = next(tables)
+                    if k in ks:
+                        np.einsum("jmi,i->jm", t.reshape(len(t), width, w.size), w, out=sums[k][rows])
+                    del t  # the next table is built without this one
+                del tables  # and the arrays the generator holds
+            last[d - 1, f] = sums
+        args = [u * x[:, None] + c * self._znodes[:: self.gh_order ** (d - 1 - a), a] for a, x in enumerate(cols[:-1])]
+        tabs = self.h._tables(args, max(orders, default=0))
+        del args  # free them before the contractions allocate
+        tabs.update(last)
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
         for name, field in out.items():
             k = _FIELDS.index(name)

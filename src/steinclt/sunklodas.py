@@ -14,11 +14,13 @@ W^{n,m-1}, every segment integral and every k-sum of increments telescopes:
     sum_{k=a}^{b} delta^{n,k} = D^2A(W^{n,a-1}) - D^2A(W^{n,b}).
 
 `decompose` evaluates grad A and D^2 A once at every distinct punctured sum
-(many (n, m) share a clipped window, and every empty window gives W) and
-reads all seven terms off those values, so the split is exact to roundoff
-for any A whose Hessian is the derivative of its gradient (the discretised
-`SteinSolution` included).  It reports all terms, the direct left-hand
-side, and the residual of the identity.
+of a block of samples (many (n, m) share a clipped window, and every empty
+window gives W) and reads all seven terms off those values, so the split is
+exact to roundoff for any A whose Hessian is the derivative of its gradient
+(the discretised `SteinSolution` included).  It holds one block's slots at a
+time, so its memory does not grow with S beyond the ensemble and 8 numbers
+per sample.  It reports all terms, the direct left-hand side, and the
+residual of the identity.
 """
 from __future__ import annotations
 
@@ -34,11 +36,11 @@ __all__ = [
     "punctured_sums",
     "delta_matrix",
     "DecompositionLedger",
-    "check_ledger_size",
+    "check_block_size",
     "decompose",
 ]
 
-MEMORY_BUDGET = 200_000_000  # float64 values one ensemble or one ledger stack may hold
+MEMORY_BUDGET = 200_000_000  # float64 values one ensemble or one pass's sums may hold
 
 
 @dataclass
@@ -75,7 +77,8 @@ class EnsembleMatrix:
             if not math.isfinite(total) or total <= 0:
                 raise ValueError("weights must have positive total mass")
             self.weights = w / total
-        norms = np.linalg.norm(v, axis=2)
+        norms = np.einsum("sid,sid->si", v, v)  # no S x N x d temporary
+        np.sqrt(norms, out=norms)
         if norms.size and float(norms.max()) > 2.0 * self.bound + 1e-9:
             raise ValueError("centered values exceed twice the declared bound")
         mean = self._mean_over_samples(v)
@@ -138,32 +141,41 @@ class EnsembleMatrix:
     def w_sums(self) -> np.ndarray:
         return self.y_values().sum(axis=1)
 
-    def w_covariance(self) -> np.ndarray:
-        w = self.w_sums()
+    def w_covariance(self, y: np.ndarray | None = None) -> np.ndarray:
+        """mu(W W^T); `y`, when given, is this ensemble's `y_values()`,
+        which then is not computed again."""
+        w = (self.y_values() if y is None else y).sum(axis=1)
         return self._mean_over_samples(np.einsum("sa,sb->sab", w, w))
 
 
-def _punctured(y: np.ndarray, n, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, W^{n,m}, Y^{n,m}) for rows y of shape (..., N, d) and broadcastable
-    index arrays 0 <= n < N, -1 <= m < N; the last two gain the broadcast
-    shape of (n, m) before the component axis.
+def _padded(y: np.ndarray) -> np.ndarray:
+    """The rows of y behind one zero row: row i at index i + 1."""
+    return np.concatenate([np.zeros_like(y[..., :1, :]), y], axis=-2)
 
-    Both are gathers from the rows behind one zero row.  The window
-    |i-n| <= m is a difference of their cumulative sums, empty for m = -1.
-    The ring adds rows n-m and n+m; a side outside 0..N-1 reads the zero
-    row, as does the right side for m = 0 and both sides for m = -1.
-    """
+
+def _window_sums(y: np.ndarray, n, m) -> tuple[np.ndarray, np.ndarray]:
+    """(W, W^{n,m}) for rows y of shape (..., N, d) and broadcastable index
+    arrays 0 <= n < N, -1 <= m < N; W^{n,m} gains the broadcast shape of
+    (n, m) before the component axis.  The window |i-n| <= m is a difference
+    of the padded rows' cumulative sums, empty for m = -1."""
     big_n = y.shape[-2]
-    pad = np.concatenate([np.zeros_like(y[..., :1, :]), y], axis=-2)
-    cum = np.cumsum(pad, axis=-2)
+    cum = np.cumsum(_padded(y), axis=-2)
     w = y.sum(axis=-2)
     hi = np.minimum(n + m + 1, big_n)
     lo = np.minimum(np.maximum(n - m, 0), hi)
     window = cum[..., hi, :] - cum[..., lo, :]
-    wnm = np.expand_dims(w, tuple(range(-1 - np.ndim(hi), -1))) - window
+    return w, np.expand_dims(w, tuple(range(-1 - np.ndim(hi), -1))) - window
+
+
+def _rings(y: np.ndarray, n, m) -> np.ndarray:
+    """Y^{n,m} for the arguments of `_window_sums`: a gather of rows n-m and
+    n+m from the padded rows.  A side outside 0..N-1 reads the zero row, as
+    does the right side for m = 0 and both sides for m = -1."""
+    big_n = y.shape[-2]
+    pad = _padded(y)
     left = np.where((m >= 0) & (n - m >= 0), n - m + 1, 0)
     right = np.where((m > 0) & (n + m < big_n), n + m + 1, 0)
-    return w, wnm, pad[..., left, :] + pad[..., right, :]
+    return np.take(pad, left, axis=-2) + np.take(pad, right, axis=-2)  # C order
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +200,7 @@ def punctured_sums(y_rows: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.n
         raise IndexError("time index n outside 0..N-1")
     if not (-1 <= m <= big_n - 1):
         raise IndexError("puncture radius m outside -1..N-1")
-    return _punctured(y, n, m)
+    return (*_window_sums(y, n, m), _rings(y, n, m))
 
 
 def delta_matrix(solution, y_row: np.ndarray, n: int, k: int, u: float = 1.0) -> np.ndarray:
@@ -240,35 +252,52 @@ def _mean_and_stderr(contrib: np.ndarray, weights: np.ndarray | None) -> tuple[f
     return float(contrib.mean()), se
 
 
-def check_ledger_size(samples: int, n_terms: int, dim: int, memory_budget: int = MEMORY_BUDGET):
-    """ValueError when `decompose`'s S * N * (N + 1) * d^2 Hessian values
-    exceed memory_budget."""
-    if samples * n_terms * (n_terms + 1) * dim * dim > memory_budget:
-        raise ValueError("N^2 * S * d^2 exceeds the memory budget; reduce S or N")
+# Punctured-sum slots one `decompose` block holds: a block takes as many
+# samples as fit, N (N + 1) slots each, and N is bounded so that one does.
+# Its arrays peak at about 180 B per slot at d = 2, 46 MB for a full block,
+# whatever S is.
+_BLOCK_SLOTS = 1 << 18
 
 
-def decompose(
-    ens: EnsembleMatrix,
-    solution,
-    sigma: np.ndarray | None = None,
-    memory_budget: int = MEMORY_BUDGET,
-) -> DecompositionLedger:
+def check_block_size(n_terms: int) -> None:
+    """ValueError when one sample's N (N + 1) punctured sums would not fit
+    in a `decompose` block of `_BLOCK_SLOTS` slots."""
+    if n_terms * (n_terms + 1) > _BLOCK_SLOTS:
+        raise ValueError(
+            f"N (N + 1) = {n_terms * (n_terms + 1)} punctured sums per sample exceed a "
+            f"ledger block of {_BLOCK_SLOTS}; reduce N"
+        )
+
+
+def decompose(ens: EnsembleMatrix, solution, sigma: np.ndarray | None = None) -> DecompositionLedger:
     """Estimate E1..E7 and the direct LHS for the given C^2 function.
 
     `solution` needs an `evaluate(points, need)` method that returns the
     "gradient" and "hessian" fields at a (..., d) stack; when it also carries
     a `sigma` attribute, that matrix must agree with the empirical
-    mu(W W^T) (the identity only holds for the self-consistent Sigma).  One
-    call evaluates both fields at the bitwise-distinct rows among the
-    S*N*(N+1) punctured sums, gathered back to every slot, and the terms
-    follow by telescoping (module docstring), exact to roundoff when the
-    Hessian is the derivative of the gradient.
-    Means are exact when the ensemble carries weights.
+    mu(W W^T) (the identity only holds for the self-consistent Sigma).  The
+    terms follow by telescoping (module docstring), exact to roundoff when
+    the Hessian is the derivative of the gradient.  Means are exact when the
+    ensemble carries weights.
+
+    The samples are taken in blocks of at most `_BLOCK_SLOTS` punctured
+    sums (ValueError when one sample's N (N + 1) do not fit,
+    `check_block_size`).  Per block, one call evaluates both fields at the
+    block's bitwise-distinct slots (`distinct_points` sums their counts),
+    gathered back to every slot, and each sample's share of every term is
+    written to one 8 x S array.  The one quantity across samples, the
+    per-slot mean Hessian, is summed in sample order, so it has the bits of
+    np.mean, or of the weighted einsum when the ensemble is weighted.  The
+    centred Hessians of E3-E5 split into a per-sample part, formed in the
+    block, and a part linear in that mean, formed with E6 and E7 in a second
+    pass over the blocks once the mean is known (the rings are gathered
+    from y again).  So E1, E2, E6, E7 and the lhs do not depend on the
+    blocks, and E3-E5 agree with the centred form to roundoff.
     """
     s_count, big_n, d = ens.samples, ens.times, ens.dimension
     y = ens.y_values()
     weights = ens.weights
-    sigma_emp = ens.w_covariance()
+    sigma_emp = ens.w_covariance(y)
     eigs = np.linalg.eigvalsh(0.5 * (sigma_emp + sigma_emp.T))
     if float(eigs.min()) <= 1e-12:
         raise DegenerateCovariance(
@@ -285,54 +314,90 @@ def decompose(
                 "rebuild the solution from this ensemble"
             )
 
-    check_ledger_size(s_count, big_n, d, memory_budget)
+    check_block_size(big_n)
+    # W^{n,m} for m = -1..N-1 at storage index m+1; the rings Y^{n,m} for
+    # m = 0..N-1, gathered in C order (einsum sums another layout in another
+    # order, which moves the last bits of E3, E4 and E6)
+    n, radii, m = np.arange(big_n)[:, None], np.arange(-1, big_n), np.arange(1, big_n)
+    step = max(1, _BLOCK_SLOTS // (big_n * (big_n + 1)))
+    blocks = [slice(lo, lo + step) for lo in range(0, s_count, step)]
+    # sum_{k=a}^{b} delta^{n,k} = hess[:, n, a] - hess[:, n, b+1]: the ends
+    # of E3's and E4's k-sums, per ring m
+    end3, end4 = np.minimum(2 * m, big_n - 1) + 1, np.minimum(2 * m + 1, big_n)
+    contrib = np.empty((8, s_count))          # E1..E7, then the lhs
+    e1, e2, e3, e4, e5, e6, e7, lhs = contrib
+    hess_sum, distinct_points = None, 0
+    for rows in blocks:
+        yb = y[rows]
+        w, wnk = _window_sums(yb, n, radii)
+        # Slots with the same clipped window, or any empty one, hold the same
+        # bits, so each distinct row is evaluated once and gathered back; the
+        # slots are dropped first
+        distinct, inv = _distinct_rows(wnk.reshape(-1, d))
+        slots = wnk.shape[:-1]
+        del wnk
+        distinct_points += len(distinct)
+        fields = solution.evaluate(distinct, ("gradient", "hessian"))
+        del distinct
+        grad = np.asarray(fields["gradient"])[inv].reshape(slots + (d,))
+        # Row 0 carries the (weighted) Hessian sum of the samples before
+        # this block, which the block's rows, weighted, are then added to in
+        # sample order: the bits of np.mean and of the weighted einsum (mode
+        # "clip" writes to `out` unbuffered; every index is in range)
+        hess = np.empty((len(yb) + 1,) + slots[1:] + (d, d))
+        np.take(np.asarray(fields["hessian"]), inv, axis=0, out=hess[1:].reshape(-1, d, d), mode="clip")
+        del fields, inv
+        parts = hess
+        if weights is not None:
+            parts = np.empty_like(hess)
+            np.multiply(weights[rows].reshape((-1,) + (1,) * (hess.ndim - 1)), hess[1:], out=parts[1:])
+        if hess_sum is None:
+            hess_sum = np.add.reduce(parts[1:], axis=0)
+        else:
+            parts[0] = hess_sum
+            hess_sum = np.add.reduce(parts, axis=0)
+        del parts
+        hess = hess[1:]
+        rings = _rings(yb, n, radii[1:])
 
-    # W^{n,m} for m = -1..N-1 at storage index m+1, and the rings Y^{n,m}
-    # for m = 0..N-1, copied contiguous: einsum sums a strided view in
-    # another order, which moves the last bits of E3, E4 and E6
-    w, wnk, ynk = _punctured(y, np.arange(big_n)[:, None], np.arange(-1, big_n))
-    rings = np.ascontiguousarray(ynk[:, :, 1:])
-    # Slots with the same clipped window, or any empty one, hold the same
-    # bits, so each distinct row is evaluated once and gathered back.
-    distinct, inv = _distinct_rows(wnk.reshape(-1, d))
-    fields = solution.evaluate(distinct, ("gradient", "hessian"))
-    grad = np.asarray(fields["gradient"])[inv].reshape(wnk.shape)
-    hess = np.asarray(fields["hessian"])[inv].reshape(wnk.shape + (d,))
-    hess_mean = ens._mean_over_samples(hess)
-    hess_c = hess - hess_mean
-
-    # E1/E2: -y_n . int_0^1 delta^{n,m}(u) du Y^{n,m}, with the segment
-    # integral of the Hessian equal to a gradient difference
-    seg = grad[:, :, :-1] - grad[:, :, 1:] - np.einsum(
-        "snmab,snmb->snma", hess[:, :, 1:], rings
-    )
-    per_ring = -np.einsum("sna,snma->snm", y, seg)
-    e2 = per_ring[:, :, 0].sum(axis=1)
-    e1 = per_ring[:, :, 1:].sum(axis=(1, 2))
-
-    # sum_{k=a}^{b} delta^{n,k} = hess[:, n, a] - hess[:, n, b+1]
-    m = np.arange(1, big_n)
-    ring_m = rings[:, :, 1:]
-
-    def ring_form(mats: np.ndarray) -> np.ndarray:
-        return np.einsum("sna,snmab,snmb->s", y, mats, ring_m)
-
-    e3 = -ring_form(hess_c[:, :, m + 1] - hess_c[:, :, np.minimum(2 * m, big_n - 1) + 1])
-    e4 = -ring_form(hess_c[:, :, np.minimum(2 * m + 1, big_n)] - hess_c[:, :, big_n, None])
-    e5 = -np.einsum("sna,snab,snb->s", y, hess_c[:, :, 1] - hess_c[:, :, big_n], y)
-    e6 = np.einsum("sna,nmab,snmb->s", y, hess_mean[:, :1] - hess_mean[:, m + 1], ring_m)
-    e7 = np.einsum("sna,nab,snb->s", y, hess_mean[:, 0] - hess_mean[:, 1], y)
-
-    # D^2A(W) and grad A(W) sit at storage index 0 for every n
-    lhs_contrib = np.einsum("ab,sba->s", sigma_emp, hess[:, 0, 0]) - np.einsum(
-        "sa,sa->s", w, grad[:, 0, 0]
-    )
-
-    terms = {
-        name: _mean_and_stderr(arr, weights)
-        for name, arr in zip(
-            ["E1", "E2", "E3", "E4", "E5", "E6", "E7"], [e1, e2, e3, e4, e5, e6, e7]
+        # E1/E2: -y_n . int_0^1 delta^{n,m}(u) du Y^{n,m}, with the segment
+        # integral of the Hessian equal to a gradient difference
+        seg = grad[:, :, :-1] - grad[:, :, 1:]
+        seg -= np.einsum("snmab,snmb->snma", hess[:, :, 1:], rings)
+        per_ring = -np.einsum("sna,snma->snm", yb, seg)
+        del seg
+        e2[rows] = per_ring[:, :, 0].sum(axis=1)
+        e1[rows] = per_ring[:, :, 1:].sum(axis=(1, 2))
+        # D^2A(W) and grad A(W) sit at storage index 0 for every n
+        lhs[rows] = np.einsum("ab,sba->s", sigma_emp, hess[:, 0, 0]) - np.einsum(
+            "sa,sa->s", w, grad[:, 0, 0]
         )
-    }
-    lhs = _mean_and_stderr(lhs_contrib, weights)
-    return DecompositionLedger(terms, lhs, s_count, ens.exact, len(distinct))
+        del grad
+        # E3-E5, the per-sample Hessian parts; each difference is formed in
+        # its gathered operand (hess[:, :, m + 1] is the view hess[:, :, 2:])
+        ring_m = rings[:, :, 1:]
+        diff = hess[:, :, end3]
+        np.subtract(hess[:, :, 2:], diff, out=diff)
+        e3[rows] = -np.einsum("sna,snmab,snmb->s", yb, diff, ring_m)
+        diff = hess[:, :, end4]
+        diff -= hess[:, :, big_n, None]
+        e4[rows] = -np.einsum("sna,snmab,snmb->s", yb, diff, ring_m)
+        del diff
+        e5[rows] = -np.einsum("sna,snab,snb->s", yb, hess[:, :, 1] - hess[:, :, big_n], yb)
+
+    mean = hess_sum if weights is not None else hess_sum / s_count
+    diff3, diff4 = mean[:, m + 1] - mean[:, end3], mean[:, end4] - mean[:, big_n, None]
+    diff5, diff6, diff7 = mean[:, 1] - mean[:, big_n], mean[:, :1] - mean[:, m + 1], mean[:, 0] - mean[:, 1]
+    for rows in blocks:
+        yb = y[rows]
+        ring_m = _rings(yb, n, radii[1:])[:, :, 1:]
+        e3[rows] += np.einsum("sna,nmab,snmb->s", yb, diff3, ring_m)
+        e4[rows] += np.einsum("sna,nmab,snmb->s", yb, diff4, ring_m)
+        e5[rows] += np.einsum("sna,nab,snb->s", yb, diff5, yb)
+        e6[rows] = np.einsum("sna,nmab,snmb->s", yb, diff6, ring_m)
+        e7[rows] = np.einsum("sna,nab,snb->s", yb, diff7, yb)
+
+    names = ["E1", "E2", "E3", "E4", "E5", "E6", "E7"]
+    terms = {name: _mean_and_stderr(row, weights) for name, row in zip(names, contrib)}
+    return DecompositionLedger(terms, _mean_and_stderr(lhs, weights), s_count, ens.exact,
+                               distinct_points)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -984,16 +985,19 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert "config error: config.system: " in capsys.readouterr().err
         assert not out.exists()
 
-    # decompose's ensemble and ledger sizes are checked before any orbit step
+    # decompose's ensemble size, and one sample's punctured sums against a
+    # ledger block, are checked before any orbit step
     monkeypatch.setattr(harness, "build_ensemble", None)
-    for samples, observable, budget in ((1_000_000, "identity", "N^2 * S * d^2 exceeds"),
-                                        (10_000_000, "poly_pair", "ensemble would exceed")):
+    for samples, observable, n_terms, budget in (
+        (10_000_000, "poly_pair", 20, "samples and decompose.n_terms: ensemble would exceed"),
+        (1_000, "poly_pair", 5_000, "decompose.n_terms: N (N + 1) = 25005000 punctured sums"),
+    ):
         short.write_text(json.dumps(_random_cfg(
-            samples=samples, observable=observable, decompose={"n_terms": 20})))
+            samples=samples, observable=observable, decompose={"n_terms": n_terms})))
         out = tmp_path / "sizes"
         rc = cli.main(["decompose", "--config", str(short), "--out", str(out)])
-        assert rc == 2, observable
-        assert f"config error: samples and decompose.n_terms: {budget}" in capsys.readouterr().err
+        assert rc == 2, n_terms
+        assert f"config error: {budget}" in capsys.readouterr().err
         assert not out.exists()
     monkeypatch.undo()
 
@@ -1075,3 +1079,105 @@ def test_cli_stein_check_and_seed_override(tmp_path, capsys):
     )
     assert rc == 0
     capsys.readouterr()
+
+
+def test_manifest_names_the_numerics_it_ran_with(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    active = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    run_stein_check(1, sigma_count=1, out_dir=tmp_path / "in")
+    manifest = json.loads((tmp_path / "in" / "manifest.json").read_text())
+    numerics = manifest["numerics"]
+    assert numerics["dispatch"] == active
+    assert numerics["NPY_DISABLE_CPU_FEATURES"] == os.environ.get("NPY_DISABLE_CPU_FEATURES")
+    assert numerics["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert numerics["blas"] == f"{blas['name']} {blas['version']}"
+    if not active:
+        pytest.skip("no dispatch target above numpy's baseline is active")
+    # a CLI run with every active target disabled records none as active
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(active))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinclt.cli", "stein-check", "--dim", "1", "--sigmas", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    numerics = json.loads((out / "manifest.json").read_text())["numerics"]
+    assert numerics["dispatch"] == []
+    assert numerics["NPY_DISABLE_CPU_FEATURES"] == " ".join(active)
+    assert numerics["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_manifest_numerics_survive_an_older_numpy(tmp_path, monkeypatch):
+    # numpy 1.x keeps the dispatch tables in np.core, numpy < 1.25 has no
+    # build CONFIG, and a build may lack the dispatch tables: the manifest
+    # is written all the same, with null for what is missing
+    umath = np._core._multiarray_umath
+    active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    monkeypatch.delattr(np, "_core")
+    monkeypatch.setattr(np, "core", types.SimpleNamespace(_multiarray_umath=umath), raising=False)
+    monkeypatch.delattr(np.__config__, "CONFIG")
+    rc = cli.main(["stein-check", "--dim", "1", "--sigmas", "1", "--out", str(tmp_path / "a")])
+    assert rc == 0
+    numerics = json.loads((tmp_path / "a" / "manifest.json").read_text())["numerics"]
+    assert numerics["dispatch"] == active
+    assert numerics["blas"] is None
+    monkeypatch.delattr(umath, "__cpu_dispatch__")
+    rc = cli.main(["stein-check", "--dim", "1", "--sigmas", "1", "--out", str(tmp_path / "b")])
+    assert rc == 0
+    numerics = json.loads((tmp_path / "b" / "manifest.json").read_text())["numerics"]
+    assert numerics["dispatch"] is None
+
+
+def test_oversized_pass_sums_exit_2_before_any_orbit_step(tmp_path, capsys, monkeypatch):
+    def no_orbits(*args, **kwargs):
+        raise AssertionError("an orbit step ran")
+
+    monkeypatch.setattr(harness, "_sharded_sums", no_orbits)
+    monkeypatch.setattr(harness, "sigma_series", no_orbits)
+    cfg_path = tmp_path / "big.json"
+    for command, cfg in (("rates", _random_cfg(samples=10**9)), ("qds", _qds_cfg(samples=10**9)),
+                         ("quenched", _random_cfg(samples=10**9))):
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / command
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2, command
+        assert "config error: samples and n_grid: the sums would hold" in capsys.readouterr().err
+        assert not out.exists()
+    # at the budget's edge: 4 checkpoints and 6 step arrays of S values
+    harness._check_sums_size(4, harness.MEMORY_BUDGET // 10, 1)
+    with pytest.raises(ConfigError):
+        harness._check_sums_size(4, harness.MEMORY_BUDGET // 10 + 1, 1)
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+    monkeypatch.setattr(cli, "run_rates", exhausted)
+    cfg_path = tmp_path / "rates.json"
+    cfg_path.write_text(json.dumps(_random_cfg()))
+    rc = cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["out of memory: Unable to allocate 7.45 GiB for an array with "
+                                "shape (1000000000,)"]
+
+
+def test_sharded_sums_use_cpu_count_without_an_affinity_mask(monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere the pool takes os.cpu_count()
+    cfg = validate_config(_random_cfg())
+    seq, f = build_system(cfg), build_observable(cfg)
+    want = _sharded_sums(seq, f, [8, 16], 300, 5, {}, 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    stage = {}
+    got = _sharded_sums(seq, f, [8, 16], 300, 5, stage)
+    assert stage["threads"] == 3
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)

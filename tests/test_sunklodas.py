@@ -2,15 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from steinclt import stein
+from steinclt import harness, stein, sunklodas
 from steinclt.dynamics import LsvFamily, SequentialSequence, trajectory
 from steinclt.harness import RunManifest
 from steinclt.linalg import DegenerateCovariance
 from steinclt.quadrature import gauss_legendre_01
+from steinclt.stats import build_ensemble
 from steinclt.stein import (
     _CHUNK_VALUES,
     SteinSolution,
@@ -391,6 +393,69 @@ def test_decompose_evaluates_each_distinct_punctured_sum_once(d, zeros):
         assert other.distinct_points == ledger.distinct_points
 
 
+@pytest.mark.parametrize("d, weighted", [(1, False), (2, False), (2, True)])
+def test_sample_blocks_keep_the_single_block_ledger(d, weighted, monkeypatch):
+    # 61 samples in blocks of 12: five full blocks and a ragged last one of a
+    # single sample, against one block of all 61
+    big_n = 5
+    rng = np.random.default_rng(70 + d)
+    vals = rng.uniform(-1.0, 1.0, size=(61, big_n, d))
+    weights = rng.dirichlet(np.ones(61)) if weighted else None
+    ens = EnsembleMatrix.from_raw(vals, np.eye(d), 2.0, weights=weights)
+    sol = SteinSolution(_tanh_pair() if d == 2 else _tanh_single(), ens.w_covariance(),
+                        gh_order=8, u_order=8)
+    whole = _Counting(sol)
+    single = decompose(ens, whole)
+    assert len(whole.rows) == 1
+    monkeypatch.setattr(sunklodas, "_BLOCK_SLOTS", 12 * big_n * (big_n + 1) + 7)
+    blocks = _Counting(sol)
+    ledger = decompose(ens, blocks)
+    assert len(blocks.rows) == 6
+    for rows in blocks.rows:
+        assert len({row.tobytes() for row in rows}) == len(rows)
+    assert len(blocks.rows[-1]) <= big_n * (big_n + 1)      # one sample's slots
+    assert ledger.distinct_points == sum(len(rows) for rows in blocks.rows)
+    # per-sample shares, and the mean Hessian summed in sample order (weighted
+    # or not), keep their bits; E3-E5 split off a part linear in that mean
+    exact = ("E1", "E2", "E6", "E7")
+    for name in exact:
+        assert ledger.terms[name] == single.terms[name], name
+    assert ledger.lhs == single.lhs
+    scale = max(abs(v) for v, _ in single.terms.values())
+    for name in set(single.terms) - set(exact):
+        for got, want in zip(ledger.terms[name], single.terms[name]):
+            assert abs(got - want) <= 1e-15 * scale, name
+
+
+def test_evaluate_at_decompose_points_holds_a_few_chunks():
+    # the benchmark's decompose-d2 config (LSV, poly_pair, S = 125, N = 8):
+    # its 3,376 distinct punctured sums, evaluated at gh 8 and u 8 as the
+    # ledger evaluates them.  Each last-axis table is reduced as its factor
+    # yields it, before the other axes' tables are built: the traced peak was
+    # 14.65 chunks (_CHUNK_VALUES float64 values) holding the whole tuple,
+    # and is 8.64 now
+    cfg = harness.validate_config({
+        "version": 1, "observable": "poly_pair", "samples": 125, "seed": 20260815,
+        "system": {"kind": "random", "family": "lsv", "beta_star": 0.25,
+                   "driver": {"kind": "iid-uniform", "low": 0.2, "high": 0.25}},
+    })
+    seed = harness.stage_seed(cfg["seed"], "decompose-ensemble")
+    ens = build_ensemble(harness.build_system(cfg), harness.build_observable(cfg), 8, 125, seed)
+    sol = SteinSolution(builtin_test_functions(2)[2], ens.w_covariance(), gh_order=8, u_order=8)
+    counting = _Counting(sol)
+    decompose(ens, counting)
+    (points,) = counting.rows
+    assert len(points) == 3376
+    sol.evaluate(points[:1], ("gradient", "hessian"))
+    tracemalloc.start()
+    try:
+        sol.evaluate(points, ("gradient", "hessian"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * _CHUNK_VALUES * 8
+
+
 def test_distinct_rows_keep_signed_zeros_apart():
     rows = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, 2.0], [-0.0, -0.0], [0.0, 0.0]])
     distinct, inv = _distinct_rows(rows)
@@ -415,14 +480,17 @@ def test_ledger_csv_round_trip(tmp_path):
     assert lines[-2] == f"lhs,{ledger.lhs[0]!r},{ledger.lhs[1]!r}"
 
 
-def test_decompose_error_paths():
+def test_decompose_error_paths(monkeypatch):
     h = _tanh_single()
     flat = EnsembleMatrix(np.zeros((10, 3, 1)), np.eye(1), 1.0)
     with pytest.raises(DegenerateCovariance):
         decompose(flat, h)
     ens = _doubling_ensemble(300, 4, seed=11)
-    with pytest.raises(ValueError, match="memory budget"):
-        decompose(ens, h, memory_budget=10)
+    # a block holds at least one sample's N (N + 1) = 20 punctured sums
+    monkeypatch.setattr(sunklodas, "_BLOCK_SLOTS", 19)
+    with pytest.raises(ValueError, match="exceed a ledger block of 19"):
+        decompose(ens, h)
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="disagrees"):
         decompose(ens, h, sigma=np.array([[99.0]]))
     # the self-consistent matrix passes
