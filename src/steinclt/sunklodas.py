@@ -269,7 +269,8 @@ def check_block_size(n_terms: int) -> None:
         )
 
 
-def decompose(ens: EnsembleMatrix, solution, sigma: np.ndarray | None = None) -> DecompositionLedger:
+def decompose(ens: EnsembleMatrix, solution, sigma: np.ndarray | None = None,
+              y: np.ndarray | None = None) -> DecompositionLedger:
     """Estimate E1..E7 and the direct LHS for the given C^2 function.
 
     `solution` needs an `evaluate(points, need)` method that returns the
@@ -292,10 +293,12 @@ def decompose(ens: EnsembleMatrix, solution, sigma: np.ndarray | None = None) ->
     block, and a part linear in that mean, formed with E6 and E7 in a second
     pass over the blocks once the mean is known (the rings are gathered
     from y again).  So E1, E2, E6, E7 and the lhs do not depend on the
-    blocks, and E3-E5 agree with the centred form to roundoff.
+    blocks, and E3-E5 agree with the centred form to roundoff.  `y`, when
+    given, is this ensemble's `y_values()`, which then is not formed again.
     """
     s_count, big_n, d = ens.samples, ens.times, ens.dimension
-    y = ens.y_values()
+    if y is None:
+        y = ens.y_values()
     weights = ens.weights
     sigma_emp = ens.w_covariance(y)
     eigs = np.linalg.eigvalsh(0.5 * (sigma_emp + sigma_emp.T))

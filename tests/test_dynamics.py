@@ -16,6 +16,8 @@ from steinclt.dynamics import (
     RandomSequence,
     SequentialSequence,
     ShiftedSlopeFamily,
+    _quartic,
+    aligned_empty,
     orbit,
     trajectory,
 )
@@ -238,6 +240,53 @@ def test_orbit_rejects_points_outside_unit_interval():
         next(orbit(seq, np.array([0.5, 1.5]), 3))
     with pytest.raises(ValueError, match="outside"):
         next(orbit(seq, -0.1, 3))
+
+
+def test_orbit_and_sequences_reject_nan():
+    # a NaN makes both `min < 0` and `max > 1` false, so the checks are
+    # written to fail on it
+    seq = SequentialSequence(LsvFamily(), (0.2, 0.2), 0.25)
+    with pytest.raises(ValueError, match="outside"):
+        trajectory(seq, np.array([np.nan, 0.3]), 1)
+    with pytest.raises(ValueError, match="outside"):
+        next(orbit(seq, float("nan"), 1))
+    with pytest.raises(ValueError, match="parameters must lie in"):
+        SequentialSequence(LsvFamily(), (0.0, float("nan")), 0.25)
+
+
+@pytest.mark.parametrize("x0", [0.3, np.array([0.3]), np.linspace(0.0, 1.0, 7),
+                                np.linspace(0.0, 1.0, 6250), np.linspace(0.0, 1.0, 100_001)],
+                         ids=["scalar", "1", "7", "6250", "100001"])
+def test_orbit_state_starts_on_a_64_byte_boundary(x0):
+    points = orbit(_random_lsv(), x0, 2)
+    first = next(points)
+    assert first.ctypes.data % 64 == 0
+    assert first.shape == np.shape(x0) and first.dtype == np.float64
+    np.testing.assert_array_equal(first, x0)
+    assert all(x is first for x in points)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (6250,), (100_001,), (13, 3)])
+def test_aligned_empty_shape_and_boundary(shape):
+    arr = aligned_empty(shape)
+    assert arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous
+    assert arr.ctypes.data % 64 == 0
+    arr[...] = 1.0
+    assert arr.sum() == arr.size
+
+
+def test_quartic_has_the_bits_of_two_multiplications():
+    x = np.concatenate([np.random.default_rng(5).random(10_001),
+                        [0.0, 0.5, 1.0, 5e-324, 2.2250738585072014e-308, 1e-80]])
+
+    def reference(v):
+        y = v * v
+        y *= y
+        return y
+
+    np.testing.assert_array_equal(_quartic(x), reference(x)[:, None])
+    assert _quartic(x).tobytes() == reference(x).tobytes()
+    assert _quartic(np.asarray(0.5)).tolist() == [0.0625]
 
 
 def test_sequential_parameters_include_slot_zero():

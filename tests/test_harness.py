@@ -37,6 +37,7 @@ from steinclt.harness import (
 )
 from steinclt.stats import _normal_scores, birkhoff_raw_sums, normalize_sums, wasserstein1_1d
 from steinclt.stein import TensorGrid
+from steinclt.sunklodas import EnsembleMatrix
 
 
 def _random_cfg(**over):
@@ -506,6 +507,33 @@ def test_sharded_sums_equal_one_pass_per_shard(threads):
         np.testing.assert_array_equal(np.stack(got)[:, lo:hi], alone)
 
 
+@pytest.mark.parametrize("samples", [1, 7, 6250, 100_001])
+def test_sharded_sums_arrays_start_on_a_64_byte_boundary(samples):
+    cfg = validate_config(_random_cfg(observable="poly_pair"))
+    seq, f = build_system(cfg), build_observable(cfg)
+    got = _sharded_sums(seq, f, [1, 2, 3], samples, 17, {}, 2)
+    assert len(got) == 3
+    for arr in got:
+        assert arr.shape == (samples, 2) and arr.ctypes.data % 64 == 0
+
+
+def test_sharded_sums_accumulate_each_group_on_a_64_byte_boundary(monkeypatch):
+    # at S = 100,000 on two threads each group's rows start on a boundary:
+    # the second at row 50,000, 400,000 bytes in
+    cfg = validate_config(_random_cfg(observable="quartic"))
+    seq, f = build_system(cfg), build_observable(cfg)
+    offsets = []
+    real = harness.birkhoff_raw_sums
+
+    def recording(seq, f, checkpoints, x0, out):
+        offsets.append(out[-1].ctypes.data % 64)
+        return real(seq, f, checkpoints, x0, out)
+
+    monkeypatch.setattr(harness, "birkhoff_raw_sums", recording)
+    _sharded_sums(seq, f, [2, 4], 100_000, 17, {}, 2)
+    assert offsets == [0, 0]
+
+
 def test_rates_outputs_do_not_depend_on_threads(tmp_path, capsys):
     cfg = _random_cfg()
     cfg_path = tmp_path / "rates.json"
@@ -727,6 +755,16 @@ def test_run_decompose_small(tmp_path):
     cfg["decompose"]["u_order"] = 8
     with pytest.raises(ConfigError, match="u_order"):
         run_decompose(cfg, tmp_path)
+
+
+def test_run_decompose_forms_y_once(tmp_path, monkeypatch):
+    calls = []
+    real = EnsembleMatrix.y_values
+    monkeypatch.setattr(EnsembleMatrix, "y_values", lambda self: calls.append(1) or real(self))
+    cfg = _random_cfg(samples=200, decompose={"n_terms": 4})
+    del cfg["n_grid"]
+    assert run_decompose(cfg, tmp_path).passed
+    assert len(calls) == 1
 
 
 def test_run_decompose_rejects_unknown_test_function_before_simulating(tmp_path, monkeypatch):
