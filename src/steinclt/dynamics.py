@@ -211,7 +211,8 @@ class MarkovChainDriver:
         p = np.asarray(self.kernel, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] != len(self.values):
             raise ValueError("kernel must be square and match the value grid")
-        if np.any(p < 0) or np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
+        # written so that a NaN entry fails both checks, as in _as_unit_interval
+        if not (np.all(p >= 0) and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12):
             raise ValueError("kernel rows must be probability vectors")
 
     def _kernel_array(self) -> np.ndarray:

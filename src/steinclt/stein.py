@@ -32,7 +32,11 @@ derivative order).  The other axes' tables are built after that, so at
 points one constant (`_CHUNK_VALUES`) bounds the memory of a call.  Each
 term is then contracted one GH axis at a time from there; the first axis's
 product and its GH sum are one einsum, so that axis's product array is
-never built.  Only the multiply between axes depends on the input, an
+never built.  The partials of all requested fields are taken in groups that
+read the same derivative orders on axes 1..d-1, so in a group the terms'
+contractions down to axis 1 are shared: each distinct set of those tables
+is contracted once, and only the axis-0 einsum and the scale run per
+partial and term.  Only the multiply between axes depends on the input, an
 outer product on a grid and elementwise at points, so a grid equals its
 `points()` bit for bit (tests/test_stein.py).
 """
@@ -589,7 +593,18 @@ class SteinSolution:
         einsum `_contract` would run per term, into S[j, g gh^(d-1) + i'] for
         each (factor, derivative order) that some term reads; `_contract`
         starts from S.  The other axes' tables, held whole, are built after
-        the last axis's blocks, never beside them."""
+        the last axis's blocks, never beside them.
+
+        The partials of every field in `out` are contracted in groups keyed
+        by their derivative orders on axes 1..d-1 (c_1 ... c_{d-1}).  Within
+        a group a term reads the same tables on those axes for every partial,
+        so `_contract` keeps its contraction down to axis 1 in the group's
+        `held` dict, and the next partial that reads those tables starts from
+        it; the dict, and with it the group's intermediates, is dropped when
+        the group ends.  Each partial still sees the same arrays and
+        operations as when it was contracted alone, so every bit is kept."""
+        if not out:
+            return
         d = self.dimension
         un, uw = self._unodes, self._uweights
         w = self._gh_weights
@@ -617,40 +632,56 @@ class SteinSolution:
         del args  # free them before the contractions allocate
         tabs.update(last)
         u_weights = (uw / un, uw, uw * un)          # value, gradient, Hessian
-        for name, field in out.items():
-            k = _FIELDS.index(name)
-            zero = np.zeros((un.size, field.shape[0]))
-            for idx in index_tuples(d, k):
-                psi = self.h._sum_terms(tabs, idx, functools.partial(self._contract, outer=outer), zero)
+        zero = np.zeros((un.size, len(next(iter(out.values())))))
+        groups = {}                             # partials by their orders on axes 1..d-1
+        for name in out:
+            for idx in index_tuples(d, _FIELDS.index(name)):
+                groups.setdefault(tuple(_counts(d, idx)[1:]), []).append((name, idx))
+        for group in groups.values():
+            held = {}                           # the group's contractions down to axis 1
+            contract = functools.partial(self._contract, outer=outer, held=held)
+            for name, idx in group:
+                k = _FIELDS.index(name)
+                psi = self.h._sum_terms(tabs, idx, contract, zero)
                 if k == 0:
                     psi = psi - self.phi_h
                 if psi is not zero:             # a fresh array, weighted in place
                     psi *= u_weights[k][:, None]
-                _fill_partial(field, idx, -functools.reduce(np.add, psi))
+                _fill_partial(out[name], idx, -functools.reduce(np.add, psi))
 
-    def _contract(self, scale: float, tables, outer: bool) -> np.ndarray:
+    def _contract(self, scale: float, tables, outer: bool, held: dict) -> np.ndarray:
         """psi[j, point] = scale sum_i W_i prod_a T_a[j, g_a, i] of one term,
         nested from the last axis in, whose table comes already summed over
         its GH index (`_fill`): times the next table, sum the trailing GH
         index against the 1-D weights (per row, by einsum, for the reason
-        `_fill` gives), repeat down to axis 1.  Axis 0 takes its product and
-        its GH sum in one three-operand einsum, T_0 times acc times the
-        weights summed over i, which skips a (u, points, gh) product array
-        whose short GH axis is innermost.  On a grid the product is outer
-        across coordinates (acc passed as a contiguous (j, i, m) transpose,
-        same bits), at a point set elementwise; nothing else differs."""
+        `_fill` gives), repeat down to axis 1.  That result, acc, depends on
+        the tables of axes 1..d-1 only, and on a grid it is stored as a
+        contiguous (j, i, m) transpose (same bits); `held` keeps it by those
+        tables' identities, so a later call on the same tables (another
+        partial of the group, or another term with the same factors there)
+        takes it from there.  Axis 0 takes its product and its GH sum in one
+        three-operand einsum, T_0 times acc times the weights summed over i,
+        which skips a (u, points, gh) product array whose short GH axis is
+        innermost, and then the scale: these run per call.  On a grid the
+        product is outer across coordinates, at a point set elementwise;
+        nothing else differs."""
         w = self._gh_weights
         j = tables[0].shape[0]
-        acc = tables[-1]
         if len(tables) == 1:
-            return scale * acc
-        for t in tables[-2:0:-1]:
-            acc = acc.reshape(j, -1, t.shape[-1])
-            acc = (t[:, :, None, :] * acc[:, None]).reshape(j, -1, t.shape[-1]) if outer else t * acc
-            acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w)
-        acc = acc.reshape(j, -1, w.size)
+            return scale * tables[0]
+        key = tuple(map(id, tables[1:]))        # `_fill` holds every table until it returns
+        acc = held.get(key)
+        if acc is None:
+            acc = tables[-1]
+            for t in tables[-2:0:-1]:
+                acc = acc.reshape(j, -1, t.shape[-1])
+                acc = (t[:, :, None, :] * acc[:, None]).reshape(j, -1, t.shape[-1]) if outer else t * acc
+                acc = np.einsum("jmi,i->jm", acc.reshape(j, -1, w.size), w)
+            acc = acc.reshape(j, -1, w.size)
+            if outer:
+                acc = np.ascontiguousarray(acc.transpose(0, 2, 1))
+            held[key] = acc
         if outer:
-            acc = np.ascontiguousarray(acc.transpose(0, 2, 1))
             psi = np.einsum("jgi,jim,i->jgm", tables[0], acc, w).reshape(j, -1)
         else:
             psi = np.einsum("jmi,jmi,i->jm", tables[0], acc, w)
@@ -709,45 +740,36 @@ def derivative_bound_check(
 
     `grid` is a (points, d) array or a TensorGrid.  Orders 1 and 2 read off
     grad A and D^2 A; order 3, when requested, uses central differences of
-    the Hessian along each axis (on a TensorGrid, one axis shifts).
+    the Hessian along each axis (on a TensorGrid, one axis shifts).  A
+    partial whose sup |d^t h| is unbounded gets margin +inf, and a field no
+    bounded partial reads is not evaluated.
     """
     if not isinstance(grid, TensorGrid):
         grid = np.asarray(grid, dtype=float)
     if len(grid.shape) != 2 or grid.shape[1] != sol.dimension:
         raise ValueError("grid must have shape (points, d)")
-    need = []
-    if 1 in orders:
-        need.append("gradient")
-    if 2 in orders or 3 in orders:
-        need.append("hessian")
-    ev = sol.evaluate(grid, tuple(need))
-    margins: dict = {}
-    h = sol.h
-    if 1 in orders:
-        g = np.abs(ev["gradient"]).max(axis=0)
-        for (a,) in index_tuples(sol.dimension, 1):
-            sup = h.partial_sup((a,))
-            margins[(1, (a,))] = math.inf if sup is None else sup - float(g[a])
-    if 2 in orders:
-        hmax = np.abs(ev["hessian"]).max(axis=0)
-        for a, b in index_tuples(sol.dimension, 2):
-            sup = h.partial_sup((a, b))
-            margins[(2, (a, b))] = math.inf if sup is None else 0.5 * sup - float(hmax[a, b])
-    if 3 in orders:
-        d = sol.dimension
-        third_max = np.zeros((d, d, d))
+    d = sol.dimension
+    sups = {k: {t: sol.h.partial_sup(t) for t in index_tuples(d, k)} for k in (1, 2, 3) if k in orders}
+    read = [k for k, s in sups.items() if any(v is not None for v in s.values())]
+    fields = {1: "gradient", 2: "hessian"}
+    need = tuple(fields[k] for k in read if k in fields)
+    ev = sol.evaluate(grid, need) if need else {}
+    top = {k: np.abs(ev[fields[k]]).max(axis=0) for k in read if k in fields}
+    if 3 in read:
+        top[3] = np.zeros((d, d, d))
         for c in range(d):
             shift = np.zeros(d)
             shift[c] = _BOUND_FD_STEP
             hp = sol.evaluate(grid + shift, ("hessian",))["hessian"]
             hm = sol.evaluate(grid - shift, ("hessian",))["hessian"]
-            der = np.abs((hp - hm) / (2.0 * _BOUND_FD_STEP)).max(axis=0)
-            third_max[:, :, c] = der
-        for a, b, c in index_tuples(sol.dimension, 3):
-            sup = h.partial_sup((a, b, c))
-            vals = [third_max[p] for p in set(permutations((a, b, c)))]
-            got = max(vals)
-            margins[(3, (a, b, c))] = math.inf if sup is None else sup / 3.0 - float(got)
+            top[3][:, :, c] = np.abs((hp - hm) / (2.0 * _BOUND_FD_STEP)).max(axis=0)
+    margins: dict = {}
+    for k, partials in sups.items():
+        for t, sup in partials.items():
+            if sup is None:
+                margins[k, t] = math.inf
+            else:
+                margins[k, t] = sup / k - float(max(top[k][p] for p in set(permutations(t))))
     return BoundCheckReport(margins, grid.shape[0])
 
 

@@ -356,6 +356,13 @@ def test_markov_driver_stream_and_validation():
         MarkovChainDriver(values=[0.05, 0.2], kernel=[[0.9, 0.2], [0.5, 0.5]], seed=1)
 
 
+def test_markov_driver_rejects_a_nan_kernel():
+    # NaN compares false both ways, so a check written as "fail if p < 0"
+    # lets it through
+    with pytest.raises(ValueError):
+        MarkovChainDriver(values=(0.1, 0.2), kernel=((float("nan"), 1.0), (0.5, 0.5)), seed=1)
+
+
 def _markov_stream_by_steps(d: MarkovChainDriver, n: int) -> np.ndarray:
     """Reference: one `searchsorted` per step on the current state's row."""
     u = np.random.default_rng(d.seed).random(n + 1)

@@ -1,7 +1,7 @@
 """Test functions, Stein solutions, derivative bounds, mollifiers."""
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -453,6 +453,104 @@ def test_derivative_bound_check_third_order_on_tensor_grid():
         assert margin == pytest.approx(points.margins[key], rel=0, abs=1e-10), key
     with pytest.raises(ValueError):
         derivative_bound_check(sol, _uneven_grid(3))
+
+
+class _CountingNumpy:
+    """numpy for the `stein` module, recording each einsum's spec and whether
+    it wrote into `out=`."""
+
+    def __init__(self):
+        self.einsums = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, spec, *operands, **kwargs):
+        self.einsums.append((spec, "out" in kwargs))
+        return np.einsum(spec, *operands, **kwargs)
+
+
+def _count_calls(monkeypatch, owner, name, record):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        record.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_stein_check_contracts_each_inner_product_once(monkeypatch):
+    from steinclt.harness import run_stein_check
+
+    fake_np, contracts, evaluates = _CountingNumpy(), [], []
+    monkeypatch.setattr(stein, "np", fake_np)
+    _count_calls(monkeypatch, SteinSolution, "_contract", contracts)
+    _count_calls(monkeypatch, SteinSolution, "evaluate", evaluates)
+    run_stein_check(3, seed=20260815, sigma_count=1)
+    # one per non-vanishing (partial, term): the quadratic's bound check no
+    # longer contracts its gradient (10 terms over three partials, 108 before)
+    assert len(contracts) == 98
+    # the axis-1 sums, one per distinct axis-1..2 tables in each group of
+    # partials that read the same orders there (108 before)
+    assert sum(spec == "jmi,i->jm" and not out for spec, out in fake_np.einsums) == 70
+    # gradient and Hessian per residual and per bound check, but the
+    # quadratic's bound check asks for its Hessian only (24 before)
+    assert sum(len(args[2]) for args, _ in evaluates) == 23
+
+
+def _margins_from_both_fields(sol, grid, orders):
+    """derivative_bound_check as written before it skipped fields: gradient
+    and Hessian from one call, and the third order whatever its sups."""
+    ev = sol.evaluate(grid, ("gradient", "hessian"))
+    d = sol.dimension
+    top = {1: np.abs(ev["gradient"]).max(axis=0), 2: np.abs(ev["hessian"]).max(axis=0),
+           3: np.zeros((d, d, d))}
+    for c in range(d):
+        shift = np.eye(d)[c] * stein._BOUND_FD_STEP
+        hp = sol.evaluate(grid + shift, ("hessian",))["hessian"]
+        hm = sol.evaluate(grid - shift, ("hessian",))["hessian"]
+        top[3][:, :, c] = np.abs((hp - hm) / (2.0 * stein._BOUND_FD_STEP)).max(axis=0)
+    margins = {}
+    for k in orders:
+        for t in index_tuples(d, k):
+            sup = sol.h.partial_sup(t)
+            got = max(top[k][p] for p in set(permutations(t)))
+            margins[k, t] = math.inf if sup is None else [sup, 0.5 * sup, sup / 3.0][k - 1] - float(got)
+    return margins
+
+
+@pytest.mark.parametrize("orders", [(1, 2), (1, 2, 3)])
+def test_bound_check_evaluates_only_fields_a_bounded_partial_reads(orders, monkeypatch):
+    sol = SteinSolution(builtin_test_functions(3)[1], _random_sigma(np.random.default_rng(4), 3),
+                        gh_order=_BOUND_GH[3], u_order=_BOUND_U[3])
+    grid = TensorGrid([np.linspace(-3.0, 3.0, 7)] * 3)
+    want = _margins_from_both_fields(sol, grid, orders)
+    evaluates = []
+    _count_calls(monkeypatch, SteinSolution, "evaluate", evaluates)
+    got = derivative_bound_check(sol, grid, orders).margins
+    # the quadratic's first partials are unbounded: its gradient is not read
+    assert [args[2] for args, _ in evaluates] == [("hessian",)] * (1 + 6 * (3 in orders))
+    assert list(got) == list(want) and got == want
+    assert [got[1, (a,)] for a in range(3)] == [math.inf] * 3
+
+
+def test_bound_check_evaluates_nothing_when_every_sup_is_unbounded(monkeypatch):
+    # every partial of orders 1-3 of tanh(w0) w1^2 + w0^2 tanh(w1) has an
+    # unbounded factor, so every margin is +inf before a value is read
+    h = stein.SeparableTestFunction((
+        stein.Term(1.0, (TanhFactor(0.5), PowerFactor(2))),
+        stein.Term(1.0, (PowerFactor(2), TanhFactor(0.5))),
+    ))
+    sol = SteinSolution(h, SIGMA2, gh_order=8, u_order=8)
+    grid = TensorGrid([np.linspace(-2.0, 2.0, 5)] * 2)
+    want = _margins_from_both_fields(sol, grid, (1, 2, 3))
+    assert set(want.values()) == {math.inf}
+    evaluates = []
+    _count_calls(monkeypatch, SteinSolution, "evaluate", evaluates)
+    got = derivative_bound_check(sol, grid, (1, 2, 3)).margins
+    assert evaluates == []
+    assert list(got) == list(want) and got == want
 
 
 def test_univariate_identity_solution():
